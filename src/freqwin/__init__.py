@@ -2,13 +2,10 @@
 signals, with the windowing correction terms computed rather than estimated."""
 
 from .corrections import (CorrectionSet, RecurrenceCoeffs, correction_spectra,
-                          correction_time_oracle, recurrence_coeffs,
-                          zero_corrections)
+                          correction_time_oracle, recurrence_coeffs)
 from .identify import (EstimateReport, ModelParams, ModelStructure,
-                       RankDeficiencyError, RegressionSystem,
-                       assemble_regression, identify_from_signals,
-                       mixed_identify, ps_baseline, residual_spectrum,
-                       solve_ls)
+                       RankDeficiencyError, RegressionSystem, build_regression,
+                       identify_from_signals, residual_spectrum, solve_ls)
 from .metrics import (SweepResult, ensemble_stats, error_norms, loglog_slope,
                       param_error, residual_probe_norm)
 from .simulate import (ForcingSpec, SimConfig, add_noise, integrate_rk4,

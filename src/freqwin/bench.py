@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .identify import (EstimateReport, ModelParams, ModelStructure,
-                       identify_from_signals)
+                       identify_from_signals, residual_spectrum)
 from .metrics import SweepResult, error_norms, param_error, residual_probe_norm
 from .simulate import (ForcingSpec, SimConfig, add_noise, integrate_rk4,
                        multisine, random_system, resample, sample_forcing)
@@ -95,41 +95,19 @@ def sweep_rates(dataset: Dataset, rates, method: str, window: WindowSpec | None,
                 n_p: int = 0, probe_freq: float = 2.0,
                 endpoint_average: bool = False) -> list[SweepResult]:
     """Identify at every sampling rate; also evaluates the true-parameter
-    equation residual, whose decay reflects the window class directly."""
-    from .corrections import correction_spectra, zero_corrections
-    from .identify import assemble_regression, residual_spectrum
-    from .spectral import apply_window, fft_spectrum
-    from .windows import window_table
-
+    equation residual on the regression the estimate solved, whose decay
+    reflects the window class directly."""
     out = []
     for f_s in rates:
         report = estimate(dataset, f_s, method, window, n_p=n_p,
                           endpoint_average=endpoint_average)
-        x, u = dataset.decimated(f_s)
-        s = dataset.theta_true.structure
-        if method in ("corrected", "mixed") and window is not None:
-            table = window_table(window, x.num_samples, max(s.n_a, s.n_b))
-            xw = fft_spectrum(apply_window(x, table, 0),
-                              endpoint_average=endpoint_average)
-            uw = fft_spectrum(apply_window(u, table, 0),
-                              endpoint_average=endpoint_average)
-            xc = correction_spectra(x, table, s.n_a, two_sided=True,
-                                    endpoint_average=endpoint_average)
-            uc = correction_spectra(u, table, s.n_b, two_sided=True,
-                                    endpoint_average=endpoint_average)
-        else:
-            xw = fft_spectrum(x, endpoint_average=endpoint_average)
-            uw = fft_spectrum(u, endpoint_average=endpoint_average)
-            xc = zero_corrections(xw, s.n_a)
-            uc = zero_corrections(uw, s.n_b, source="input")
-        reg = assemble_regression(xw, uw, xc, uc, s)
-        resid = residual_spectrum(dataset.theta_true, reg)
-        norms, l2 = error_norms(resid)
-        probe = residual_probe_norm(resid, probe_freq)
+        resid = residual_spectrum(dataset.theta_true, report.regression)
+        _, l2 = error_norms(resid)
         out.append(SweepResult(
             swept_value=f_s, method=method,
             window=window.label if window is not None else "rect",
-            residual_probe=probe, residual_l2=l2,
+            residual_probe=residual_probe_norm(resid, probe_freq),
+            residual_l2=l2,
             param_error=param_error(dataset.theta_true, report.theta_hat),
             wall_time=report.wall_time,
         ))

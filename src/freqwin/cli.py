@@ -12,7 +12,6 @@ Worker count for sweep/montecarlo fan-out comes from FREQWIN_WORKERS.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,15 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io, metrics
-from .identify import RankDeficiencyError
+from .identify import ModelStructure, RankDeficiencyError, identify_from_signals
 from .simulate import add_noise
 from .windows import f_err, overlap_variance, window_spectrum, window_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-FMT = "%.17g"
 
 
 class ConfigError(Exception):
@@ -53,14 +50,6 @@ def _write_config(out: Path, name: str, args, fields) -> None:
     resolved = {k: getattr(args, k) for k in fields}
     resolved["command"] = name
     io.write_resolved_config(out / "run_config.txt", resolved)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def _merge_config_file(args, argv) -> None:
@@ -113,20 +102,14 @@ def cmd_identify(args) -> int:
     x = io.read_signal_csv(args.x, length=float(args.length))
     u = io.read_signal_csv(args.u, length=float(args.length))
     window = bench.parse_window(args.window) if args.window else None
-    from .identify import ModelStructure
-
     structure = ModelStructure(n_x=x.num_channels, n_u=u.num_channels,
                                n_a=int(args.na), n_b=int(args.nb))
     band = None
     if args.f_min is not None or args.f_max is not None:
-        from .spectral import fft_spectrum
-
-        freqs = fft_spectrum(x).freqs
+        freqs = np.fft.fftfreq(x.num_samples, d=x.length / x.num_samples)
         lo = float(args.f_min) if args.f_min is not None else -np.inf
         hi = float(args.f_max) if args.f_max is not None else np.inf
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
-    from .identify import identify_from_signals
-
     report = identify_from_signals(
         x, u, structure, method=args.method, window_spec=window,
         n_p=int(args.np), band=band,
@@ -134,8 +117,8 @@ def cmd_identify(args) -> int:
     io.write_report_json(out / "report.json", report,
                          window=args.window, seeds={})
     res = report.per_frequency_residual
-    _write_csv(out / "residual.csv", ["f", "residual_norm"],
-               list(zip(res.freqs.tolist(), np.abs(res.coeffs[0]).tolist())))
+    io.write_csv(out / "residual.csv", ["f", "residual_norm"],
+                  list(zip(res.freqs.tolist(), np.abs(res.coeffs[0]).tolist())))
     if args.truth:
         theta_true = io.read_truth_json(args.truth)
         err = metrics.param_error(theta_true, report.theta_hat)
@@ -156,8 +139,8 @@ def cmd_window(args) -> int:
     table = window_table(spec, n, max_deriv)
     t = np.arange(n) * spec.length / n
     header = ["t"] + [f"d{k}" for k in range(max_deriv + 1)]
-    _write_csv(out / "window.csv", header,
-               [[t[j]] + table.samples[:, j].tolist() for j in range(n)])
+    io.write_csv(out / "window.csv", header,
+                  [[t[j]] + table.samples[:, j].tolist() for j in range(n)])
     spectrum = window_spectrum(spec, 0, f_max=float(args.f_max) / spec.length)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     rows = []
@@ -166,10 +149,7 @@ def cmd_window(args) -> int:
             val = f_err(spec, k, p)
             rows.append([k, p, (">10000" if not np.isfinite(val)
                                 else val * spec.length)])
-    with open(out / "ferr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["deriv", "p", "f_err_over_T"])
-        writer.writerows(rows)
+    io.write_csv(out / "ferr.csv", ["deriv", "p", "f_err_over_T"], rows)
     _write_config(out, "window", args, ["window", "samples", "max_deriv", "f_max"])
     print(f"wrote window.csv, spectrum.csv, ferr.csv to {out}")
     return EXIT_OK
@@ -208,11 +188,11 @@ def cmd_sweep(args) -> int:
     else:
         _init_pool(dataset)
         results = [_sweep_one(j) for j in jobs]
-    _write_csv(out / "sweep.csv",
-               ["fs", "method", "window", "residual_probe", "residual_l2",
-                "param_error", "wall_time"],
-               [[r.swept_value, r.method, r.window, r.residual_probe,
-                 r.residual_l2, r.param_error, r.wall_time] for r in results])
+    io.write_csv(out / "sweep.csv",
+                  ["fs", "method", "window", "residual_probe", "residual_l2",
+                   "param_error", "wall_time"],
+                  [[r.swept_value, r.method, r.window, r.residual_probe,
+                    r.residual_l2, r.param_error, r.wall_time] for r in results])
     _write_config(out, "sweep", args,
                   ["seed", "fs_list", "windows", "method", "np", "probe_freq",
                    "length", "fine_rate"])
@@ -253,9 +233,9 @@ def cmd_montecarlo(args) -> int:
             rows.append([window_text, k + 1, err_curve[k], std_curve[k],
                          metrics.param_error(dataset.theta_true,
                                              reports[k].theta_hat)])
-    _write_csv(out / "ensemble.csv",
-               ["window", "k", "cummean_error", "param_std", "trial_error"],
-               rows)
+    io.write_csv(out / "ensemble.csv",
+                  ["window", "k", "cummean_error", "param_std", "trial_error"],
+                  rows)
     _write_config(out, "montecarlo", args,
                   ["seed", "fs", "sigma", "trials", "windows", "method", "np",
                    "length", "fine_rate"])
@@ -278,9 +258,9 @@ def cmd_overlap(args) -> int:
             var = overlap_variance(spec, float(tau), k)
             var0 = overlap_variance(spec, 0.0, base_windows)
             rows.append([text, float(tau), k, var, var / var0])
-    _write_csv(out / "overlap.csv",
-               ["window", "tau", "num_windows", "variance", "normalized"],
-               rows)
+    io.write_csv(out / "overlap.csv",
+                  ["window", "tau", "num_windows", "variance", "normalized"],
+                  rows)
     _write_config(out, "overlap", args,
                   ["windows", "tau_min", "tau_max", "tau_step", "num_windows"])
     print(f"wrote overlap.csv ({len(rows)} rows) to {out}")

@@ -207,20 +207,6 @@ def correction_spectra(signal: Signal, table: WindowTable, j_max: int,
     return CorrectionSet(orders=tuple(range(1, j_max + 1)), spectra=out, source=source)
 
 
-def zero_corrections(template: Spectrum, j_max: int,
-                     source: str = "state") -> CorrectionSet:
-    """All-zero correction spectra on the template's grid (the uncorrected
-    route: spurious inputs ignored)."""
-    zero = tuple(
-        Spectrum(length=template.length,
-                 coeffs=np.zeros_like(template.coeffs),
-                 freqs=template.freqs)
-        for _ in range(j_max)
-    )
-    return CorrectionSet(orders=tuple(range(1, j_max + 1)), spectra=zero,
-                         source=source)
-
-
 def _fornberg_weights(m: int, offsets: np.ndarray) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at 0 on given nodes
     (Fornberg's recursion)."""

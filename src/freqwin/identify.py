@@ -1,15 +1,23 @@
 """Frequency-domain least-squares identification of the ODE coefficients.
 
-The corrected regression stacks, per frequency bin f,
+Every estimator runs one pipeline: records -> spectra -> regression ->
+solve.  The regression stacks, per frequency bin f,
 
     L_i(f) = D(f)^i x_w(f) - x^{i}(f)      (state rows)
     R_k(f) = D(f)^k u_w(f) - u^{k}(f)      (input rows, negated)
 
 into a matrix M whose top n_x rows belong to the fixed A_{n_a} = I block;
 the remaining parameters solve theta_2 M_2 = -M_1 by Moore-Penrose
-pseudo-inverse.  The polynomial-transient baseline replaces the corrections
-with per-output polynomial nuisance terms in f (the rectangular-window
-route); the mixed method carries both.
+pseudo-inverse.  The four methods are settings of two switches:
+
+    method      windowed, corrections subtracted    polynomial rows
+    corrected   yes                                  no
+    mixed       yes                                  n_p
+    ps          no (rectangular, x^{i} = u^{k} = 0)  n_p
+    naive       no (rectangular, x^{i} = u^{k} = 0)  no
+
+The polynomial rows are per-output transient terms in f, estimated as
+nuisance parameters alongside the model.
 
 Parameters are real; the regression is complex.  The solve stays complex
 and the real part is taken at the end, with the imaginary norm reported as
@@ -115,39 +123,9 @@ class EstimateReport:
     per_frequency_residual: Spectrum
     wall_time: float
     method: str
+    regression: RegressionSystem
     imag_norm: float = 0.0
     poly_coeffs: np.ndarray | None = None
-    band: np.ndarray | None = None
-
-
-def _model_blocks(x_spec: Spectrum, u_spec: Spectrum,
-                  x_corr: CorrectionSet | None, u_corr: CorrectionSet | None,
-                  structure: ModelStructure, band: np.ndarray) -> list[np.ndarray]:
-    """Rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] restricted to the band.
-
-    ``None`` corrections mean the uncorrected (rectangular / polynomial
-    baseline) route; a provided set must cover every required order.
-    """
-    freqs = x_spec.freqs[band]
-    D = 2j * np.pi * freqs
-    xw = x_spec.coeffs[:, band]
-    uw = u_spec.coeffs[:, band]
-    blocks = []
-    for i in range(structure.n_a, -1, -1):
-        block = (D**i) * xw if i > 0 else xw.copy()
-        if i >= 1 and x_corr is not None:
-            if i not in x_corr.orders:
-                raise ValueError(f"missing state correction of order {i}")
-            block = block - x_corr.spectrum(i).coeffs[:, band]
-        blocks.append(block)
-    for k in range(structure.n_b, -1, -1):
-        block = (D**k) * uw if k > 0 else uw.copy()
-        if k >= 1 and u_corr is not None:
-            if k not in u_corr.orders:
-                raise ValueError(f"missing input correction of order {k}")
-            block = block - u_corr.spectrum(k).coeffs[:, band]
-        blocks.append(-block)
-    return blocks
 
 
 def _poly_rows(freqs: np.ndarray, n_p: int) -> np.ndarray:
@@ -174,25 +152,50 @@ def _check_band(band, n_bins: int) -> np.ndarray:
     return band
 
 
-def assemble_regression(x_spec: Spectrum, u_spec: Spectrum,
-                        x_corr: CorrectionSet | None, u_corr: CorrectionSet | None,
-                        structure: ModelStructure,
-                        band=None) -> RegressionSystem:
-    """Stack the corrected regression; M1 is the fixed highest-order block."""
+def build_regression(x_spec: Spectrum, u_spec: Spectrum,
+                     structure: ModelStructure,
+                     x_corr: CorrectionSet | None = None,
+                     u_corr: CorrectionSet | None = None,
+                     n_p: int = 0, band=None) -> RegressionSystem:
+    """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band, then
+    n_p polynomial rows; M1 is the fixed highest-order block.
+
+    ``None`` corrections mean the uncorrected (rectangular-window) route; a
+    provided set must cover every required order.  Each output gets its own
+    coefficient per polynomial row, so n_p rows add n_p * n_x estimated
+    nuisance parameters (order 50 on the benchmark adds 250).
+    """
+    if n_p < 0:
+        raise ValueError("polynomial order must be >= 0")
     band = _check_band(band, x_spec.num_bins)
     if u_spec.num_bins != x_spec.num_bins:
         raise ValueError("state and input spectra live on different grids")
-    if structure.n_a >= 1 and x_corr is None:
-        raise ValueError("missing state corrections (use zero_corrections for "
-                         "the deliberately uncorrected route)")
-    if structure.n_b >= 1 and u_corr is None:
-        raise ValueError("missing input corrections")
-    blocks = _model_blocks(x_spec, u_spec, x_corr, u_corr, structure, band)
+    freqs = x_spec.freqs[band]
+    D = 2j * np.pi * freqs
+
+    def rows(spec: Spectrum, corr: CorrectionSet | None, order: int,
+             source: str) -> list[np.ndarray]:
+        """D^i s_w - s^{i} for i = order..0; order 0 has no correction."""
+        coeffs = spec.coeffs[:, band]
+        out = []
+        for i in range(order, -1, -1):
+            block = (D**i) * coeffs if i > 0 else coeffs
+            if i >= 1 and corr is not None:
+                if i not in corr.orders:
+                    raise ValueError(f"missing {source} correction of order {i}")
+                block = block - corr.spectrum(i).coeffs[:, band]
+            out.append(block)
+        return out
+
+    blocks = (rows(x_spec, x_corr, structure.n_a, "state")
+              + [-r for r in rows(u_spec, u_corr, structure.n_b, "input")])
+    if n_p > 0:
+        blocks.append(_poly_rows(freqs, n_p))
     M = np.vstack(blocks)
     n_x = structure.n_x
-    return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=x_spec.freqs[band],
-                            band=band, structure=structure,
-                            length=x_spec.length, n_poly=0)
+    return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=band,
+                            structure=structure, length=x_spec.length,
+                            n_poly=n_p)
 
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
@@ -261,51 +264,9 @@ def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport
     return EstimateReport(
         theta_hat=theta_hat, residual_l2=resid_l2,
         per_frequency_residual=per_freq, wall_time=wall, method=method,
-        imag_norm=imag_norm,
+        regression=reg, imag_norm=imag_norm,
         poly_coeffs=None if poly is None else np.asarray(poly),
-        band=reg.band,
     )
-
-
-def ps_baseline(x_spec_rect: Spectrum, u_spec_rect: Spectrum,
-                structure: ModelStructure, n_p: int,
-                band=None) -> EstimateReport:
-    """Rectangular-window estimation with n_p polynomial transient terms.
-
-    Each output gets its own coefficient per polynomial row, so n_p rows add
-    n_p * n_x estimated nuisance parameters (order 50 on the benchmark adds
-    250).  n_p = 0 is the naive estimator that ignores the spurious inputs.
-    """
-    if n_p < 0:
-        raise ValueError("polynomial order must be >= 0")
-    band = _check_band(band, x_spec_rect.num_bins)
-    blocks = _model_blocks(x_spec_rect, u_spec_rect, None, None, structure, band)
-    if n_p > 0:
-        blocks.append(_poly_rows(x_spec_rect.freqs[band], n_p))
-    M = np.vstack(blocks)
-    n_x = structure.n_x
-    reg = RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=x_spec_rect.freqs[band],
-                           band=band, structure=structure,
-                           length=x_spec_rect.length, n_poly=n_p)
-    return solve_ls(reg, method="ps" if n_p > 0 else "naive")
-
-
-def mixed_identify(x_spec: Spectrum, u_spec: Spectrum,
-                   x_corr: CorrectionSet | None, u_corr: CorrectionSet | None,
-                   structure: ModelStructure, n_p: int,
-                   band=None) -> EstimateReport:
-    """Corrected regression augmented with polynomial terms (n_p = 0 reduces
-    exactly to the corrected method)."""
-    band = _check_band(band, x_spec.num_bins)
-    blocks = _model_blocks(x_spec, u_spec, x_corr, u_corr, structure, band)
-    if n_p > 0:
-        blocks.append(_poly_rows(x_spec.freqs[band], n_p))
-    M = np.vstack(blocks)
-    n_x = structure.n_x
-    reg = RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=x_spec.freqs[band],
-                           band=band, structure=structure,
-                           length=x_spec.length, n_poly=n_p)
-    return solve_ls(reg, method="mixed")
 
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
@@ -316,40 +277,39 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
                           table=None) -> EstimateReport:
     """One-shot estimation from sampled records.
 
-    Times the whole per-dataset pipeline (windowing, transforms, correction
-    recurrence, assembly, solve).  Window-derivative tables count as
-    precomputed design artifacts and may be passed in; building one here is
-    excluded from the reported wall time.
+    ``method`` only picks the settings: corrected and mixed window the
+    records and subtract the corrections, ps and naive transform them
+    unwindowed; mixed and ps add ``n_p`` polynomial rows (ps with n_p = 0 is
+    the naive estimator).  Times the whole per-dataset pipeline (windowing,
+    transforms, correction recurrence, assembly, solve).  Window-derivative
+    tables count as precomputed design artifacts and may be passed in;
+    building one here is excluded from the reported wall time.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method in ("corrected", "mixed"):
-        if window_spec is None and table is None:
+    if method == "ps" and n_p == 0:
+        method = "naive"
+    if method in ("corrected", "naive"):
+        n_p = 0
+    if method not in ("corrected", "mixed"):
+        table = None
+    elif table is None:
+        if window_spec is None:
             raise ValueError(f"method {method!r} needs a window")
-        if table is None:
-            table = window_table(window_spec, x_sig.num_samples,
-                                 max(structure.n_a, structure.n_b))
-        t0 = time.perf_counter()
-        xw = fft_spectrum(apply_window(x_sig, table, 0),
-                          endpoint_average=endpoint_average)
-        uw = fft_spectrum(apply_window(u_sig, table, 0),
-                          endpoint_average=endpoint_average)
+        table = window_table(window_spec, x_sig.num_samples,
+                             max(structure.n_a, structure.n_b))
+    t0 = time.perf_counter()
+    x_corr = u_corr = None
+    if table is not None:
         x_corr = correction_spectra(x_sig, table, structure.n_a, two_sided=True,
                                     endpoint_average=endpoint_average,
                                     source="state")
         u_corr = correction_spectra(u_sig, table, structure.n_b, two_sided=True,
                                     endpoint_average=endpoint_average,
                                     source="input")
-        if method == "corrected":
-            reg = assemble_regression(xw, uw, x_corr, u_corr, structure, band)
-            report = solve_ls(reg, method="corrected")
-        else:
-            report = mixed_identify(xw, uw, x_corr, u_corr, structure, n_p, band)
-    else:  # ps / naive: rectangular window, no corrections
-        if method == "naive":
-            n_p = 0
-        t0 = time.perf_counter()
-        xw = fft_spectrum(x_sig, endpoint_average=endpoint_average)
-        uw = fft_spectrum(u_sig, endpoint_average=endpoint_average)
-        report = ps_baseline(xw, uw, structure, n_p, band)
+        x_sig, u_sig = apply_window(x_sig, table, 0), apply_window(u_sig, table, 0)
+    xw = fft_spectrum(x_sig, endpoint_average=endpoint_average)
+    uw = fft_spectrum(u_sig, endpoint_average=endpoint_average)
+    reg = build_regression(xw, uw, structure, x_corr, u_corr, n_p, band)
+    report = solve_ls(reg, method=method)
     return replace(report, wall_time=time.perf_counter() - t0)

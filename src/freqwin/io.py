@@ -1,6 +1,9 @@
 """CSV and JSON formats shared by the CLI and tests.
 
-Signal CSV: header ``t,ch0_re,ch0_im,ch1_re,...`` one row per sample.
+Signal CSV: header ``t,ch0_re,ch0_im,ch1_re,...`` one row per sample on the
+grid t_j = j T/N.  A record that carries its terminal sample s(T) ends with
+one more line ``# terminal,T,ch0_re,ch0_im,...``; the ``#`` keeps it out of
+the sample rows for any reader that skips comment lines.
 Spectrum CSV: header ``f,ch0_re,ch0_im,...`` one row per bin.
 All floats are written with 17 significant digits so downstream slope fits
 are not quantization-limited.
@@ -8,6 +11,7 @@ are not quantization-limited.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -17,6 +21,17 @@ from .identify import EstimateReport, ModelParams, ModelStructure
 from .spectral import Signal, Spectrum
 
 FMT = "%.17g"
+TERMINAL_TAG = "# terminal"
+GRID_RTOL = 1e-9
+
+
+def write_csv(path, header, rows) -> None:
+    """Rows of floats, ints and strings under a header; floats at FMT."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
 
 
 def write_signal_csv(path, signal: Signal) -> None:
@@ -26,22 +41,47 @@ def write_signal_csv(path, signal: Signal) -> None:
     for c in range(n_c):
         cols.append(signal.values[c].real)
         cols.append(signal.values[c].imag)
+    footer = ""
+    if signal.terminal is not None:
+        row = [signal.length]
+        for v in signal.terminal:
+            row += [v.real, v.imag]
+        footer = ",".join([TERMINAL_TAG] + [FMT % v for v in row])
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt=FMT)
+               footer=footer, comments="", fmt=FMT)
 
 
 def read_signal_csv(path, length: float | None = None) -> Signal:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a signal CSV; without ``length`` the record length is inferred
+    from the first time step.  The time column must be the grid
+    t_j = j T/N (relative 1e-9 of T), else ValueError."""
+    lines = Path(path).read_text().splitlines()
+    data = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: a signal needs at least 2 samples")
     t = data[:, 0]
-    n_c = (data.shape[1] - 1) // 2
-    values = np.empty((n_c, data.shape[0]), dtype=complex)
-    for c in range(n_c):
-        values[c] = data[:, 1 + 2 * c] + 1j * data[:, 2 + 2 * c]
+    terminal = None
+    if lines[-1].startswith(TERMINAL_TAG + ","):
+        row = np.array(lines[-1].split(",")[1:], dtype=float)
+        if row.size != data.shape[1]:
+            raise ValueError(f"{path}: terminal row has {row.size} fields, "
+                             f"sample rows have {data.shape[1]}")
+        t = np.append(t, row[0])
+        terminal = row[1::2] + 1j * row[2::2]
+    if not (np.diff(t) > 0).all():
+        raise ValueError(f"{path}: time column is not strictly increasing")
+    n = data.shape[0]
     if length is None:
         # uniform grid t_j = j T / N implies T = N * dt
-        dt = t[1] - t[0]
-        length = dt * data.shape[0]
-    return Signal(length=length, values=values)
+        length = (t[1] - t[0]) * n
+    if np.abs(t - np.arange(t.size) * (length / n)).max() > GRID_RTOL * length:
+        raise ValueError(f"{path}: time column is not the uniform grid "
+                         f"t_j = j T/N with T = {length!r}, N = {n}")
+    n_c = (data.shape[1] - 1) // 2
+    values = np.empty((n_c, n), dtype=complex)
+    for c in range(n_c):
+        values[c] = data[:, 1 + 2 * c] + 1j * data[:, 2 + 2 * c]
+    return Signal(length=length, values=values, terminal=terminal)
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
@@ -83,7 +123,7 @@ def write_report_json(path, report: EstimateReport, window: str | None = None,
         "residual_l2": report.residual_l2,
         "imag_norm": report.imag_norm,
         "wall_time": report.wall_time,
-        "band": None if report.band is None else np.asarray(report.band).tolist(),
+        "band": report.regression.band.tolist(),
         "window": window,
         "seeds": seeds or {},
     }

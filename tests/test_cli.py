@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import freqwin.bench as bench
+from freqwin import identify_from_signals
 from freqwin.cli import main
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
@@ -78,6 +80,42 @@ class TestIdentify:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["band"]) < 80
+
+    def test_endpoint_average_round_trip(self, sim_dir, tmp_path):
+        out = tmp_path / "ea"
+        rc = main(["identify", "--out", str(out),
+                   "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                   "--method", "corrected", "--window", "cinf:4",
+                   "--endpoint-average"])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        x, u = bench.reference_dataset(seed=3, fine_rate=23040).decimated(80.0)
+        want = identify_from_signals(x, u, bench.REF_STRUCTURE,
+                                     window_spec=bench.parse_window("cinf:4"),
+                                     endpoint_average=True)
+        got = report["theta_hat"]
+        for m, entry in zip(want.theta_hat.A + want.theta_hat.B,
+                            got["A"] + got["B"]):
+            np.testing.assert_array_equal(
+                np.array(entry["data"]).reshape(entry["shape"]), m)
+        assert report["residual_l2"] == want.residual_l2
+
+    def test_shuffled_time_column_is_exit_2(self, sim_dir, tmp_path):
+        header, *rows = (sim_dir / "x.csv").read_text().splitlines()
+        samples = [r for r in rows if not r.startswith("#")]
+        order = np.random.default_rng(0).permutation(len(samples))
+        shuffled = tmp_path / "x_shuffled.csv"
+        shuffled.write_text("\n".join([header] + [samples[i] for i in order]) + "\n")
+        rc = main(["identify", "--out", str(tmp_path / "sh"),
+                   "--x", str(shuffled), "--u", str(sim_dir / "u.csv"),
+                   "--truth", str(sim_dir / "truth.json")])
+        assert rc == 2
+
+    def test_length_mismatch_is_exit_2(self, sim_dir, tmp_path):
+        rc = main(["identify", "--out", str(tmp_path / "len"),
+                   "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                   "--method", "naive", "--length", "2"])
+        assert rc == 2
 
 
 class TestWindowCommand:

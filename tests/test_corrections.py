@@ -3,9 +3,10 @@ import pytest
 from fractions import Fraction
 from math import comb
 
-from freqwin import (Signal, WindowSpec, correction_spectra,
-                     correction_time_oracle, recurrence_coeffs, resample,
-                     rng_for, window_table, zero_corrections)
+from freqwin import (CorrectionSet, ModelStructure, Signal, Spectrum,
+                     WindowSpec, build_regression, correction_spectra,
+                     correction_time_oracle, fft_spectrum, recurrence_coeffs,
+                     resample, rng_for, window_table)
 
 T = 1.0
 
@@ -236,11 +237,16 @@ class TestLeibnizEquivalence:
             assert rel < 1e-8, (family, order, j, rel)
 
 
-def test_zero_corrections_helper():
-    from freqwin import fft_spectrum
-
+def test_uncorrected_route_equals_zero_corrections():
+    """No correction set (the rectangular route) stacks the same regression
+    as subtracting all-zero correction spectra of every order."""
     sig, *_ = smooth_multisine(128)
     template = fft_spectrum(sig)
-    zc = zero_corrections(template, 2)
-    assert zc.orders == (1, 2)
-    assert np.abs(zc.spectrum(1).coeffs).max() == 0.0
+    zero = Spectrum(length=template.length,
+                    coeffs=np.zeros_like(template.coeffs), freqs=template.freqs)
+    zc = CorrectionSet(orders=(1, 2), spectra=(zero, zero))
+    structure = ModelStructure(n_x=1, n_u=1, n_a=2, n_b=2)
+    plain = build_regression(template, template, structure)
+    zeroed = build_regression(template, template, structure, zc, zc)
+    np.testing.assert_array_equal(plain.m1, zeroed.m1)
+    np.testing.assert_array_equal(plain.m2, zeroed.m2)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from freqwin import (ModelParams, ModelStructure, RankDeficiencyError, Signal,
-                     Spectrum, WindowSpec, assemble_regression, fft_spectrum,
-                     identify_from_signals, param_error,
-                     ps_baseline, residual_spectrum, rng_for, solve_ls,
-                     zero_corrections)
+from freqwin import (CorrectionSet, ModelParams, ModelStructure,
+                     RankDeficiencyError, Signal, Spectrum, WindowSpec,
+                     build_regression, correction_spectra, fft_spectrum,
+                     identify_from_signals, param_error, residual_spectrum,
+                     rng_for, solve_ls, window_table)
 
 T = 1.0
 
@@ -68,12 +68,10 @@ class TestExactRecovery:
     def test_duplicated_band_leaves_estimate_unchanged(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
-        xc = zero_corrections(xw, 1)
-        uc = zero_corrections(uw, 0, source="input")
         band = np.arange(x.num_samples)
-        reg1 = assemble_regression(xw, uw, xc, uc, theta.structure, band)
-        reg2 = assemble_regression(xw, uw, xc, uc, theta.structure,
-                                   np.concatenate([band, band]))
+        reg1 = build_regression(xw, uw, theta.structure, band=band)
+        reg2 = build_regression(xw, uw, theta.structure,
+                                band=np.concatenate([band, band]))
         t1 = solve_ls(reg1).theta_hat
         t2 = solve_ls(reg2).theta_hat
         for m1, m2 in zip(t1.A + t1.B, t2.A + t2.B):
@@ -126,11 +124,11 @@ class TestPsBaseline:
         structure = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
         x_spec = Spectrum(length=T, coeffs=xw[None, :], freqs=freqs)
         u_spec = Spectrum(length=T, coeffs=uw[None, :], freqs=freqs)
-        report = ps_baseline(x_spec, u_spec, structure, n_p=1)
+        report = solve_ls(build_regression(x_spec, u_spec, structure, n_p=1))
         assert abs(report.theta_hat.A[0][0, 0] - a) < 1e-6
         assert abs(report.theta_hat.B[0][0, 0] - b) < 1e-6
         # without the transient term the estimate is far off
-        naive = ps_baseline(x_spec, u_spec, structure, n_p=0)
+        naive = solve_ls(build_regression(x_spec, u_spec, structure))
         assert abs(naive.theta_hat.A[0][0, 0] - a) > 1e-2
 
     def test_polynomial_row_count(self):
@@ -164,16 +162,19 @@ class TestResidualSpectrum:
     def test_true_parameters_give_small_residual_on_exact_data(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
-        reg = assemble_regression(xw, uw, zero_corrections(xw, 1),
-                                  zero_corrections(uw, 0), theta.structure)
+        reg = build_regression(xw, uw, theta.structure)
         resid = residual_spectrum(theta, reg)
         assert np.abs(resid.coeffs).max() < 1e-10
+        # polynomial rows are nuisance terms, not part of the model residual
+        with_poly = build_regression(xw, uw, theta.structure, n_p=3)
+        assert with_poly.m2.shape[0] == reg.m2.shape[0] + 3
+        np.testing.assert_array_equal(
+            residual_spectrum(theta, with_poly).coeffs, resid.coeffs)
 
     def test_wrong_parameters_give_large_residual(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
-        reg = assemble_regression(xw, uw, zero_corrections(xw, 1),
-                                  zero_corrections(uw, 0), theta.structure)
+        reg = build_regression(xw, uw, theta.structure)
         wrong = ModelParams(theta.structure,
                             A=(theta.A[0] + 0.5, theta.A[1]), B=theta.B)
         resid = residual_spectrum(wrong, reg)
@@ -223,13 +224,29 @@ class TestErrorPaths:
         xw, uw = fft_spectrum(x), fft_spectrum(u)
         band = np.arange(3)  # fewer columns than parameter rows
         with pytest.raises(ValueError, match="underdetermined"):
-            ps_baseline(xw, uw, theta.structure, n_p=0, band=band)
+            solve_ls(build_regression(xw, uw, theta.structure, band=band))
 
     def test_missing_corrections_rejected(self):
+        # None means the rectangular route; a set lacking an order is an error
+        x, u, _ = exact_dataset()
+        structure = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=1)
+        table = window_table(WindowSpec("cinf", 2, T), x.num_samples, 2)
+        xw, uw = fft_spectrum(x), fft_spectrum(u)
+        xc2 = correction_spectra(x, table, 2, two_sided=True)
+        xc1 = correction_spectra(x, table, 1, two_sided=True)
+        uc1 = correction_spectra(u, table, 1, two_sided=True)
+        build_regression(xw, uw, structure, xc2, uc1)
+        with pytest.raises(ValueError, match="state correction of order 2"):
+            build_regression(xw, uw, structure, xc1, uc1)
+        no_input = CorrectionSet(orders=(), spectra=(), source="input")
+        with pytest.raises(ValueError, match="input correction of order 1"):
+            build_regression(xw, uw, structure, xc2, no_input)
+
+    def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
-        with pytest.raises(ValueError, match="correction"):
-            assemble_regression(xw, uw, None, None, theta.structure)
+        with pytest.raises(ValueError, match="polynomial order"):
+            build_regression(xw, uw, theta.structure, n_p=-1)
 
     def test_unknown_method(self):
         x, u, theta = exact_dataset()
@@ -244,5 +261,6 @@ class TestErrorPaths:
     def test_empty_band(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
-        with pytest.raises(ValueError):
-            ps_baseline(xw, uw, theta.structure, 0, band=np.array([], dtype=int))
+        with pytest.raises(ValueError, match="empty"):
+            build_regression(xw, uw, theta.structure,
+                             band=np.array([], dtype=int))

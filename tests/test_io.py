@@ -25,6 +25,39 @@ def test_signal_csv_infers_length_from_grid(tmp_path):
     assert back.length == pytest.approx(2.0)
 
 
+def test_signal_csv_carries_terminal_sample(tmp_path):
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    terminal = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    sig = Signal(length=0.5, values=values, terminal=terminal)
+    path = tmp_path / "sig.csv"
+    write_signal_csv(path, sig)
+    assert path.read_text().splitlines()[-1].startswith("# terminal,0.5,")
+    # comment-skipping readers see only the sample rows
+    assert np.loadtxt(path, delimiter=",", skiprows=1).shape == (16, 5)
+    back = read_signal_csv(path)
+    assert back.length == 0.5
+    np.testing.assert_array_equal(back.values, values)
+    np.testing.assert_array_equal(back.terminal, terminal)
+    plain = tmp_path / "plain.csv"
+    write_signal_csv(plain, Signal(length=0.5, values=values))
+    assert read_signal_csv(plain).terminal is None
+
+
+@pytest.mark.parametrize("times,length", [
+    ([0.0, 0.5, 0.25, 0.75], None),  # not increasing
+    ([0.0, 0.25, 0.5, 0.8], None),  # not uniform
+    ([0.1, 0.35, 0.6, 0.85], None),  # uniform but not starting at t = 0
+    ([0.0, 0.25, 0.5, 0.75], 1.0 + 1e-6),  # the grid of another length
+])
+def test_signal_csv_rejects_bad_time_column(tmp_path, times, length):
+    path = tmp_path / "sig.csv"
+    path.write_text("t,ch0_re,ch0_im\n"
+                    + "".join(f"{t},1,0\n" for t in times))
+    with pytest.raises(ValueError, match="time column"):
+        read_signal_csv(path, length=length)
+
+
 def test_spectrum_csv_columns(tmp_path):
     spec = Spectrum(length=1.0, coeffs=np.array([[1 + 2j, 3 - 4j]]))
     path = tmp_path / "spec.csv"

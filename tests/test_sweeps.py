@@ -6,6 +6,9 @@ the unit tests."""
 import pytest
 
 import freqwin.bench as bench
+import freqwin.corrections as corrections
+import freqwin.identify as identify
+import freqwin.spectral as spectral
 from freqwin import WindowSpec, loglog_slope, param_error
 
 T = 1.0
@@ -119,3 +122,22 @@ def test_mixed_method_does_not_beat_the_best_pure_route():
                                             n_p=n_p).theta_hat)
                  for w in windows]
         assert min(mixed) >= 0.1 * min(pure), (seed, min(mixed), min(pure))
+
+
+def test_sweep_transforms_each_record_once(dataset, monkeypatch):
+    """A corrected cinf:4 rate (n_a = 1, n_b = 0) costs three FFTs: the
+    windowed state and input and the state's order-1 correction term.  The
+    true-parameter residual reuses the regression the estimate solved."""
+    calls = []
+    fft = spectral.fft_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    for module in (identify, corrections, spectral):
+        monkeypatch.setattr(module, "fft_spectrum", counted)
+    rows = bench.sweep_rates(dataset, [80.0, 128.0], "corrected",
+                             WindowSpec("cinf", 4, T))
+    assert len(rows) == 2
+    assert len(calls) == 3 * 2
