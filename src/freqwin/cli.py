@@ -68,10 +68,6 @@ def _merge_config_file(args, argv) -> None:
         setattr(args, key, value)
 
 
-def _parse_fs_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v]
-
-
 def _dataset_from_args(args) -> bench.Dataset:
     return bench.reference_dataset(seed=int(args.seed),
                                    length=float(args.length),
@@ -114,6 +110,12 @@ def cmd_identify(args) -> int:
         x, u, structure, method=args.method, window_spec=window,
         n_p=int(args.np), band=band,
         endpoint_average=bool(args.endpoint_average))
+    # record what the method applied: only corrected/mixed window the
+    # records, only ps/mixed fit polynomial rows
+    if report.method not in ("corrected", "mixed"):
+        args.window = "rect"
+    if report.method not in ("ps", "mixed"):
+        args.np = 0
     io.write_report_json(out / "report.json", report,
                          window=args.window, seeds={})
     res = report.per_frequency_residual
@@ -165,6 +167,17 @@ def _init_pool(dataset) -> None:
     _POOL_DATASET = dataset
 
 
+def _fan_out(dataset, fn, jobs) -> list:
+    """fn over jobs, in order, on FREQWIN_WORKERS processes (or in-process)."""
+    workers = _workers()
+    if workers == 1:
+        _init_pool(dataset)
+        return [fn(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
+                             initargs=(dataset,)) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _sweep_one(payload):
     f_s, method, window_text, n_p, probe = payload
     window = bench.parse_window(window_text) if window_text else None
@@ -175,19 +188,12 @@ def _sweep_one(payload):
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    rates = _parse_fs_list(args.fs_list)
+    rates = [float(v) for v in str(args.fs_list).split(",") if v]
     windows = [w for w in str(args.windows).split(",") if w]
     n_p = int(args.np)
     jobs = [(f_s, args.method, w, n_p, float(args.probe_freq))
             for w in windows for f_s in rates]
-    workers = _workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                                 initargs=(dataset,)) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        _init_pool(dataset)
-        results = [_sweep_one(j) for j in jobs]
+    results = _fan_out(dataset, _sweep_one, jobs)
     io.write_csv(out / "sweep.csv",
                   ["fs", "method", "window", "residual_probe", "residual_l2",
                    "param_error", "wall_time"],
@@ -203,9 +209,8 @@ def cmd_sweep(args) -> int:
 def _mc_one(payload):
     f_s, sigma, trial, method, window_text, n_p = payload
     window = bench.parse_window(window_text) if window_text else None
-    report = bench.estimate(_POOL_DATASET, f_s, method, window, n_p=n_p,
-                            sigma=sigma, noise_trial=trial)
-    return trial, report
+    return bench.estimate(_POOL_DATASET, f_s, method, window, n_p=n_p,
+                          sigma=sigma, noise_trial=trial)
 
 
 def cmd_montecarlo(args) -> int:
@@ -219,15 +224,7 @@ def cmd_montecarlo(args) -> int:
     for window_text in windows:
         jobs = [(f_s, sigma, k, args.method, window_text, int(args.np))
                 for k in range(trials)]
-        workers = _workers()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                                     initargs=(dataset,)) as pool:
-                reports = [r for _, r in sorted(pool.map(_mc_one, jobs),
-                                                key=lambda kr: kr[0])]
-        else:
-            _init_pool(dataset)
-            reports = [r for _, r in map(_mc_one, jobs)]
+        reports = _fan_out(dataset, _mc_one, jobs)
         err_curve, std_curve = metrics.ensemble_stats(reports, dataset.theta_true)
         for k in range(trials):
             rows.append([window_text, k + 1, err_curve[k], std_curve[k],

@@ -157,10 +157,6 @@ class CorrectionSet:
             raise ValueError("order-0 correction is identically zero")
         return self.spectra[self.orders.index(order)]
 
-    @property
-    def max_order(self) -> int:
-        return max(self.orders) if self.orders else 0
-
 
 def correction_spectra(signal: Signal, table: WindowTable, j_max: int,
                        k_max: int | None = None, two_sided: bool = False,

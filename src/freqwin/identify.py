@@ -211,19 +211,12 @@ def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
 
 def _split_theta(theta2: np.ndarray, structure: ModelStructure, n_poly: int):
     s = structure
-    A = []
-    pos = 0
-    for _ in range(s.n_a):  # blocks A_{n_a-1} .. A_0
-        A.append(theta2[:, pos: pos + s.n_x])
-        pos += s.n_x
-    B = []
-    for _ in range(s.n_b + 1):  # blocks B_{n_b} .. B_0
-        B.append(theta2[:, pos: pos + s.n_u])
-        pos += s.n_u
-    poly = theta2[:, pos: pos + n_poly] if n_poly else None
-    A_natural = tuple(reversed(A)) + (np.eye(s.n_x),)
-    B_natural = tuple(reversed(B))
-    return A_natural, B_natural, poly
+    # column blocks A_{n_a-1} .. A_0, B_{n_b} .. B_0, then the poly rows
+    cuts = np.cumsum([s.n_x] * s.n_a + [s.n_u] * (s.n_b + 1))
+    *blocks, poly = np.split(theta2, cuts, axis=1)
+    A = tuple(reversed(blocks[: s.n_a])) + (np.eye(s.n_x),)
+    B = tuple(reversed(blocks[s.n_a:]))
+    return A, B, (poly[:, :n_poly] if n_poly else None)
 
 
 def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +35,21 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
 
 
-def write_signal_csv(path, signal: Signal) -> None:
-    n_c = signal.num_channels
-    header = "t," + ",".join(f"ch{c}_re,ch{c}_im" for c in range(n_c))
-    cols = [signal.times]
-    for c in range(n_c):
-        cols.append(signal.values[c].real)
-        cols.append(signal.values[c].imag)
-    footer = ""
-    if signal.terminal is not None:
-        row = [signal.length]
-        for v in signal.terminal:
-            row += [v.real, v.imag]
-        footer = ",".join([TERMINAL_TAG] + [FMT % v for v in row])
+def _write_channels(path, axis_name: str, axis, values, footer: str = "") -> None:
+    """An axis column, then the real and imaginary part of each channel."""
+    header = axis_name + "," + ",".join(
+        f"ch{c}_re,ch{c}_im" for c in range(values.shape[0]))
+    cols = [axis] + [part for row in values for part in (row.real, row.imag)]
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
                footer=footer, comments="", fmt=FMT)
+
+
+def write_signal_csv(path, signal: Signal) -> None:
+    footer = ""
+    if signal.terminal is not None:
+        row = [signal.length] + [p for v in signal.terminal for p in (v.real, v.imag)]
+        footer = ",".join([TERMINAL_TAG] + [FMT % v for v in row])
+    _write_channels(path, "t", signal.times, signal.values, footer)
 
 
 def read_signal_csv(path, length: float | None = None) -> Signal:
@@ -77,32 +78,17 @@ def read_signal_csv(path, length: float | None = None) -> Signal:
     if np.abs(t - np.arange(t.size) * (length / n)).max() > GRID_RTOL * length:
         raise ValueError(f"{path}: time column is not the uniform grid "
                          f"t_j = j T/N with T = {length!r}, N = {n}")
-    n_c = (data.shape[1] - 1) // 2
-    values = np.empty((n_c, n), dtype=complex)
-    for c in range(n_c):
-        values[c] = data[:, 1 + 2 * c] + 1j * data[:, 2 + 2 * c]
+    values = data[:, 1::2].T + 1j * data[:, 2::2].T
     return Signal(length=length, values=values, terminal=terminal)
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
-    n_c = spectrum.num_channels
-    header = "f," + ",".join(f"ch{c}_re,ch{c}_im" for c in range(n_c))
-    cols = [spectrum.freqs]
-    for c in range(n_c):
-        cols.append(spectrum.coeffs[c].real)
-        cols.append(spectrum.coeffs[c].imag)
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt=FMT)
+    _write_channels(path, "f", spectrum.freqs, spectrum.coeffs)
 
 
 def _params_payload(theta: ModelParams) -> dict:
     return {
-        "structure": {
-            "n_x": theta.structure.n_x,
-            "n_u": theta.structure.n_u,
-            "n_a": theta.structure.n_a,
-            "n_b": theta.structure.n_b,
-        },
+        "structure": asdict(theta.structure),
         "A": [{"shape": list(m.shape), "data": m.ravel().tolist()} for m in theta.A],
         "B": [{"shape": list(m.shape), "data": m.ravel().tolist()} for m in theta.B],
     }

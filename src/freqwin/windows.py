@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -137,10 +137,7 @@ def _poly_ref_values(order: int, k: int, s: np.ndarray, length: float) -> np.nda
     if k == 0:
         out[:] = 1.0 - (s - 0.5) ** n
     elif k <= n:
-        fall = 1.0
-        for i in range(k):
-            fall *= n - i
-        out[:] = -fall * (s - 0.5) ** (n - k) / length**k
+        out[:] = -perm(n, k) * (s - 0.5) ** (n - k) / length**k
     return out
 
 

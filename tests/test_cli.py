@@ -100,6 +100,24 @@ class TestIdentify:
                 np.array(entry["data"]).reshape(entry["shape"]), m)
         assert report["residual_l2"] == want.residual_l2
 
+    def test_naive_records_rect_window(self, sim_dir, tmp_path):
+        out = tmp_path / "nv"
+        assert main(["identify", "--out", str(out),
+                     "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                     "--method", "naive", "--window", "sin:3"]) == 0
+        assert json.loads((out / "report.json").read_text())["window"] == "rect"
+        assert "window = rect" in (out / "run_config.txt").read_text()
+
+    def test_corrected_records_np_zero(self, sim_dir, tmp_path):
+        out = tmp_path / "np"
+        assert main(["identify", "--out", str(out),
+                     "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                     "--method", "corrected", "--window", "cinf:4",
+                     "--np", "10"]) == 0
+        config = (out / "run_config.txt").read_text()
+        assert "np = 0" in config and "window = cinf:4" in config
+        assert json.loads((out / "report.json").read_text())["window"] == "cinf:4"
+
     def test_shuffled_time_column_is_exit_2(self, sim_dir, tmp_path):
         header, *rows = (sim_dir / "x.csv").read_text().splitlines()
         samples = [r for r in rows if not r.startswith("#")]
@@ -241,6 +259,16 @@ class TestConfigAndExitCodes:
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x"),
                      "--config", "nope.cfg"]) == 2
+
+    def test_resonant_system_is_exit_3(self, tmp_path, monkeypatch):
+        # poles at +-2 pi i resonate with the reference multisine's 1 Hz tone
+        A0 = np.diag([1.0, 2.0, 3.0, 0.0, 0.0])
+        A0[3:, 3:] = [[0.0, 2 * np.pi], [-2 * np.pi, 0.0]]
+        resonant = bench.ModelParams(bench.REF_STRUCTURE, A=(A0, np.eye(5)),
+                                     B=(np.eye(5),))
+        monkeypatch.setattr(bench, "random_system", lambda structure, seed: resonant)
+        assert main(["simulate", "--out", str(tmp_path / "res"),
+                     "--fine-rate", "7680", "--fs", "80"]) == 3
 
     def test_bad_window_is_exit_2(self, tmp_path):
         assert main(["window", "--out", str(tmp_path / "w"),

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import freqwin.bench as bench
 from freqwin import (ForcingSpec, ModelParams, ModelStructure, SimConfig,
                      Signal, add_noise, fft_spectrum, integrate_rk4, multisine,
                      random_system, resample, sample_forcing)
+from freqwin.simulate import COMPONENT_INIT, rng_for
 
 SCALAR = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
 
@@ -15,6 +18,74 @@ def scalar_system(a, b=0.0):
 
 def silent_forcing():
     return ForcingSpec(amplitudes=np.zeros((1, 1)), freqs=np.array([1.0]))
+
+
+def rk4_step_loop(theta, forcing, config, chunk=8192):
+    """Step-by-step RK4 oracle: z_{n+1} = phi z_n + G_n in complex long
+    double, the drive sampled by ``ForcingSpec.evaluate`` on the half-step
+    grid (chunk steps at a time)."""
+    long = np.complex256 if hasattr(np, "complex256") else np.complex128
+    s = theta.structure
+    n_steps = config.num_steps
+    h = np.longdouble(config.length) / np.longdouble(n_steps)
+    dim = s.n_a * s.n_x
+    A = np.eye(dim, k=s.n_x, dtype=long)  # companion form of z = [x, x', ..]
+    A[dim - s.n_x:] = -np.hstack(theta.A[: s.n_a])
+    if config.x0 is None:
+        rng = rng_for(config.seed, COMPONENT_INIT)
+        x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    else:
+        x0 = np.zeros(dim, dtype=complex)
+        x0[: len(config.x0)] = config.x0
+    A2 = A @ A
+    A3 = A2 @ A
+    eye = np.eye(dim, dtype=long)
+    phi = eye + h * A + h**2 / 2 * A2 + h**3 / 6 * A3 + h**4 / 24 * A3 @ A
+    psi_start = h / 6 * eye + h**2 / 6 * A + h**3 / 12 * A2 + h**4 / 24 * A3
+    psi_mid = 2 * h / 3 * eye + h**2 / 3 * A + h**3 / 12 * A2
+    psi_end = h / 6 * eye
+
+    states = np.empty((dim, n_steps + 1), dtype=complex)
+    states[:, 0] = x0
+    z = states[:, 0].astype(long)
+    for lo in range(0, n_steps, chunk):
+        hi = min(lo + chunk, n_steps)
+        t_half = np.arange(2 * lo, 2 * hi + 1) * (config.length / (2 * n_steps))
+        C = np.zeros((dim, t_half.size), dtype=complex)
+        for k in range(s.n_b + 1):
+            C[(s.n_a - 1) * s.n_x:] += theta.B[k] @ forcing.evaluate(t_half, deriv=k)
+        G = (psi_start @ C[:, 0:-2:2].astype(long)
+             + psi_mid @ C[:, 1:-1:2].astype(long)
+             + psi_end @ C[:, 2::2].astype(long))
+        for n in range(lo, hi):
+            z = phi @ z + G[:, n - lo]
+            states[:, n + 1] = z.astype(complex)
+    x = states[: s.n_x]
+    out = Signal(length=config.length, values=x[:, :n_steps], terminal=x[:, n_steps])
+    if config.n_out is not None and config.n_out != n_steps:
+        out = resample(out, config.n_out)
+    return out
+
+
+def with_terminal(sig):
+    return np.hstack([sig.values, sig.terminal[:, None]])
+
+
+def rel_dev(got, want):
+    return np.abs(with_terminal(got) - with_terminal(want)).max() / np.abs(
+        with_terminal(want)).max()
+
+
+def exact_ode_record(theta, forcing, x0, t):
+    """RK4-free oracle for x' + A_0 x = B_0 u (A_1 = I), u a multisine:
+    x(t) = e^{-A_0 t}(x_0 - sum_j q_j) + sum_j q_j e^{i w_j t} with
+    q_j = (i w_j I + A_0)^{-1} B_0 a_j."""
+    A0, B0 = theta.A[0], theta.B[0]
+    omega = 2 * np.pi * forcing.freqs
+    q = np.stack([np.linalg.solve(1j * w * np.eye(len(A0)) + A0, B0 @ a)
+                  for w, a in zip(omega, forcing.amplitudes.T)], axis=1)
+    hom = expm(-A0[None] * t[:, None, None]) @ (x0 - q.sum(axis=1))
+    return hom.T + q @ np.exp(1j * np.outer(omega, t))
 
 
 class TestRandomSystem:
@@ -157,6 +228,84 @@ class TestIntegrateRK4:
         x1 = ds1.x.values
         x2 = ds2.x.values[:, ::2]
         assert np.abs(x1 - x2).max() < 1e-9
+
+
+class TestClosedFormAgainstStepLoop:
+    """The closed-form record against the step-by-step recurrence."""
+
+    @staticmethod
+    def loop_record(ds, fine_rate):
+        cfg = SimConfig(structure=ds.theta_true.structure, dt=1.0 / fine_rate,
+                        length=1.0, seed=ds.seed)
+        return rk4_step_loop(ds.theta_true, ds.forcing, cfg)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_reference_dataset_structure(self, seed):
+        fine_rate = bench.REF_FINE_RATE // 24
+        ds = bench.reference_dataset(seed, fine_rate=fine_rate)
+        assert ds.x.num_samples == fine_rate
+        assert rel_dev(ds.x, self.loop_record(ds, fine_rate)) <= 1e-12
+
+    @pytest.mark.slow
+    def test_reference_dataset_full_rate(self):
+        ds = bench.reference_dataset(5)
+        assert rel_dev(ds.x, self.loop_record(ds, bench.REF_FINE_RATE)) <= 1e-12
+
+    def test_input_derivative_drive_with_companion_x0(self):
+        s = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=1)
+        theta = random_system(s, 3)
+        forcing = multisine(9, 1.0, 9.0, seed=3, n_channels=2)
+        x0 = np.array([0.5 - 0.2j, -1.0, 0.3j, 0.7 + 0.1j])
+        cfg = SimConfig(structure=s, dt=1.0 / 2048, length=1.0, x0=x0)
+        out = integrate_rk4(theta, forcing, cfg)
+        np.testing.assert_array_equal(out.values[:, 0], x0[:2])
+        assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
+
+    def test_decimated_run(self):
+        theta = random_system(ModelStructure(3, 2, 1, 0), 8)
+        forcing = multisine(5, 2.0, 12.0, seed=8, n_channels=2)
+        cfg = SimConfig(structure=theta.structure, dt=1.0 / 4096, length=1.0,
+                        seed=8, n_out=256)
+        out = integrate_rk4(theta, forcing, cfg)
+        assert out.num_samples == 256
+        assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
+
+
+class TestResonance:
+    @staticmethod
+    def undamped_oscillator():
+        # x'' + (2 pi)^2 x = u: poles at +-2 pi i, resonant with a 1 Hz tone
+        s = ModelStructure(n_x=1, n_u=1, n_a=2, n_b=0)
+        return ModelParams(s, A=(np.array([[(2 * np.pi) ** 2]]), np.zeros((1, 1)),
+                                 np.eye(1)), B=(np.eye(1),))
+
+    def test_resonant_tone_raises(self):
+        theta = self.undamped_oscillator()
+        cfg = SimConfig(structure=theta.structure, dt=1e-4, length=1.0,
+                        x0=np.array([1.0, 0.0]))
+        forcing = ForcingSpec(np.array([[1.0 + 0j, 1.0]]), np.array([1.0, 3.0]))
+        with pytest.raises(RuntimeError, match="tone f = 1 Hz"):
+            integrate_rk4(theta, forcing, cfg)
+
+    def test_off_resonance_tone_is_fine(self):
+        theta = self.undamped_oscillator()
+        cfg = SimConfig(structure=theta.structure, dt=1.0 / 1024, length=1.0,
+                        x0=np.array([1.0, 0.0]))
+        forcing = ForcingSpec(np.array([[1.0 + 0j]]), np.array([3.0]))
+        out = integrate_rk4(theta, forcing, cfg)
+        assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
+
+
+def test_reference_dataset_matches_exact_ode():
+    # RK4-free oracle: separates integrator error from windowing/aliasing
+    ds = bench.reference_dataset(11)
+    x0 = ds.x.values[:, 0]
+    for f_s in (80, 768):
+        x, _ = ds.decimated(f_s)
+        t = np.arange(f_s + 1) / f_s
+        exact = exact_ode_record(ds.theta_true, ds.forcing, x0, t)
+        got = with_terminal(x)
+        assert np.abs(got - exact).max() / np.abs(exact).max() <= 1e-12
 
 
 class TestAddNoise:
