@@ -76,6 +76,8 @@ class ModelParams:
 
     def __post_init__(self):
         s = self.structure
+        if any(np.iscomplexobj(m) for m in (*self.A, *self.B)):
+            raise ValueError("A and B must be real matrices")
         A = tuple(np.asarray(m, dtype=float) for m in self.A)
         B = tuple(np.asarray(m, dtype=float) for m in self.B)
         if len(A) != s.n_a + 1 or any(m.shape != (s.n_x, s.n_x) for m in A):

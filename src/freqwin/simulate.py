@@ -99,7 +99,6 @@ class SimConfig:
     length: float
     seed: int = 0
     x0: np.ndarray | None = None
-    sigma: float = 0.0
     n_out: int | None = None
 
     def __post_init__(self):

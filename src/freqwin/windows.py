@@ -10,18 +10,20 @@ baseline shares the same pipeline, and a flat reference polynomial window
 ``poly_ref`` exists only for the overlap-variance figures.
 
 Derivatives are exact: the sine windows are finite trigonometric sums which
-are differentiated term by term, and the bump-family derivatives are built
-once per (order, k) as rational-function factors by symbolic differentiation
-of the exponent, then evaluated numerically against the window itself.
+are differentiated term by term; a bump-family derivative is the window
+times a rational prefactor whose numerator polynomial is built once per
+(order, k) in exact fractions, then evaluated in floating point.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, perm
+from fractions import Fraction
+from math import comb, isfinite, perm
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 FAMILIES = ("rectangular", "sin", "cinf", "poly_ref")
 
@@ -46,6 +48,8 @@ class WindowSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown window family {self.family!r}")
+        if not (isfinite(self.order) and isfinite(self.length)):
+            raise ValueError("window order and length must be finite")
         if self.length <= 0:
             raise ValueError("window length must be positive")
         if self.family in ("sin", "poly_ref"):
@@ -83,24 +87,26 @@ class WindowTable:
         return self.samples.shape[1]
 
 
+# q = s (1 - s) = 1/4 - c^2 in c = s - 1/2, exact coefficients in rising powers
+_Q = np.array([Fraction(1, 4), 0, -1], dtype=object)
+_DQ = P.polyder(_Q)
+
+
 @functools.lru_cache(maxsize=None)
-def _cinf_rational(order: float, k: int):
-    """Rational prefactor R_k(s) with d^k/ds^k w = R_k(s) w(s), s = t/T.
+def _cinf_poly(order: float, k: int) -> np.ndarray:
+    """Exact coefficients in c of P_k, where d^k/ds^k w = P_k(c) / q^(2k) w.
 
-    Built by the exact recurrence R_1 = g', R_{k+1} = R_k' + R_k g' on the
-    exponent g = -n/(s(1-s)); every step stays inside the rational functions
-    so no exponential ever appears.  Kept factored: the expanded denominator
-    suffers catastrophic cancellation near s = 1.
+    The exponent g = 4n - n/q has g' = n q' / q^2, so P_1 = n q', and
+    R_{k+1} = R_k' + R_k g' with R_k = P_k / q^(2k) gives
+    P_{k+1} = q^2 P_k' - 2k q q' P_k + n q' P_k.  Fractions keep every
+    coefficient exact; no exponential ever appears.
     """
-    import sympy as sp
-
-    s = sp.symbols("s")
-    n = sp.Rational(order)
-    gprime = sp.cancel(sp.diff(-n / (s * (1 - s)), s))
-    rk = gprime
-    for _ in range(k - 1):
-        rk = sp.cancel(sp.diff(rk, s) + rk * gprime)
-    return sp.lambdify(s, sp.factor(rk), "numpy")
+    n = Fraction(order)
+    if k == 1:
+        return n * _DQ
+    p = _cinf_poly(order, k - 1)
+    return P.polyadd(P.polymul(P.polymul(_Q, _Q), P.polyder(p)),
+                     P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * (k - 1) * _Q)))
 
 
 def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarray:
@@ -114,8 +120,10 @@ def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarr
     if k == 0:
         pref = 1.0
     else:
-        pref = np.asarray(_cinf_rational(float(order), k)(s[live]), dtype=float)
-        pref = pref / length**k
+        # the denominator from s, not c, so nothing cancels at the edges
+        sl = s[live]
+        num = P.polyval(sl - 0.5, _cinf_poly(float(order), k).astype(float))
+        pref = num / (sl * (1.0 - sl)) ** (2 * k) / length**k
     out[live] = pref * np.exp(expo[live])
     return out
 
@@ -130,9 +138,8 @@ def _sin_values(order: int, k: int, t: np.ndarray, length: float) -> np.ndarray:
     return acc.real
 
 
-def _poly_ref_values(order: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
+def _poly_ref_values(n: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
     # w = 1 - (s - 1/2)^n on the unit interval, s = t/T
-    n = int(order)
     out = np.zeros(s.shape, dtype=float)
     if k == 0:
         out[:] = 1.0 - (s - 0.5) ** n
@@ -155,27 +162,21 @@ def window_value(spec: WindowSpec, k: int, t) -> np.ndarray | float:
     t_arr = np.atleast_1d(t_arr)
     T = spec.length
     s = t_arr / T
-    if spec.family == "rectangular":
-        if k >= 1:
-            raise ValueError(
-                "rectangular window has no pointwise derivatives; "
-                "it participates only in the polynomial-transient baseline"
-            )
-        out = np.where((s >= 0.0) & (s <= 1.0), 1.0, 0.0)
-    elif spec.family == "sin":
-        out = np.where(
-            (s >= 0.0) & (s <= 1.0),
-            _sin_values(int(spec.order), k, t_arr, T),
-            0.0,
-        )
-    elif spec.family == "cinf":
+    if spec.family == "cinf":
         out = _cinf_values(spec.order, k, s, T)
-    else:  # poly_ref
-        out = np.where(
-            (s >= 0.0) & (s <= 1.0),
-            _poly_ref_values(int(spec.order), k, s, T),
-            0.0,
-        )
+    else:
+        if spec.family == "rectangular":
+            if k >= 1:
+                raise ValueError(
+                    "rectangular window has no pointwise derivatives; "
+                    "it participates only in the polynomial-transient baseline"
+                )
+            vals = 1.0
+        elif spec.family == "sin":
+            vals = _sin_values(int(spec.order), k, t_arr, T)
+        else:  # poly_ref
+            vals = _poly_ref_values(int(spec.order), k, s, T)
+        out = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -190,6 +191,9 @@ def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTa
     for k in range(max_deriv + 1):
         rows[k] = window_value(spec, k, t)
     return WindowTable(spec=spec, samples=rows)
+
+
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # nodes, weights
 
 
 def window_area(spec: WindowSpec) -> float:
@@ -211,7 +215,7 @@ def window_area(spec: WindowSpec) -> float:
                 total += c * (np.exp(om * T) - 1.0) / om
         return float(total.real)
     # no closed form needed elsewhere: high-order quadrature on the analytics
-    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = _leggauss(200)
     tq = 0.5 * T * (nodes + 1.0)
     return float(0.5 * T * np.sum(weights * window_value(spec, 0, tq)))
 
@@ -236,14 +240,10 @@ def _spectrum_samples(spec: WindowSpec, k: int, f_max: float, oversample: int,
     left = window_value(spec, k, 0.0)
     right = window_value(spec, k, T)
     vals[0] = 0.5 * (left + right)
-    if refine > 1:
-        padded = np.zeros(refine * n_hi)
-        padded[:n_hi] = vals
-        vals = padded
-    coeffs = np.fft.rfft(vals) * (T / n_hi)
-    freqs = np.arange(coeffs.size) / (refine * T)
+    # zero-padded to refine * n_hi; only the kept bins are scaled and cached
     keep = int(round(f_max * refine * T))
-    return freqs[: keep + 1], coeffs[: keep + 1]
+    coeffs = np.fft.rfft(vals, n=refine * n_hi)[: keep + 1] * (T / n_hi)
+    return np.arange(keep + 1) / (refine * T), coeffs
 
 
 def window_spectrum(spec: WindowSpec, k: int, oversample: int = 16,
@@ -292,10 +292,8 @@ def f_err(spec: WindowSpec, k: int, p: float, f_search_max: float | None = None)
     mag = np.abs(coeffs) / S
     env = np.maximum.accumulate(mag[::-1])[::-1]
     m_max = int(np.floor(f_search_max * T))
-    for m in range(1, m_max + 1):
-        if env[m * refine] < p:
-            return m / T
-    return np.inf
+    below = np.flatnonzero(env[refine : m_max * refine + 1 : refine] < p)
+    return (int(below[0]) + 1) / T if below.size else np.inf
 
 
 def overlap_variance(spec: WindowSpec, tau: float, num_windows: int) -> float:
@@ -311,7 +309,7 @@ def overlap_variance(spec: WindowSpec, tau: float, num_windows: int) -> float:
         raise ValueError("need at least one window")
     T = spec.length
     K = num_windows
-    nodes, weights = np.polynomial.legendre.leggauss(400)
+    nodes, weights = _leggauss(400)
 
     def overlap_integral(shift: float) -> float:
         lo, hi = shift, T

@@ -274,6 +274,11 @@ class TestConfigAndExitCodes:
         assert main(["window", "--out", str(tmp_path / "w"),
                      "--window", "kaiser:3"]) == 2
 
+    @pytest.mark.parametrize("window", ["cinf:nan", "cinf:inf", "sin:inf"])
+    def test_non_finite_window_order_is_exit_2(self, tmp_path, window):
+        assert main(["window", "--out", str(tmp_path / "w"),
+                     "--window", window]) == 2
+
     def test_underdetermined_is_nonzero(self, sim_dir, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "u"),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),

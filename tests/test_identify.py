@@ -50,6 +50,14 @@ class TestStructureValidation:
         with pytest.raises(ValueError):
             ModelParams(s, A=(np.eye(2), np.eye(2)), B=(np.zeros((1, 2)),))
 
+    def test_complex_matrices_rejected(self):
+        # a real-typed copy would silently drop the imaginary part
+        s = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
+        with pytest.raises(ValueError, match="real"):
+            ModelParams(s, A=(np.array([[-2j * np.pi]]), np.eye(1)), B=(np.eye(1),))
+        with pytest.raises(ValueError, match="real"):
+            ModelParams(s, A=(np.eye(1), np.eye(1)), B=(np.eye(1, dtype=complex),))
+
 
 class TestExactRecovery:
     def test_naive_on_consistent_data(self):

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+import freqwin
 from freqwin import (WindowSpec, f_err, overlap_variance, window_area,
                      window_spectrum, window_table, window_value)
+from freqwin.windows import _spectrum_samples
 
 
 def make(family, order=1.0, length=1.0):
@@ -75,6 +83,37 @@ class TestSpecValidation:
             WindowSpec(family="cinf", order=0.0)
         with pytest.raises(ValueError):
             WindowSpec(family="sin", order=2, length=-1.0)
+
+    @pytest.mark.parametrize("family", ["sin", "cinf", "poly_ref", "rectangular"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_order_and_length(self, family, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WindowSpec(family=family, order=bad)
+        with pytest.raises(ValueError, match="finite"):
+            WindowSpec(family=family, order=2, length=bad)
+
+
+class TestCinfDerivativeOracle:
+    """The float prefactor path against 50-digit numerical differentiation
+    of exp(4n - n/(s(1-s))), which shares nothing with it."""
+
+    @pytest.mark.parametrize("order", [0.25, 0.3125, 1.0, 4.0, 7.9375])
+    def test_matches_mpmath(self, order):
+        spec = make("cinf", order)
+        t = np.array([6, 12, 384, 756, 762]) * (1.0 / 768)
+        with mpmath.workdps(50):
+            n = mpmath.mpf(order)
+
+            def bump(s):
+                return mpmath.exp(4 * n - n / (s * (1 - s)))
+
+            for k in range(1, 5):
+                got = window_value(spec, k, t)
+                # the exact value of each float t; ref underflows to 0
+                # exactly where the float path returns 0
+                ref = np.array([float(mpmath.diff(bump, mpmath.mpf(float(tj)), k))
+                                for tj in t])
+                assert (np.abs(got - ref) <= 1e-12 * np.abs(ref)).all(), (k, got, ref)
 
 
 class TestWindowTable:
@@ -158,6 +197,24 @@ class TestWindowSpectrum:
     def test_f_max_must_be_bin_multiple(self):
         with pytest.raises(ValueError):
             window_spectrum(make("sin", 1), 0, f_max=1.5)
+
+
+def test_spectrum_samples_own_their_memory():
+    # views into the zero-padded FFT buffer would keep it alive in the cache
+    freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), 1, 104.0, 16, refine=16)
+    assert freqs.base is None and coeffs.base is None
+    assert freqs.size == coeffs.size == 104 * 16 + 1
+
+
+def test_no_sympy_at_runtime():
+    code = ("import sys, freqwin\n"
+            "spec = freqwin.WindowSpec(family='cinf', order=0.25)\n"
+            "freqwin.window_table(spec, 64, 4)\n"
+            "freqwin.f_err(spec, 1, 1e-6)\n"
+            "assert 'sympy' not in sys.modules, 'sympy imported'\n")
+    src = str(Path(freqwin.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestFErr:
