@@ -23,9 +23,16 @@ from fractions import Fraction
 from math import comb, isfinite, perm
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial import polynomial as P
 
+from .spectral import Spectrum
+
 FAMILIES = ("rectangular", "sin", "cinf", "poly_ref")
+
+# sin_n costs n + 1 exponentials per sample and (2j)**n overflows near
+# n = 1024; the paper uses n <= 9
+SIN_MAX_ORDER = 64
 
 # exp() underflows to 0 below this; the rational prefactors of the bump
 # window stay finite well past it, so the product is exactly 0 there.
@@ -55,6 +62,8 @@ class WindowSpec:
         if self.family in ("sin", "poly_ref"):
             if self.order < 1 or self.order != int(self.order):
                 raise ValueError(f"{self.family} order must be a positive integer")
+            if self.family == "sin" and self.order > SIN_MAX_ORDER:
+                raise ValueError(f"sin order must be <= {SIN_MAX_ORDER}")
         elif self.family == "cinf":
             if self.order <= 0:
                 raise ValueError("cinf order must be > 0")
@@ -128,12 +137,15 @@ def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarr
     return out
 
 
+def _sin_terms(n: int, length: float) -> list[tuple[complex, complex]]:
+    """Pairs (c_m, om_m) with sin^n(pi t/T) = sum_m c_m exp(om_m t)."""
+    return [(comb(n, m) * (-1) ** (n - m) / (2j) ** n, 1j * np.pi * (2 * m - n) / length)
+            for m in range(n + 1)]
+
+
 def _sin_values(order: int, k: int, t: np.ndarray, length: float) -> np.ndarray:
-    # sin^n(pi t/T) expanded over complex exponentials; exact k-th derivative
     acc = np.zeros(t.shape, dtype=complex)
-    for m in range(order + 1):
-        c = comb(order, m) * (-1) ** (order - m) / (2j) ** order
-        om = 1j * np.pi * (2 * m - order) / length
+    for c, om in _sin_terms(order, length):
         acc += c * om**k * np.exp(om * t)
     return acc.real
 
@@ -203,16 +215,8 @@ def window_area(spec: WindowSpec) -> float:
         return T
     if spec.family == "sin":
         # int_0^T sin^n(pi t/T) dt via the same exponential expansion
-        n = int(spec.order)
-        total = 0.0 + 0.0j
-        for m in range(n + 1):
-            c = comb(n, m) * (-1) ** (n - m) / (2j) ** n
-            h = 2 * m - n
-            if h == 0:
-                total += c * T
-            else:
-                om = 1j * np.pi * h / T
-                total += c * (np.exp(om * T) - 1.0) / om
+        total = sum(c * T if om == 0 else c * (np.exp(om * T) - 1.0) / om
+                    for c, om in _sin_terms(int(spec.order), T))
         return float(total.real)
     # no closed form needed elsewhere: high-order quadrature on the analytics
     nodes, weights = _leggauss(200)
@@ -220,51 +224,58 @@ def window_area(spec: WindowSpec) -> float:
     return float(0.5 * T * np.sum(weights * window_value(spec, 0, tq)))
 
 
-@functools.lru_cache(maxsize=8)
-def _spectrum_samples(spec: WindowSpec, k: int, f_max: float, oversample: int,
-                      refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """High-rate DFT of d^k w/dt^k on the grid j / (refine * T).
+@functools.lru_cache(maxsize=4)
+def _chirp_plan(n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp c_j = exp(-i pi (j^2 mod 2 size) / size) and the FFT of the
+    kernel conj(c_{q-j}), q < m, j < n, wrapped for a circular convolution."""
+    j = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(-1j * np.pi / size * ((j * j) % (2 * size)))
+    pad = np.zeros(scipy.fft.next_fast_len(n + m - 1) - (n + m - 1))
+    return chirp, scipy.fft.fft(np.concatenate([chirp[:m], pad, chirp[n - 1:0:-1]]).conj())
 
-    The sampling rate is chosen so the diagnostic's own aliasing stays below
-    1e-14 of the spectral peak for the smooth families; the slowest-decaying
-    case (sin_1 and window derivatives, 1/f^2 tails) ends up below 1e-11
-    relative at the default search bound, far under every tabulated level.
+
+@functools.lru_cache(maxsize=8)
+def _spectrum_samples(spec: WindowSpec, k: int, f_max: float,
+                      refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """DFT of d^k w/dt^k from n_hi samples, on the grid q / (refine T) <= f_max.
+
+    n_hi / T >= 32 f_max keeps the diagnostic's own aliasing below 1e-14 of
+    the peak for smooth windows, 1e-11 for 1/f^2 tails at f_err's bound.
+    Only bins q <= keep of the refine * n_hi point DFT are formed, by the
+    chirp z-transform: jq = (j^2 + q^2 - (q - j)^2) / 2 makes X_q = c_q
+    sum_j v_j c_j conj(c_{q-j}), one FFT convolution of size >= n_hi + keep.
+    The chirp phase comes from the integer j^2 mod 2 refine n_hi: with the
+    float power of scipy.signal.czt, bins of a uniform random 2^19-point input
+    were off by 4.2e-9 of the peak, enough to move f_err at p = 1e-12; this
+    path stays within 2.3e-16.  The chirp cache is keyed by sizes, not data.
     """
     T = spec.length
-    n_needed = max(16384, int(16 * f_max * T), int(2 * oversample * f_max * T))
-    n_hi = 1 << max(14, int(np.ceil(np.log2(n_needed))))
+    n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * f_max * T)))))
     t = np.arange(n_hi) * (T / n_hi)
     vals = window_value(spec, k, t).astype(float)
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
-    left = window_value(spec, k, 0.0)
-    right = window_value(spec, k, T)
-    vals[0] = 0.5 * (left + right)
-    # zero-padded to refine * n_hi; only the kept bins are scaled and cached
+    vals[0] = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, T))
     keep = int(round(f_max * refine * T))
-    coeffs = np.fft.rfft(vals, n=refine * n_hi)[: keep + 1] * (T / n_hi)
+    chirp, kernel = _chirp_plan(n_hi, keep + 1, refine * n_hi)
+    conv = scipy.fft.ifft(scipy.fft.fft(vals * chirp[:n_hi], n=kernel.size) * kernel)
+    coeffs = conv[: keep + 1] * chirp[: keep + 1] * (T / n_hi)
     return np.arange(keep + 1) / (refine * T), coeffs
 
 
-def window_spectrum(spec: WindowSpec, k: int, oversample: int = 16,
-                    f_max: float | None = None):
+def window_spectrum(spec: WindowSpec, k: int, f_max: float | None = None):
     """Transform of d^k w/dt^k on the grid f = j/T up to f_max.
 
     Exact trig-polynomial windows (even-order sine) have identically zero
     coefficients on this grid beyond their harmonic content; use f_err for
     leakage envelopes, which refines the grid internally.
     """
-    from .spectral import Spectrum
-
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
     T = spec.length
-    if f_max is None:
-        f_max = 128.0 / T
+    f_max = 128.0 / T if f_max is None else f_max
     m = f_max * T
     if abs(m - round(m)) > 1e-9:
         raise ValueError("f_max must be a multiple of 1/T")
-    freqs, coeffs = _spectrum_samples(spec, k, f_max, oversample, refine=1)
+    freqs, coeffs = _spectrum_samples(spec, k, f_max, refine=1)
     return Spectrum(length=T, coeffs=coeffs[np.newaxis, :], freqs=freqs)
 
 
@@ -272,10 +283,11 @@ def f_err(spec: WindowSpec, k: int, p: float, f_search_max: float | None = None)
     """Smallest f = m/T with sup_{|f'| >= f} |w_k(f')| / S < p.
 
     S is the base window's area for every derivative order.  The envelope is
-    evaluated on a 16x refined frequency grid (leakage between the 1/T bins
-    is what aliases in practice; even-order sine windows have exactly zero
-    coefficients ON the 1/T grid) and the result is reported on the 1/T
-    grid.  Returns inf when the threshold is not met below f_search_max.
+    taken on a 16x refined grid (leakage between the 1/T bins is what
+    aliases; even-order sine windows are exactly zero ON the 1/T grid): the
+    chirp z-transform in ``_spectrum_samples`` turns 2^19 window samples
+    into just the 163 265 kept bins of the 2^23 point DFT.  Returns inf when
+    the threshold is not met below f_search_max; the result is on the 1/T grid.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")
@@ -286,10 +298,8 @@ def f_err(spec: WindowSpec, k: int, p: float, f_search_max: float | None = None)
         f_search_max = 10000.0 / T
     refine = 16
     # small slack above the bound so the sup is taken over a full tail
-    freqs, coeffs = _spectrum_samples(spec, k, f_search_max * 1.02 + 4.0 / T,
-                                      oversample=16, refine=refine)
-    S = window_area(spec)
-    mag = np.abs(coeffs) / S
+    _, coeffs = _spectrum_samples(spec, k, f_search_max * 1.02 + 4.0 / T, refine=refine)
+    mag = np.abs(coeffs) / window_area(spec)
     env = np.maximum.accumulate(mag[::-1])[::-1]
     m_max = int(np.floor(f_search_max * T))
     below = np.flatnonzero(env[refine : m_max * refine + 1 : refine] < p)

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +279,13 @@ class TestConfigAndExitCodes:
     def test_non_finite_window_order_is_exit_2(self, tmp_path, window):
         assert main(["window", "--out", str(tmp_path / "w"),
                      "--window", window]) == 2
+
+    @pytest.mark.parametrize("window", ["sin:600", "sin:1100"])
+    def test_oversized_sin_order_is_exit_2(self, tmp_path, window):
+        start = time.perf_counter()
+        assert main(["window", "--out", str(tmp_path / "w"),
+                     "--window", window]) == 2
+        assert time.perf_counter() - start < 5.0
 
     def test_underdetermined_is_nonzero(self, sim_dir, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "u"),

@@ -11,7 +11,7 @@ from scipy import integrate
 import freqwin
 from freqwin import (WindowSpec, f_err, overlap_variance, window_area,
                      window_spectrum, window_table, window_value)
-from freqwin.windows import _spectrum_samples
+from freqwin.windows import SIN_MAX_ORDER, _spectrum_samples
 
 
 def make(family, order=1.0, length=1.0):
@@ -83,6 +83,19 @@ class TestSpecValidation:
             WindowSpec(family="cinf", order=0.0)
         with pytest.raises(ValueError):
             WindowSpec(family="sin", order=2, length=-1.0)
+        with pytest.raises(ValueError, match="sin order"):
+            WindowSpec(family="sin", order=1100)
+        with pytest.raises(ValueError, match="sin order"):
+            WindowSpec(family="sin", order=SIN_MAX_ORDER + 1)
+
+    def test_largest_sin_order_is_accurate(self):
+        # the exponential expansion still cancels to full precision here
+        spec = WindowSpec(family="sin", order=SIN_MAX_ORDER)
+        t = np.linspace(0.0, 1.0, 33)
+        np.testing.assert_allclose(window_value(spec, 0, t), np.sin(np.pi * t) ** SIN_MAX_ORDER,
+                                   rtol=0, atol=1e-14)
+        assert window_area(spec) == pytest.approx(
+            integrate.quad(lambda x: np.sin(np.pi * x) ** SIN_MAX_ORDER, 0, 1)[0], rel=1e-12)
 
     @pytest.mark.parametrize("family", ["sin", "cinf", "poly_ref", "rectangular"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -200,10 +213,39 @@ class TestWindowSpectrum:
 
 
 def test_spectrum_samples_own_their_memory():
-    # views into the zero-padded FFT buffer would keep it alive in the cache
-    freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), 1, 104.0, 16, refine=16)
+    # views into the convolution buffer would keep it alive in the cache
+    freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), 1, 104.0, refine=16)
     assert freqs.base is None and coeffs.base is None
     assert freqs.size == coeffs.size == 104 * 16 + 1
+
+
+@pytest.mark.parametrize("spec", [make("sin", 2), make("cinf", 0.3125)],
+                         ids=lambda s: s.label)
+@pytest.mark.parametrize("k", [0, 1])
+def test_refined_transform_matches_direct_dft(spec, k):
+    """The chirp z-transform bins of f_err's default range against the direct
+    DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of the same samples.  With
+    j = 1024 a + b the phase splits into two integer-reduced factors, so
+    the sum over b runs as one matrix product for all bins at once."""
+    freqs, coeffs = _spectrum_samples(spec, k, 10000.0 * 1.02 + 4.0, refine=16)
+    n, size, block = 1 << 19, 16 << 19, 1024
+    keep = coeffs.size - 1
+    assert keep == 163264
+    v = window_value(spec, k, np.arange(n) / n)
+    v[0] = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, 1.0))
+    rng = np.random.default_rng(11)
+    q = np.unique(np.concatenate([[0, 1, 15, 16, 17, 161], rng.integers(2, keep - 16, 18),
+                                  np.arange(keep - 15, keep + 1)]))[:, None]
+    inner = np.exp(-2j * np.pi * ((q * np.arange(block)) % size) / size)
+    outer = np.exp(-2j * np.pi * ((q * np.arange(0, n, block)) % size) / size)
+    # each row is summed pairwise: a running sum over a would add 1.5e-15
+    direct = ((inner @ v.reshape(-1, block).T) * outer).sum(axis=1) / n
+    np.testing.assert_array_equal(freqs[q[:, 0]], q[:, 0] / 16)
+    # Scale: the transform's peak (|coeffs[0]| for k = 0; ~0 for k = 1).
+    # Observed 3e-16.  A chirp phase formed in floats, pi j^2 / M, gives
+    # 6e-15 to 1e-14; scipy.signal.czt's complex power 1e-9.
+    err = np.abs(coeffs[q[:, 0]] - direct).max() / np.abs(coeffs).max()
+    assert err <= 2e-15
 
 
 def test_no_sympy_at_runtime():
@@ -248,6 +290,16 @@ class TestFErr:
         vals = [f_err(spec, k, 1e-6) for k in (0, 1, 2, 3)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("order,expect", [
+        (0.3125, ((10, 38, 159), (29, 82, 260))),
+        (4.5, ((7, 13, 29), (10, 18, 36))),
+        (7.25, ((9, 13, 26), (11, 17, 32))),
+    ])
+    def test_pinned_cinf_values(self, order, expect):
+        spec = make("cinf", order)
+        got = tuple(tuple(f_err(spec, k, p) for p in (1e-3, 1e-6, 1e-12)) for k in (0, 1))
+        assert got == expect
+
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             f_err(make("sin", 1), 0, 2.0)
@@ -261,8 +313,7 @@ class TestSpectralDecay:
         from freqwin.windows import _spectrum_samples
 
         for n in (1, 2, 3, 4):
-            freqs, coeffs = _spectrum_samples(make("sin", n), 0, 110.0, 16,
-                                              refine=16)
+            freqs, coeffs = _spectrum_samples(make("sin", n), 0, 110.0, refine=16)
             mag = np.abs(coeffs)
             env = np.maximum.accumulate(mag[::-1])[::-1]
             pick = np.arange(10, 101) * 16
@@ -273,7 +324,7 @@ class TestSpectralDecay:
         from freqwin.windows import _spectrum_samples
 
         def env_at_100(spec):
-            freqs, coeffs = _spectrum_samples(spec, 0, 110.0, 16, refine=16)
+            freqs, coeffs = _spectrum_samples(spec, 0, 110.0, refine=16)
             mag = np.abs(coeffs) / abs(coeffs[0])
             env = np.maximum.accumulate(mag[::-1])[::-1]
             return env[100 * 16]
