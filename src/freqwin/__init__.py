@@ -1,8 +1,7 @@
 """Frequency-domain identification of linear ODE systems from windowed
 signals, with the windowing correction terms computed rather than estimated."""
 
-from .corrections import (CorrectionSet, RecurrenceCoeffs, correction_spectra,
-                          correction_time_oracle, recurrence_coeffs)
+from .corrections import correction_spectra
 from .identify import (EstimateReport, ModelParams, ModelStructure,
                        RankDeficiencyError, RegressionSystem, build_regression,
                        identify_from_signals, residual_spectrum, solve_ls)
@@ -11,8 +10,7 @@ from .metrics import (SweepResult, ensemble_stats, error_norms, loglog_slope,
 from .simulate import (ForcingSpec, SimConfig, add_noise, integrate_rk4,
                        multisine, random_system, resample, rng_for,
                        sample_forcing)
-from .spectral import (Signal, Spectrum, apply_window, fft_spectrum,
-                       fourier_coeffs, lowpass_filter, spectral_derivative)
+from .spectral import Signal, Spectrum, apply_window, fft_spectrum, lowpass_filter
 from .windows import (WindowSpec, WindowTable, f_err, overlap_variance,
                       window_area, window_spectrum, window_table, window_value)
 

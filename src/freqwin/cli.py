@@ -243,8 +243,12 @@ def cmd_montecarlo(args) -> int:
 def cmd_overlap(args) -> int:
     out = _out_dir(args)
     windows = [w for w in str(args.windows).split(",") if w]
-    taus = np.arange(float(args.tau_min), float(args.tau_max) + 1e-12,
-                     float(args.tau_step))
+    tau_min, tau_max, tau_step = (float(args.tau_min), float(args.tau_max),
+                                  float(args.tau_step))
+    if not (tau_step > 0 and 0 <= tau_min <= tau_max < 1):
+        raise ValueError("overlap grid needs tau-step > 0 and "
+                         "0 <= tau-min <= tau-max < 1")
+    taus = np.arange(tau_min, tau_max + 1e-12, tau_step)
     base_windows = int(args.num_windows)  # windows at zero overlap = L / T
     rows = []
     for text in windows:
@@ -276,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate the benchmark dataset")
     common(p)
-    p.add_argument("--preset", default="paper", choices=["paper"])
     p.add_argument("--seed", default=bench.REF_SEED)
     p.add_argument("--fs", default=bench.REF_FS)
     p.add_argument("--sigma", default=0.0)

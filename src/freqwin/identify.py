@@ -1,20 +1,26 @@
 """Frequency-domain least-squares identification of the ODE coefficients.
 
-Every estimator runs one pipeline: records -> spectra -> regression ->
-solve.  The regression stacks, per frequency bin f,
+Every estimator runs one pipeline: records -> stacked modulated spectra ->
+regression -> solve.  The records are multiplied by the window-derivative
+rows w^(k), k = 0..K, and transformed together, giving X_k = F(w^(k) x) and
+U_k = F(w^(k) u).  Per frequency bin f the regression stacks
 
-    L_i(f) = D(f)^i x_w(f) - x^{i}(f)      (state rows)
-    R_k(f) = D(f)^k u_w(f) - u^{k}(f)      (input rows, negated)
+    L_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) X_k(f)   (state rows)
+    R_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) U_k(f)   (input rows, negated)
 
-into a matrix M whose top n_x rows belong to the fixed A_{n_a} = I block;
-the remaining parameters solve theta_2 M_2 = -M_1 by Moore-Penrose
-pseudo-inverse.  The four methods are settings of two switches:
+With K equal to the model order, L_i = F(w d^i x/dt^i) exactly: the
+modulating-function integral, i.e. D^i X_0 minus the windowing correction
+x^{i} (see ``corrections``).  The rectangular route keeps K = 0, so
+L_i = D^i X_0 with nothing subtracted.  The rows form a matrix M whose top
+n_x rows belong to the fixed A_{n_a} = I block; the remaining parameters
+solve theta_2 M_2 = -M_1 by Moore-Penrose pseudo-inverse.  The four
+methods are settings of two switches:
 
-    method      windowed, corrections subtracted    polynomial rows
-    corrected   yes                                  no
-    mixed       yes                                  n_p
-    ps          no (rectangular, x^{i} = u^{k} = 0)  n_p
-    naive       no (rectangular, x^{i} = u^{k} = 0)  no
+    method      window, stack depth K     polynomial rows
+    corrected   yes, K = n_a (n_b)        no
+    mixed       yes, K = n_a (n_b)        n_p
+    ps          no (rectangular), K = 0   n_p
+    naive       no (rectangular), K = 0   no
 
 The polynomial rows are per-output transient terms in f, estimated as
 nuisance parameters alongside the model.
@@ -31,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corrections import CorrectionSet, correction_spectra
-from .spectral import Signal, Spectrum, apply_window, fft_spectrum
+from .corrections import modulate, modulated_row
+from .spectral import Signal, Spectrum, fft_spectrum
 from .windows import WindowSpec, window_table
 
 RANK_RTOL = 1e-12
@@ -154,49 +160,45 @@ def _check_band(band, n_bins: int) -> np.ndarray:
     return band
 
 
-def build_regression(x_spec: Spectrum, u_spec: Spectrum,
-                     structure: ModelStructure,
-                     x_corr: CorrectionSet | None = None,
-                     u_corr: CorrectionSet | None = None,
+def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
                      n_p: int = 0, band=None) -> RegressionSystem:
     """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band, then
     n_p polynomial rows; M1 is the fixed highest-order block.
 
-    ``None`` corrections mean the uncorrected (rectangular-window) route; a
-    provided set must cover every required order.  Each output gets its own
-    coefficient per polynomial row, so n_p rows add n_p * n_x estimated
-    nuisance parameters (order 50 on the benchmark adds 250).
+    ``xs`` holds the stack X_0..X_K of ``modulate``d state spectra as channel
+    blocks of n_x channels each (``us`` likewise with n_u channels).  K = 0
+    is the rectangular route; otherwise the stack must reach the model
+    order.  Each output gets its own coefficient per polynomial row, so n_p
+    rows add n_p * n_x estimated nuisance parameters (order 50 on the
+    benchmark adds 250).
     """
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
-    band = _check_band(band, x_spec.num_bins)
-    if u_spec.num_bins != x_spec.num_bins:
+    band = _check_band(band, xs.num_bins)
+    if us.num_bins != xs.num_bins:
         raise ValueError("state and input spectra live on different grids")
-    freqs = x_spec.freqs[band]
+    freqs = xs.freqs[band]
     D = 2j * np.pi * freqs
 
-    def rows(spec: Spectrum, corr: CorrectionSet | None, order: int,
-             source: str) -> list[np.ndarray]:
-        """D^i s_w - s^{i} for i = order..0; order 0 has no correction."""
-        coeffs = spec.coeffs[:, band]
-        out = []
-        for i in range(order, -1, -1):
-            block = (D**i) * coeffs if i > 0 else coeffs
-            if i >= 1 and corr is not None:
-                if i not in corr.orders:
-                    raise ValueError(f"missing {source} correction of order {i}")
-                block = block - corr.spectrum(i).coeffs[:, band]
-            out.append(block)
-        return out
+    def rows(spec: Spectrum, n_ch: int, order: int, source: str) -> list[np.ndarray]:
+        """L_i (or R_i) for i = order..0 from the stack X_0..X_K."""
+        if spec.num_channels % n_ch:
+            raise ValueError(f"{source} spectra hold {spec.num_channels} channels, "
+                             f"not a stack of {n_ch}-channel blocks")
+        stack = spec.coeffs[:, band].reshape(-1, n_ch, band.size)
+        k_max = len(stack) - 1
+        if 0 < k_max < order:
+            raise ValueError(f"missing {source} correction of order {k_max + 1}")
+        return [modulated_row(stack, D, i) for i in range(order, -1, -1)]
 
-    blocks = (rows(x_spec, x_corr, structure.n_a, "state")
-              + [-r for r in rows(u_spec, u_corr, structure.n_b, "input")])
+    blocks = (rows(xs, structure.n_x, structure.n_a, "state")
+              + [-r for r in rows(us, structure.n_u, structure.n_b, "input")])
     if n_p > 0:
         blocks.append(_poly_rows(freqs, n_p))
     M = np.vstack(blocks)
     n_x = structure.n_x
     return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=band,
-                            structure=structure, length=x_spec.length,
+                            structure=structure, length=xs.length,
                             n_poly=n_p)
 
 
@@ -272,13 +274,13 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
                           table=None) -> EstimateReport:
     """One-shot estimation from sampled records.
 
-    ``method`` only picks the settings: corrected and mixed window the
-    records and subtract the corrections, ps and naive transform them
-    unwindowed; mixed and ps add ``n_p`` polynomial rows (ps with n_p = 0 is
-    the naive estimator).  Times the whole per-dataset pipeline (windowing,
-    transforms, correction recurrence, assembly, solve).  Window-derivative
-    tables count as precomputed design artifacts and may be passed in;
-    building one here is excluded from the reported wall time.
+    ``method`` only picks the settings: corrected and mixed multiply the
+    records by the window-derivative rows up to the model order, ps and
+    naive keep the bare records (K = 0); mixed and ps add ``n_p`` polynomial
+    rows (ps with n_p = 0 is the naive estimator).  Times the whole
+    per-dataset pipeline (modulation, transforms, assembly, solve).
+    Window-derivative tables count as precomputed design artifacts and may
+    be passed in; building one here is excluded from the reported wall time.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -293,18 +295,9 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
             raise ValueError(f"method {method!r} needs a window")
         table = window_table(window_spec, x_sig.num_samples,
                              max(structure.n_a, structure.n_b))
+    n_a, n_b = (structure.n_a, structure.n_b) if table is not None else (0, 0)
     t0 = time.perf_counter()
-    x_corr = u_corr = None
-    if table is not None:
-        x_corr = correction_spectra(x_sig, table, structure.n_a, two_sided=True,
-                                    endpoint_average=endpoint_average,
-                                    source="state")
-        u_corr = correction_spectra(u_sig, table, structure.n_b, two_sided=True,
-                                    endpoint_average=endpoint_average,
-                                    source="input")
-        x_sig, u_sig = apply_window(x_sig, table, 0), apply_window(u_sig, table, 0)
-    xw = fft_spectrum(x_sig, endpoint_average=endpoint_average)
-    uw = fft_spectrum(u_sig, endpoint_average=endpoint_average)
-    reg = build_regression(xw, uw, structure, x_corr, u_corr, n_p, band)
-    report = solve_ls(reg, method=method)
+    xs = fft_spectrum(modulate(x_sig, table, n_a), endpoint_average=endpoint_average)
+    us = fft_spectrum(modulate(u_sig, table, n_b), endpoint_average=endpoint_average)
+    report = solve_ls(build_regression(xs, us, structure, n_p, band), method=method)
     return replace(report, wall_time=time.perf_counter() - t0)

@@ -1,17 +1,18 @@
-"""Sampled signals, Fourier-coefficient estimation and spectral operations.
+"""Sampled signals, their transforms and spectral operations.
 
 Spectra use the transform-integral convention: coefficient k estimates
-``int_0^T s(t) exp(-2 pi i f_k t) dt`` on the grid f_k = k/T, i.e. the DFT
-scaled by T/N.  Dividing by T gives the Fourier-series coefficients of the
-record's periodic extension.  Differentiation in this convention multiplies
-by D(f) = +2 pi i f, and that sign is used consistently across the package
-(corrections, regression polynomials); the simulated-system recovery tests
-pin it down empirically.
+``int_0^T s(t) exp(-2 pi i f_k t) dt`` on the full two-sided DFT grid
+f_k = k/T (``np.fft.fftfreq`` order), i.e. the DFT scaled by T/N.  Dividing
+by T gives the Fourier-series coefficients of the record's periodic
+extension.  Differentiation in this convention multiplies by
+D(f) = +2 pi i f, and that sign is used consistently across the package
+(modulated rows, corrections, regression polynomials); the
+simulated-system recovery tests pin it down empirically.
 
 Signals may be genuinely complex (the benchmark forcing is a complex
-multisine), so no conjugate-symmetry compression is applied, and spectra can
-be built either on the non-negative grid k = 0..k_max or on the full
-two-sided DFT grid; a Spectrum carries its frequency values explicitly.
+multisine), so no conjugate-symmetry compression is applied: the negative
+bins carry information of their own.  A Spectrum carries its frequency
+values explicitly.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Spectrum:
     """Per-frequency complex coefficient vectors.
 
     ``coeffs`` has shape (n_channels, n_bins); ``freqs`` holds the bin
-    frequencies, either k/T for k = 0..k_max or the full two-sided DFT grid.
+    frequencies (k/T for k = 0, 1, .. when not given).
     """
 
     length: float
@@ -112,28 +113,16 @@ def _wrap_endpoint(signal: Signal) -> np.ndarray:
     return vals
 
 
-def fourier_coeffs(signal: Signal, k_max: int, endpoint_average: bool = False) -> Spectrum:
-    """Transform-integral estimates on the non-negative grid k = 0..k_max.
-
-    coeff_k = (T/N) sum_j s_j exp(-2 pi i k j / N), the trapezoid/DFT
-    estimate of the windowed transform.  With ``endpoint_average`` the first
-    sample is replaced by (s(0) + s(T))/2, turning the estimate into the
-    exact trapezoid rule for records whose endpoint values differ.
-    """
-    N = signal.num_samples
-    if k_max > N // 2:
-        raise ValueError("k_max must not exceed N/2")
-    vals = _wrap_endpoint(signal) if endpoint_average else signal.values
-    coeffs = np.fft.fft(vals, axis=-1)[:, : k_max + 1] * (signal.length / N)
-    return Spectrum(length=signal.length, coeffs=coeffs)
-
-
 def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
     """Transform estimates on the full two-sided DFT grid (fftfreq order).
 
     Bins above N/2 represent negative frequencies; for complex records these
     carry information independent of the non-negative bins, and the
-    identification pipeline fits over all of them.
+    identification pipeline fits over all of them.  coeff_k =
+    (T/N) sum_j s_j exp(-2 pi i k j / N), the trapezoid/DFT estimate of the
+    transform; with ``endpoint_average`` the first sample is replaced by
+    (s(0) + s(T))/2, the exact trapezoid rule for records whose endpoint
+    values differ.
     """
     N = signal.num_samples
     vals = _wrap_endpoint(signal) if endpoint_average else signal.values
@@ -142,19 +131,14 @@ def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
     return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
 
 
-def spectral_derivative(spectrum: Spectrum, m: int) -> Spectrum:
-    """Multiply by D(f)^m with D(f) = 2 pi i f (differentiation)."""
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
-    if m == 0:
-        return spectrum
-    mult = (2j * np.pi * spectrum.freqs) ** m
-    return Spectrum(length=spectrum.length, coeffs=spectrum.coeffs * mult,
-                    freqs=spectrum.freqs)
+def apply_window(signal: Signal, table, k: int | range = 0) -> Signal:
+    """Pointwise product of every channel with window-derivative row k.
 
-
-def apply_window(signal: Signal, table, k: int = 0) -> Signal:
-    """Pointwise product of every channel with window-derivative row k."""
+    A range of rows gives the products w^(k) s for every k in it, stacked
+    as consecutive channel blocks of one Signal; a terminal sample s(T) is
+    carried as s(T) w^(k)(T) in the same layout.
+    """
+    rows = k if isinstance(k, range) else range(k, k + 1)
     if table.num_samples != signal.num_samples:
         raise ValueError(
             f"window table has {table.num_samples} samples, signal has "
@@ -162,15 +146,17 @@ def apply_window(signal: Signal, table, k: int = 0) -> Signal:
         )
     if abs(table.spec.length - signal.length) > 1e-12 * signal.length:
         raise ValueError("window and signal record lengths differ")
-    if k > table.max_deriv:
-        raise ValueError(f"table holds derivatives up to {table.max_deriv}")
-    out = signal.values * table.samples[k]
+    if not rows or rows[0] < 0 or rows[-1] > table.max_deriv:
+        raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, not {k}")
+    out = table.samples[list(rows), None, :] * signal.values
     term = None
     if signal.terminal is not None:
         from .windows import window_value
 
-        term = signal.terminal * window_value(table.spec, k, signal.length)
-    return Signal(length=signal.length, values=out, terminal=term)
+        term = np.concatenate([signal.terminal * window_value(table.spec, j, signal.length)
+                               for j in rows])
+    return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples),
+                  terminal=term)
 
 
 def lowpass_filter(signal: Signal, cutoff: float) -> Signal:

@@ -11,10 +11,10 @@ import pytest
 
 import freqwin.bench as bench
 from freqwin import (ModelParams, ModelStructure, Signal, SimConfig,
-                     WindowSpec, correction_spectra, correction_time_oracle,
-                     fft_spectrum, integrate_rk4, loglog_slope,
-                     overlap_variance, param_error, resample, rng_for,
-                     window_table, f_err)
+                     WindowSpec, correction_spectra, fft_spectrum,
+                     integrate_rk4, loglog_slope, overlap_variance,
+                     param_error, resample, rng_for, window_table, f_err)
+from leibniz_oracle import correction_time_oracle
 
 T = 1.0
 CINF4 = WindowSpec("cinf", 4.0, T)
@@ -34,15 +34,16 @@ def paper_data():
 
 # ---------------------------------------------------------------- criterion 1
 def test_criterion_1_leibniz_oracle_equivalence():
-    """Recurrence-assembled corrections match the Leibniz time oracle to
-    1e-7 for j = 1..4 across the window set at N = 4096.
+    """Corrections from the binomial sum over modulated spectra match the
+    Leibniz time oracle to 1e-7 for j = 1..4 across the window set at
+    N = 4096.
 
     The multisine is periodic with its first moments projected out so the
     windowed products are continuous across the record wrap: boundary jumps
     are a sampling artifact that decays only like 1/N^(window order minus
     correction order) and so cannot be suppressed by windows of order at or
-    below the correction order; they are not part of the recurrence algebra
-    under test here.
+    below the correction order; they are not part of the algebra under test
+    here.
     """
     n, over = 4096, 16
     tones = np.arange(4.0, 33.0, 4.0)
@@ -62,11 +63,11 @@ def test_criterion_1_leibniz_oracle_equivalence():
                  WindowSpec("cinf", 1, T), CINF4):
         table = window_table(spec, n, 4)
         table_hi = window_table(spec, n * over, 4)
-        cs = correction_spectra(sig, table, 4, k_max=n // 2)
+        cs = correction_spectra(sig, table, 4)
         for j in (1, 2, 3, 4):
             oracle = resample(
                 correction_time_oracle(sig_hi, table_hi, j, oversample=over), n)
-            rec = np.fft.irfft(cs.spectrum(j).coeffs[0] * (n / T), n=n)
+            rec = np.fft.ifft(cs[j - 1].coeffs[0] * (n / T)).real
             ref = oracle.values[0].real
             rel = np.linalg.norm(rec - ref) / np.linalg.norm(ref)
             worst = max(worst, rel)

@@ -244,6 +244,18 @@ class TestOverlapCommand:
                    "--num-windows", "8"])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [["--tau-max", "1.0"],
+                                       ["--tau-step", "0"],
+                                       ["--tau-step", "-0.1"]])
+    def test_bad_tau_grid_is_exit_2(self, tmp_path, flags, capsys):
+        # tau = 1 used to overflow and a zero step to divide by zero (both
+        # tracebacks); a negative step wrote a header-only overlap.csv
+        out = tmp_path / "bad"
+        rc = main(["overlap", "--out", str(out), "--windows", "rect", *flags])
+        assert rc == 2
+        assert "tau" in capsys.readouterr().err
+        assert not (out / "overlap.csv").exists()
+
 
 class TestConfigAndExitCodes:
     def test_config_file_applies_and_flags_win(self, tmp_path):

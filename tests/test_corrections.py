@@ -3,10 +3,13 @@ import pytest
 from fractions import Fraction
 from math import comb
 
-from freqwin import (CorrectionSet, ModelStructure, Signal, Spectrum,
-                     WindowSpec, build_regression, correction_spectra,
-                     correction_time_oracle, fft_spectrum, recurrence_coeffs,
-                     resample, rng_for, window_table)
+from hypothesis import given, settings, strategies as st
+
+from freqwin import (ModelStructure, Signal, WindowSpec, build_regression,
+                     correction_spectra, fft_spectrum, resample, rng_for,
+                     window_table, window_value)
+from freqwin.corrections import modulate, modulated_row
+from leibniz_oracle import correction_time_oracle
 
 T = 1.0
 
@@ -38,37 +41,103 @@ def smooth_multisine(n, length=T, seed=7, kill_derivs=4, tones=None):
     return Signal(length=length, values=values(t)), values, tones, amps
 
 
+def binomial_weights(i, k_min=0):
+    """The weights modulated_row puts on X_k: a unit stack with D = 1."""
+    unit = np.eye(i + 1, dtype=complex)[:, None, :]
+    return modulated_row(unit, np.ones(i + 1), i, k_min=k_min)[0]
+
+
 class TestRecurrenceCoeffs:
+    """The closed form satisfies the correction recurrence
+
+        x^{n} = a_0 F(w^(n) x) + sum_{j=1..n-1} a_j D^j x^{n-j},
+
+    with a = (1), (-1, 2), (1, 3, -3), (-1, 4, -6, 4), ..., that is
+    a_0 = (-1)^(n+1) and a_j = (-1)^(j+1) C(n, j)."""
+
+    @staticmethod
+    def recurrence_gap(n, j_max=6):
+        sig, *_ = smooth_multisine(256, kill_derivs=0)
+        table = window_table(WindowSpec("cinf", 2, T), 256, j_max)
+        cs = correction_spectra(sig, table, j_max)
+        stack = fft_spectrum(modulate(sig, table, j_max)).coeffs
+        D = 2j * np.pi * cs[0].freqs
+        assembled = (-1) ** (n + 1) * stack[n] + sum(
+            (-1) ** (j + 1) * comb(n, j) * D**j * cs[n - j - 1].coeffs[0]
+            for j in range(1, n))
+        got = cs[n - 1].coeffs[0]
+        return np.abs(assembled - got).max() / np.abs(got).max()
+
     def test_low_orders_match_explicit_forms(self):
-        assert recurrence_coeffs(1).as_floats() == (1.0,)
-        assert recurrence_coeffs(2).as_floats() == (-1.0, 2.0)
-        assert recurrence_coeffs(3).as_floats() == (1.0, 3.0, -3.0)
+        # x^{1} = w' x,  x^{2} = -w'' x + 2 d(x^{1})/dt,
+        # x^{3} = w''' x + 3 d(x^{2})/dt - 3 d^2(x^{1})/dt^2
+        for n in (1, 2, 3):
+            assert self.recurrence_gap(n) < 1e-13
 
     def test_order_four(self):
-        assert recurrence_coeffs(4).as_floats() == (-1.0, 4.0, -6.0, 4.0)
+        assert self.recurrence_gap(4) < 1e-13
 
     def test_exact_rationals(self):
-        coeffs = recurrence_coeffs(4).coeffs
-        assert all(isinstance(c, Fraction) for c in coeffs)
+        # the binomial weights are exact integers: no rational solve, no rounding
+        for i in range(1, 9):
+            assert list(binomial_weights(i)) == [(-1) ** k * comb(i, k)
+                                                 for k in range(i + 1)]
+        assert list(binomial_weights(3, k_min=1)) == [0, -3, 3, -1]
 
     def test_high_orders_gated_but_valid(self):
-        with pytest.raises(ValueError, match="allow_high"):
-            recurrence_coeffs(5)
+        # orders above 4 need only a deep enough table; they obey the same law
+        sig, *_ = smooth_multisine(64)
+        with pytest.raises(ValueError, match="derivative"):
+            correction_spectra(sig, window_table(WindowSpec("cinf", 2, T), 64, 4), 5)
         for n in (5, 6):
-            coeffs = recurrence_coeffs(n, allow_high=True)
-            assert len(coeffs.coeffs) == n
+            assert self.recurrence_gap(n) < 1e-12
 
     def test_symbolic_leibniz_gate(self):
-        from freqwin.corrections import _leibniz_validate
+        # term dictionaries map (window order p, signal order q) to the
+        # coefficient of w^(p) x^(q); D^m F(w^(k) x) = F(d^m(w^(k) x)) expands
+        # by Leibniz, and the weighted sum must equal sum C(n,k) w^(k) x^(n-k)
+        def expand(n, weights):
+            out = {}
+            for k, c in enumerate(weights):
+                for m in range(n - k + 1):
+                    key = (k + m, n - k - m)
+                    out[key] = out.get(key, Fraction(0)) + c * comb(n - k, m)
+            return {key: c for key, c in out.items() if c}
 
-        for n in range(1, 7):
-            coeffs = recurrence_coeffs(n, allow_high=True).coeffs
-            assert _leibniz_validate(n, coeffs)
-        assert not _leibniz_validate(2, (Fraction(1), Fraction(2)))
+        for n in range(1, 9):
+            weights = [-Fraction(int(c.real)) for c in binomial_weights(n, k_min=1)]
+            leibniz = {(k, n - k): Fraction(comb(n, k)) for k in range(1, n + 1)}
+            assert expand(n, weights) == leibniz
+        assert expand(2, [0, Fraction(1), Fraction(2)]) != {(1, 1): 2, (2, 0): 1}
 
     def test_invalid_order(self):
+        sig = Signal(length=T, values=np.ones(64))
+        table = window_table(WindowSpec("sin", 2, T), 64, 1)
         with pytest.raises(ValueError):
-            recurrence_coeffs(0)
+            correction_spectra(sig, table, -1)
+        with pytest.raises(ValueError):
+            modulate(sig, table, -1)
+        with pytest.raises(ValueError, match="rectangular"):
+            modulate(sig, None, 1)
+
+
+class TestModulate:
+    def test_stack_layout_and_terminal(self):
+        n = 64
+        t = np.arange(n + 1) * T / n
+        vals = np.vstack([np.exp(2j * np.pi * 2.7 * t), t**2])
+        sig = Signal(length=T, values=vals[:, :n], terminal=vals[:, n])
+        spec = WindowSpec("sin", 3, T)
+        table = window_table(spec, n, 2)
+        stacked = modulate(sig, table, 2)
+        assert stacked.num_channels == 6
+        for k in range(3):
+            np.testing.assert_array_equal(stacked.values[2 * k:2 * k + 2],
+                                          table.samples[k] * sig.values)
+        expect = np.concatenate([window_value(spec, k, T) * vals[:, n]
+                                 for k in range(3)])
+        np.testing.assert_array_equal(stacked.terminal, expect)
+        assert modulate(sig, None, 0) is sig
 
 
 class TestCorrectionSpectra:
@@ -77,27 +146,26 @@ class TestCorrectionSpectra:
         table = window_table(WindowSpec(family="sin", order=4, length=T), 256, 4)
         cs = correction_spectra(sig, table, 4)
         for j in (1, 2, 3, 4):
-            assert np.abs(cs.spectrum(j).coeffs).max() == 0.0
+            assert np.abs(cs[j - 1].coeffs).max() == 0.0
 
     def test_zero_order_convention(self):
+        # order 0 is identically zero and never returned; row 0 is X_0 itself
         sig = Signal(length=T, values=np.ones(64))
         table = window_table(WindowSpec(family="sin", order=1, length=T), 64, 1)
-        cs = correction_spectra(sig, table, 0)
-        assert cs.orders == ()
-        with pytest.raises(ValueError):
-            cs.spectrum(0)
+        assert correction_spectra(sig, table, 0) == ()
+        stack = fft_spectrum(modulate(sig, table, 1)).coeffs[:, None, :]
+        np.testing.assert_array_equal(modulated_row(stack, np.ones(64), 0), stack[0])
 
     def test_first_order_constant_signal_sin1(self):
         # x = 1: correction is F(dw/dt) = F((pi/T) cos(pi t/T)), closed form
         n = 4096
         sig = Signal(length=T, values=np.ones(n))
         table = window_table(WindowSpec(family="sin", order=1, length=T), n, 1)
-        cs = correction_spectra(sig, table, 1, k_max=16)
-        got = cs.spectrum(1).coeffs[0]
-        freqs = cs.spectrum(1).freqs
+        (c1,) = correction_spectra(sig, table, 1)
+        got = c1.coeffs[0, :17]
         expect = np.array([
             (np.pi / T) * 0.5 * (exp_integral(0.5 / T, f, T) + exp_integral(-0.5 / T, f, T))
-            for f in freqs
+            for f in c1.freqs[:17]
         ])
         # the windowed product has a boundary jump, so the DFT estimate of
         # its transform converges at O(1/N)
@@ -119,12 +187,12 @@ class TestCorrectionSpectra:
         b = correction_spectra(sig2, table, 3)
         c = correction_spectra(combo, table, 3)
         for j in (1, 2, 3):
-            lhs = c.spectrum(j).coeffs
-            rhs = 3.0 * a.spectrum(j).coeffs - 2.0 * b.spectrum(j).coeffs
+            lhs = c[j - 1].coeffs
+            rhs = 3.0 * a[j - 1].coeffs - 2.0 * b[j - 1].coeffs
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
 
     def test_second_order_tone_cinf_vs_oracle_spectrum(self):
-        # x = exp(2 pi i 3 t / T), w = cinf_1:頻-domain match to the
+        # x = exp(2 pi i 3 t / T), w = cinf_1: frequency-domain match to the
         # time-domain oracle at N = 4096
         n = 4096
         over = 16
@@ -135,23 +203,37 @@ class TestCorrectionSpectra:
         spec = WindowSpec(family="cinf", order=1, length=T)
         table = window_table(spec, n, 2)
         table_hi = window_table(spec, n * over, 2)
-        cs = correction_spectra(sig, table, 2, k_max=n // 2)
+        cs = correction_spectra(sig, table, 2)
         oracle = resample(correction_time_oracle(sig_hi, table_hi, 2,
                                                  oversample=over), n)
-        from freqwin import fourier_coeffs
-
-        ofc = fourier_coeffs(oracle, n // 2)
-        got = cs.spectrum(2).coeffs
-        scale = np.abs(ofc.coeffs).max()
-        assert np.abs(got - ofc.coeffs).max() / scale < 1e-8
+        ofc = fft_spectrum(oracle).coeffs
+        assert np.abs(cs[1].coeffs - ofc).max() / np.abs(ofc).max() < 1e-8
 
     def test_two_sided_grid(self):
         n = 256
         sig, *_ = smooth_multisine(n)
         table = window_table(WindowSpec(family="cinf", order=1, length=T), n, 2)
-        cs = correction_spectra(sig, table, 2, two_sided=True)
-        assert cs.spectrum(1).num_bins == n
-        assert cs.spectrum(1).freqs.min() < 0
+        cs = correction_spectra(sig, table, 2)
+        assert cs[0].num_bins == n
+        np.testing.assert_array_equal(cs[0].freqs, np.fft.fftfreq(n, T / n))
+
+    def test_orders_are_windowed_derivative_gaps(self):
+        # order n equals D^n X_0 - F(w x^(n)) for n = 1..6, with the signal
+        # derivative taken analytically (on-grid tones, smooth bump window)
+        n = 512
+        sig, values, *_ = smooth_multisine(n, kill_derivs=0)
+        table = window_table(WindowSpec("cinf", 2, T), n, 6)
+        cs = correction_spectra(sig, table, 6)
+        x0 = fft_spectrum(modulate(sig, table, 0))
+        D = 2j * np.pi * x0.freqs
+        t = np.arange(n) * T / n
+        keep = np.abs(x0.freqs) <= 32
+        for order in range(1, 7):
+            wd = fft_spectrum(modulate(Signal(length=T, values=values(t, order)),
+                                       table, 0))
+            expect = (D**order * x0.coeffs - wd.coeffs)[0, keep]
+            got = cs[order - 1].coeffs[0, keep]
+            assert np.abs(got - expect).max() < 1e-10 * np.abs(wd.coeffs).max(), order
 
 
 class TestDerivativeCorrectionIdentity:
@@ -165,20 +247,57 @@ class TestDerivativeCorrectionIdentity:
         for n in (128, 512, 2048):
             sig, values, tones, amps = smooth_multisine(n, kill_derivs=0)
             table = window_table(spec, n, 2)
-            cs = correction_spectra(sig, table, 2, k_max=n // 4)
-            from freqwin import apply_window, fourier_coeffs
-
-            freqs = cs.spectrum(2).freqs
-            D = 2j * np.pi * freqs
-            wx = apply_window(sig, table, 0)
-            lhs = D**2 * fourier_coeffs(wx, n // 4).coeffs - cs.spectrum(2).coeffs
+            cs = correction_spectra(sig, table, 2)
+            keep = slice(0, n // 4 + 1)
+            D = 2j * np.pi * cs[1].freqs[keep]
+            wx = fft_spectrum(modulate(sig, table, 0))
+            lhs = D**2 * wx.coeffs[:, keep] - cs[1].coeffs[:, keep]
             t = np.arange(n) * T / n
             wd = Signal(length=T, values=values(t, 2))
-            rhs = fourier_coeffs(apply_window(wd, table, 0), n // 4).coeffs
+            rhs = fft_spectrum(modulate(wd, table, 0)).coeffs[:, keep]
             errs.append(np.abs(lhs - rhs).max() / np.abs(rhs).max())
         assert errs[-1] < floor
         if errs[0] > 100 * floor:
             assert errs[-1] < errs[0] * 1e-1
+
+
+def on_grid_multisine(seed, n):
+    """Random complex multisine of 8 tones on integer |f| in 1..32 and its
+    analytic derivatives x(m) = d^m x/dt^m, sampled at t_j = j/n."""
+    rng = np.random.default_rng(seed)
+    tones = rng.choice(np.arange(1, 33), size=8, replace=False).astype(float)
+    tones *= rng.choice([-1.0, 1.0], size=8)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    om = 2j * np.pi * tones
+    phase = np.exp(np.outer(om, np.arange(n) / n))
+    return lambda m: ((amps * om**m) @ phase)[None, :]
+
+
+@st.composite
+def window_and_order(draw):
+    i = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return WindowSpec("cinf", draw(st.floats(0.25, 6.0)), T), i, 1e-12
+    return WindowSpec("sin", draw(st.integers(i + 2, 6)), T), i, 1e-9
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=window_and_order(), seed=st.integers(0, 2**32 - 1))
+def test_rows_are_modulating_function_integrals(case, seed):
+    """Every state row build_regression forms, L_j for j = i..0, equals
+    F(w d^j x/dt^j) with the derivative taken analytically, on |f| <= 64."""
+    spec, i, bound = case
+    n = 1024
+    x = on_grid_multisine(seed, n)
+    table = window_table(spec, n, i)
+    xs = fft_spectrum(modulate(Signal(length=T, values=x(0)), table, i))
+    us = fft_spectrum(modulate(Signal(length=T, values=np.ones(n)), table, 0))
+    reg = build_regression(xs, us, ModelStructure(n_x=1, n_u=1, n_a=i, n_b=0))
+    keep = np.abs(reg.freqs) <= 64
+    for j, row in zip(range(i, -1, -1), reg.model_rows):
+        expect = fft_spectrum(Signal(length=T, values=table.samples[0] * x(j)))
+        expect = expect.coeffs[0, keep]
+        assert np.abs(row[keep] - expect).max() <= bound * np.abs(expect).max(), j
 
 
 class TestTimeOracle:
@@ -227,26 +346,26 @@ class TestLeibnizEquivalence:
         spec = WindowSpec(family=family, order=order, length=T)
         table = window_table(spec, n, 4)
         table_hi = window_table(spec, n * over, 4)
-        cs = correction_spectra(sig, table, 4, k_max=n // 2)
+        cs = correction_spectra(sig, table, 4)
         for j in (1, 2, 3, 4):
             oracle = resample(correction_time_oracle(sig_hi, table_hi, j,
                                                      oversample=over), n)
-            rec = np.fft.irfft(cs.spectrum(j).coeffs[0] * (n / T), n=n)
+            rec = np.fft.ifft(cs[j - 1].coeffs[0] * (n / T)).real
             ref = oracle.values[0].real
             rel = np.linalg.norm(rec - ref) / np.linalg.norm(ref)
             assert rel < 1e-8, (family, order, j, rel)
 
 
 def test_uncorrected_route_equals_zero_corrections():
-    """No correction set (the rectangular route) stacks the same regression
-    as subtracting all-zero correction spectra of every order."""
+    """A bare spectrum (stack depth K = 0, the rectangular route) stacks the
+    same regression as a full stack whose derivative blocks X_1, X_2 are
+    all zero."""
     sig, *_ = smooth_multisine(128)
     template = fft_spectrum(sig)
-    zero = Spectrum(length=template.length,
-                    coeffs=np.zeros_like(template.coeffs), freqs=template.freqs)
-    zc = CorrectionSet(orders=(1, 2), spectra=(zero, zero))
+    padded = fft_spectrum(Signal(length=T, values=np.vstack(
+        [sig.values, np.zeros((2, 128))])))
     structure = ModelStructure(n_x=1, n_u=1, n_a=2, n_b=2)
     plain = build_regression(template, template, structure)
-    zeroed = build_regression(template, template, structure, zc, zc)
+    zeroed = build_regression(padded, padded, structure)
     np.testing.assert_array_equal(plain.m1, zeroed.m1)
     np.testing.assert_array_equal(plain.m2, zeroed.m2)

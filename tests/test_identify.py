@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from freqwin import (CorrectionSet, ModelParams, ModelStructure,
-                     RankDeficiencyError, Signal, Spectrum, WindowSpec,
-                     build_regression, correction_spectra, fft_spectrum,
+from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
+                     Signal, Spectrum, WindowSpec, build_regression, fft_spectrum,
                      identify_from_signals, param_error, residual_spectrum,
                      rng_for, solve_ls, window_table)
+from freqwin.corrections import modulate
 
 T = 1.0
 
@@ -235,20 +235,24 @@ class TestErrorPaths:
             solve_ls(build_regression(xw, uw, theta.structure, band=band))
 
     def test_missing_corrections_rejected(self):
-        # None means the rectangular route; a set lacking an order is an error
+        # a bare spectrum (K = 0) is the rectangular route; a stack that
+        # stops short of the model order is an error
         x, u, _ = exact_dataset()
-        structure = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=1)
+        structure = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=2)
         table = window_table(WindowSpec("cinf", 2, T), x.num_samples, 2)
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
-        xc2 = correction_spectra(x, table, 2, two_sided=True)
-        xc1 = correction_spectra(x, table, 1, two_sided=True)
-        uc1 = correction_spectra(u, table, 1, two_sided=True)
-        build_regression(xw, uw, structure, xc2, uc1)
+
+        def stack(sig, k_max):
+            return fft_spectrum(modulate(sig, table, k_max))
+
+        build_regression(stack(x, 2), stack(u, 2), structure)
+        build_regression(fft_spectrum(x), fft_spectrum(u), structure)
         with pytest.raises(ValueError, match="state correction of order 2"):
-            build_regression(xw, uw, structure, xc1, uc1)
-        no_input = CorrectionSet(orders=(), spectra=(), source="input")
-        with pytest.raises(ValueError, match="input correction of order 1"):
-            build_regression(xw, uw, structure, xc2, no_input)
+            build_regression(stack(x, 1), stack(u, 2), structure)
+        with pytest.raises(ValueError, match="input correction of order 2"):
+            build_regression(stack(x, 2), stack(u, 1), structure)
+        odd = Spectrum(length=T, coeffs=stack(x, 2).coeffs[:5])
+        with pytest.raises(ValueError, match="2-channel blocks"):
+            build_regression(odd, stack(u, 2), structure)
 
     def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()

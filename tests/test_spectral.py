@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from freqwin import (Signal, WindowSpec, apply_window, fft_spectrum,
-                     fourier_coeffs, lowpass_filter, spectral_derivative,
-                     window_table, window_value)
+                     lowpass_filter, window_table, window_value)
 
 T = 1.0
 
@@ -13,18 +12,27 @@ def tone(freq, n, length=T, amp=1.0):
     return Signal(length=length, values=amp * np.exp(2j * np.pi * freq * t))
 
 
+def nonneg(sig, k_max, **kw):
+    """Bins k = 0..k_max (f = k/T) of the two-sided transform."""
+    return fft_spectrum(sig, **kw).coeffs[:, : k_max + 1]
+
+
+def derivative(spec, m):
+    """Spectral derivative: multiply by D(f)^m, D(f) = 2 pi i f."""
+    return (2j * np.pi * spec.freqs) ** m * spec.coeffs
+
+
 class TestFourierCoeffs:
     def test_constant_signal(self):
         sig = Signal(length=2.0, values=np.full(64, 3.0 - 1.0j))
-        spec = fourier_coeffs(sig, 10)
-        assert spec.coeffs[0, 0] == pytest.approx((3.0 - 1.0j) * 2.0)
-        assert np.abs(spec.coeffs[0, 1:]).max() < 1e-13
+        coeffs = nonneg(sig, 10)
+        assert coeffs[0, 0] == pytest.approx((3.0 - 1.0j) * 2.0)
+        assert np.abs(coeffs[0, 1:]).max() < 1e-13
 
     def test_grid_tone_orthogonality(self):
-        sig = tone(5.0, 128)
-        spec = fourier_coeffs(sig, 30)
-        assert spec.coeffs[0, 5] == pytest.approx(T, abs=1e-12)
-        others = np.delete(spec.coeffs[0], 5)
+        coeffs = nonneg(tone(5.0, 128), 30)
+        assert coeffs[0, 5] == pytest.approx(T, abs=1e-12)
+        others = np.delete(coeffs[0], 5)
         assert np.abs(others).max() < 1e-12
 
     def test_hann_window_signal_coefficients(self):
@@ -32,23 +40,26 @@ class TestFourierCoeffs:
         n = 1024
         t = np.arange(n) * T / n
         sig = Signal(length=T, values=np.sin(np.pi * t) ** 2)
-        spec = fourier_coeffs(sig, 8)
         expect = np.zeros(9, dtype=complex)
         expect[0] = 0.5 * T
         expect[1] = -0.25 * T
-        np.testing.assert_allclose(spec.coeffs[0], expect, atol=1e-12)
+        np.testing.assert_allclose(nonneg(sig, 8)[0], expect, atol=1e-12)
 
     def test_k_max_bound(self):
-        with pytest.raises(ValueError):
-            fourier_coeffs(tone(1.0, 64), 33)
+        # the grid holds N bins, f = k/T for k = 0..N/2 - 1, then the
+        # negative frequencies from the Nyquist bin -N/(2T) upwards
+        spec = fft_spectrum(tone(1.0, 64, length=2.0))
+        assert spec.num_bins == 64
+        np.testing.assert_array_equal(spec.freqs[:32], np.arange(32) / 2.0)
+        np.testing.assert_array_equal(spec.freqs[32:], np.arange(-32, 0) / 2.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         a = Signal(length=T, values=rng.standard_normal(64) + 1j * rng.standard_normal(64))
         b = Signal(length=T, values=rng.standard_normal(64) + 1j * rng.standard_normal(64))
         combo = Signal(length=T, values=2.0 * a.values - 1.5j * b.values)
-        lhs = fourier_coeffs(combo, 20).coeffs
-        rhs = 2.0 * fourier_coeffs(a, 20).coeffs - 1.5j * fourier_coeffs(b, 20).coeffs
+        lhs = fft_spectrum(combo).coeffs
+        rhs = 2.0 * fft_spectrum(a).coeffs - 1.5j * fft_spectrum(b).coeffs
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_endpoint_average_uses_terminal(self):
@@ -56,12 +67,15 @@ class TestFourierCoeffs:
         t = np.arange(n + 1) * T / n
         vals = np.exp(2j * np.pi * 2.7 * t)  # off-grid: s(0) != s(T)
         sig = Signal(length=T, values=vals[:n], terminal=vals[n:])
-        plain = fourier_coeffs(sig, 10).coeffs
-        avg = fourier_coeffs(sig, 10, endpoint_average=True).coeffs
+        plain = fft_spectrum(sig).coeffs
+        avg = fft_spectrum(sig, endpoint_average=True).coeffs
         assert not np.allclose(plain, avg)
+        # averaging moves every bin by the same (T/N)(s(T) - s(0))/2
+        np.testing.assert_allclose(avg - plain, (T / n) * 0.5 * (vals[n] - vals[0]),
+                                   atol=1e-15)
         sig_bare = Signal(length=T, values=vals[:n])
         with pytest.raises(ValueError):
-            fourier_coeffs(sig_bare, 10, endpoint_average=True)
+            fft_spectrum(sig_bare, endpoint_average=True)
 
 
 class TestParseval:
@@ -81,23 +95,20 @@ class TestParseval:
 
 class TestSpectralDerivative:
     def test_identity_at_zero_order(self):
-        spec = fourier_coeffs(tone(3.0, 64), 20)
-        out = spectral_derivative(spec, 0)
-        assert out is spec
+        spec = fft_spectrum(tone(3.0, 64))
+        np.testing.assert_array_equal(derivative(spec, 0), spec.coeffs)
 
     def test_tone_derivative(self):
-        spec = fourier_coeffs(tone(1.0, 64), 10)
-        dspec = spectral_derivative(spec, 1)
-        assert dspec.coeffs[0, 1] == pytest.approx(2j * np.pi / T * T, abs=1e-12)
+        spec = fft_spectrum(tone(1.0, 64))
+        assert derivative(spec, 1)[0, 1] == pytest.approx(2j * np.pi / T * T, abs=1e-12)
 
     def test_two_sided_sign(self):
         # negative-frequency bin of conj tone gets the negative multiplier
         n = 64
         t = np.arange(n) * T / n
-        sig = Signal(length=T, values=np.exp(-2j * np.pi * 3 * t))
-        dspec = spectral_derivative(fft_spectrum(sig), 1)
-        k = np.where(np.isclose(dspec.freqs, -3.0))[0][0]
-        assert dspec.coeffs[0, k] == pytest.approx(-6j * np.pi, abs=1e-10)
+        spec = fft_spectrum(Signal(length=T, values=np.exp(-2j * np.pi * 3 * t)))
+        k = np.where(np.isclose(spec.freqs, -3.0))[0][0]
+        assert derivative(spec, 1)[0, k] == pytest.approx(-6j * np.pi, abs=1e-10)
 
     def test_product_rule_oracle_convergence(self):
         # F((w x)') computed two ways: spectral derivative of F(wx) versus
@@ -108,13 +119,14 @@ class TestSpectralDerivative:
         errs = []
         for n in (32, 64, 128, 256):
             t = np.arange(n) * T / n
+            keep = slice(0, n // 4 + 1)
             x = np.exp(2j * np.pi * f0 * t)
             w0 = window_value(spec, 0, t)
             w1 = window_value(spec, 1, t)
             wx = Signal(length=T, values=w0 * x)
-            lhs = spectral_derivative(fourier_coeffs(wx, n // 4), 1).coeffs
+            lhs = derivative(fft_spectrum(wx), 1)[:, keep]
             dprod = Signal(length=T, values=w1 * x + w0 * 2j * np.pi * f0 * x)
-            rhs = fourier_coeffs(dprod, n // 4).coeffs
+            rhs = fft_spectrum(dprod).coeffs[:, keep]
             errs.append(np.abs(lhs - rhs).max() / np.abs(rhs).max())
         assert errs[-1] < 1e-4 * errs[0]
         assert errs[-1] < 1e-12
@@ -131,14 +143,14 @@ class TestTruncationConvergence:
         t_ref = np.arange(n_ref) * T / n_ref
         ref_sig = Signal(length=T,
                          values=window_value(spec, 0, t_ref) * np.exp(2j * np.pi * f0 * t_ref))
-        ref = fourier_coeffs(ref_sig, k).coeffs[0, k]
+        ref = nonneg(ref_sig, k)[0, k]
         sizes = np.array([64, 128, 256, 512, 1024, 2048, 4096])
         errs = []
         for n in sizes:
             t = np.arange(n) * T / n
             sig = Signal(length=T,
                          values=window_value(spec, 0, t) * np.exp(2j * np.pi * f0 * t))
-            errs.append(abs(fourier_coeffs(sig, k).coeffs[0, k] - ref))
+            errs.append(abs(nonneg(sig, k)[0, k] - ref))
         errs = np.array(errs)
         # smooth windows reach the roundoff floor early; fit above it
         live = errs > 1e-15 * abs(ref)
@@ -181,6 +193,14 @@ class TestApplyWindow:
         table2 = window_table(WindowSpec(family="sin", order=1, length=2.0), 64, 0)
         with pytest.raises(ValueError):
             apply_window(sig, table2, 0)
+
+    def test_row_outside_table_rejected(self):
+        # a negative row used to index the table from the end
+        sig = tone(1.0, 64)
+        table = window_table(WindowSpec(family="sin", order=2, length=T), 64, 2)
+        for k in (-1, 3, range(0), range(-1, 2), range(4)):
+            with pytest.raises(ValueError, match="derivatives 0 to 2"):
+                apply_window(sig, table, k)
 
 
 class TestLowpass:

@@ -125,8 +125,8 @@ def test_mixed_method_does_not_beat_the_best_pure_route():
 
 
 def test_sweep_transforms_each_record_once(dataset, monkeypatch):
-    """A corrected cinf:4 rate (n_a = 1, n_b = 0) costs three FFTs: the
-    windowed state and input and the state's order-1 correction term.  The
+    """A corrected cinf:4 rate (n_a = 1, n_b = 0) costs two FFTs: the state
+    stack (w x and w' x in one transform) and the windowed input.  The
     true-parameter residual reuses the regression the estimate solved."""
     calls = []
     fft = spectral.fft_spectrum
@@ -140,4 +140,4 @@ def test_sweep_transforms_each_record_once(dataset, monkeypatch):
     rows = bench.sweep_rates(dataset, [80.0, 128.0], "corrected",
                              WindowSpec("cinf", 4, T))
     assert len(rows) == 2
-    assert len(calls) == 3 * 2
+    assert len(calls) == 2 * 2
