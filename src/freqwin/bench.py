@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .identify import (EstimateReport, ModelParams, ModelStructure,
                        identify_from_signals, residual_spectrum)
 from .metrics import SweepResult, error_norms, param_error, residual_probe_norm
-from .simulate import (ForcingSpec, SimConfig, add_noise, integrate_rk4,
+from .simulate import (INPUT_NOISE_OFFSET, ForcingSpec, SimConfig, add_noise, integrate_rk4,
                        multisine, random_system, resample, sample_forcing)
 from .spectral import Signal
 from .windows import WindowSpec
@@ -56,6 +56,8 @@ def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
     forcing = multisine(n_tones, REF_F_MIN, REF_F_MAX, seed,
                         n_channels=structure.n_u)
     n_fine = int(round(fine_rate * length))
+    if n_fine < 1:
+        raise ValueError(f"fine rate {fine_rate} gives no samples over length {length}")
     config = SimConfig(structure=structure, dt=length / n_fine, length=length,
                        seed=seed)
     x = integrate_rk4(theta, forcing, config)
@@ -83,9 +85,8 @@ def estimate(dataset: Dataset, f_s: float, method: str,
              band=None, sigma: float = 0.0, noise_trial: int = 0,
              endpoint_average: bool = False) -> EstimateReport:
     x, u = dataset.decimated(f_s)
-    if sigma > 0.0:
-        x = add_noise(x, sigma, dataset.seed, trial=noise_trial)
-        u = add_noise(u, sigma, dataset.seed, trial=noise_trial + 500000)
+    x = add_noise(x, sigma, dataset.seed, trial=noise_trial)
+    u = add_noise(u, sigma, dataset.seed, trial=noise_trial + INPUT_NOISE_OFFSET)
     return identify_from_signals(
         x, u, dataset.theta_true.structure, method=method, window_spec=window,
         n_p=n_p, band=band, endpoint_average=endpoint_average)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench, io, metrics
 from .identify import ModelStructure, RankDeficiencyError, identify_from_signals
-from .simulate import add_noise
+from .simulate import INPUT_NOISE_OFFSET, add_noise
 from .windows import f_err, overlap_variance, window_spectrum, window_table
 
 EXIT_OK = 0
@@ -80,9 +80,8 @@ def cmd_simulate(args) -> int:
     f_s = float(args.fs)
     x, u = dataset.decimated(f_s)
     sigma = float(args.sigma)
-    if sigma > 0:
-        x = add_noise(x, sigma, dataset.seed, trial=0)
-        u = add_noise(u, sigma, dataset.seed, trial=500000)
+    x = add_noise(x, sigma, dataset.seed, trial=0)
+    u = add_noise(u, sigma, dataset.seed, trial=INPUT_NOISE_OFFSET)
     io.write_signal_csv(out / "x.csv", x)
     io.write_signal_csv(out / "u.csv", u)
     io.write_truth_json(out / "truth.json", dataset.theta_true, dataset.forcing,

@@ -13,7 +13,8 @@ modulating-function integral, i.e. D^i X_0 minus the windowing correction
 x^{i} (see ``corrections``).  The rectangular route keeps K = 0, so
 L_i = D^i X_0 with nothing subtracted.  The rows form a matrix M whose top
 n_x rows belong to the fixed A_{n_a} = I block; the remaining parameters
-solve theta_2 M_2 = -M_1 by Moore-Penrose pseudo-inverse.  The four
+solve theta_2 M_2 = -M_1 in the least-squares sense, by one LAPACK
+minimum-norm solve that also returns M_2's singular values.  The four
 methods are settings of two switches:
 
     method      window, stack depth K     polynomial rows
@@ -41,6 +42,8 @@ from .corrections import modulate, modulated_row
 from .spectral import Signal, Spectrum, fft_spectrum
 from .windows import WindowSpec, window_table
 
+# singular values of M2 at or below RANK_RTOL * s_max count as zero (the
+# rcond of the least-squares solve); a rank below M2's row count is an error
 RANK_RTOL = 1e-12
 
 METHODS = ("corrected", "ps", "mixed", "naive")
@@ -134,6 +137,11 @@ class EstimateReport:
     regression: RegressionSystem
     imag_norm: float = 0.0
     poly_coeffs: np.ndarray | None = None
+    m2_singular_values: np.ndarray | None = None  # descending
+
+    @property
+    def m2_condition(self) -> float:
+        return float(self.m2_singular_values[0] / self.m2_singular_values[-1])
 
 
 def _poly_rows(freqs: np.ndarray, n_p: int) -> np.ndarray:
@@ -213,18 +221,21 @@ def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
     return Spectrum(length=reg.length, coeffs=resid, freqs=reg.freqs)
 
 
-def _split_theta(theta2: np.ndarray, structure: ModelStructure, n_poly: int):
+def _split_theta(theta2: np.ndarray, structure: ModelStructure):
     s = structure
-    # column blocks A_{n_a-1} .. A_0, B_{n_b} .. B_0, then the poly rows
-    cuts = np.cumsum([s.n_x] * s.n_a + [s.n_u] * (s.n_b + 1))
-    *blocks, poly = np.split(theta2, cuts, axis=1)
+    # column blocks A_{n_a-1} .. A_0, then B_{n_b} .. B_0
+    blocks = np.split(theta2, np.cumsum([s.n_x] * s.n_a + [s.n_u] * s.n_b), axis=1)
     A = tuple(reversed(blocks[: s.n_a])) + (np.eye(s.n_x),)
-    B = tuple(reversed(blocks[s.n_a:]))
-    return A, B, (poly[:, :n_poly] if n_poly else None)
+    return ModelParams(structure, A=A, B=tuple(reversed(blocks[s.n_a:])))
 
 
 def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport:
-    """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics."""
+    """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
+
+    One LAPACK solve of M2^T theta_2^T = -M1^T returns the minimum-norm
+    solution and M2's singular values; a numerical rank below M2's row
+    count (see RANK_RTOL) raises RankDeficiencyError.
+    """
     rows, cols = reg.m2.shape
     if cols < rows:
         raise ValueError(
@@ -232,37 +243,27 @@ def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport
             "the regression is underdetermined"
         )
     t0 = time.perf_counter()
-    u, s, vh = np.linalg.svd(reg.m2, full_matrices=False)
-    rank = 0 if s[0] == 0.0 else int(np.sum(s > RANK_RTOL * s[0]))
+    sol, _, rank, s = np.linalg.lstsq(reg.m2.T, -reg.m1.T, rcond=RANK_RTOL)
     if rank < rows:
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0
         raise RankDeficiencyError(
             f"numerical rank {rank} below parameter row count {rows} "
             f"(smallest singular value ratio {ratio:.2e})"
         )
-    pinv = (vh.conj().T / s) @ u.conj().T
-    theta2 = -reg.m1 @ pinv
+    theta2 = sol.T
     wall = time.perf_counter() - t0
-    A, B, poly = _split_theta(theta2, reg.structure, reg.n_poly)
-    imag_norm = float(
-        np.sqrt(sum(np.linalg.norm(m.imag) ** 2 for m in A[:-1])
-                + sum(np.linalg.norm(m.imag) ** 2 for m in B))
-    )
-    theta_hat = ModelParams(
-        structure=reg.structure,
-        A=tuple(m.real if np.iscomplexobj(m) else m for m in A),
-        B=tuple(m.real for m in B),
-    )
+    model = theta2[:, : rows - reg.n_poly]
     fit_resid = theta2 @ reg.m2 + reg.m1
     norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0))
     resid_l2 = float(np.sqrt((norms**2).sum() / reg.length))
     per_freq = Spectrum(length=reg.length, coeffs=norms.astype(complex),
                         freqs=reg.freqs)
     return EstimateReport(
-        theta_hat=theta_hat, residual_l2=resid_l2,
+        theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
         per_frequency_residual=per_freq, wall_time=wall, method=method,
-        regression=reg, imag_norm=imag_norm,
-        poly_coeffs=None if poly is None else np.asarray(poly),
+        regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
+        poly_coeffs=theta2[:, rows - reg.n_poly:] if reg.n_poly else None,
+        m2_singular_values=s,
     )
 
 

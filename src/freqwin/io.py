@@ -102,12 +102,14 @@ def params_from_payload(payload: dict) -> ModelParams:
 
 
 def write_report_json(path, report: EstimateReport, window: str | None = None,
-                      seeds: dict | None = None, extra: dict | None = None) -> None:
+                      seeds: dict | None = None) -> None:
     payload = {
         "method": report.method,
         "theta_hat": _params_payload(report.theta_hat),
         "residual_l2": report.residual_l2,
         "imag_norm": report.imag_norm,
+        "m2_singular_values": report.m2_singular_values.tolist(),
+        "m2_condition": report.m2_condition,
         "wall_time": report.wall_time,
         "band": report.regression.band.tolist(),
         "window": window,
@@ -119,8 +121,6 @@ def write_report_json(path, report: EstimateReport, window: str | None = None,
             "re": report.poly_coeffs.real.ravel().tolist(),
             "im": report.poly_coeffs.imag.ravel().tolist(),
         }
-    if extra:
-        payload.update(extra)
     Path(path).write_text(json.dumps(payload, indent=2))
 
 

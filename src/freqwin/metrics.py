@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -22,7 +22,6 @@ class SweepResult:
     residual_l2: float  # ||E||
     param_error: float
     wall_time: float
-    extra: dict = field(default_factory=dict)
 
 
 def error_norms(residual: Spectrum) -> tuple[np.ndarray, float]:
@@ -34,9 +33,13 @@ def error_norms(residual: Spectrum) -> tuple[np.ndarray, float]:
 
 
 def residual_probe_norm(residual: Spectrum, freq: float) -> float:
-    """||e(f)|| at the bin closest to the probe frequency."""
+    """||e(f)|| at the bin closest to the probe frequency, which must lie
+    within half a bin (0.5 / T) of it."""
     norms, _ = error_norms(residual)
-    return float(norms[np.argmin(np.abs(residual.freqs - freq))])
+    dist = np.abs(residual.freqs - freq)
+    if not dist.min() <= 0.5 / residual.length:
+        raise ValueError(f"probe frequency {freq} is outside the residual's band")
+    return float(norms[np.argmin(dist)])
 
 
 def param_error(theta_true: ModelParams, theta_hat: ModelParams) -> float:

@@ -24,6 +24,7 @@ COMPONENT_SYSTEM = 1
 COMPONENT_FORCING = 2
 COMPONENT_INIT = 3
 COMPONENT_NOISE = 1000  # plus trial index
+INPUT_NOISE_OFFSET = 500000  # input records draw trial + this, states trial
 
 # spectral-abscissa window for accepted random dynamics (see random_system)
 EIG_REAL_MIN = -25.0
@@ -266,8 +267,8 @@ def sample_forcing(forcing: ForcingSpec, length: float, num_samples: int) -> Sig
 
 def add_noise(signal: Signal, sigma: float, seed: int, trial: int = 0) -> Signal:
     """White Gaussian noise, standard deviation sigma per real/imag part."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, not {sigma}")
     if sigma == 0.0:
         return signal
     rng = rng_for(seed, COMPONENT_NOISE + trial)

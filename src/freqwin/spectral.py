@@ -105,14 +105,6 @@ class Spectrum:
         return self.coeffs.shape[1]
 
 
-def _wrap_endpoint(signal: Signal) -> np.ndarray:
-    if signal.terminal is None:
-        raise ValueError("endpoint averaging needs the terminal sample s(T)")
-    vals = signal.values.copy()
-    vals[:, 0] = 0.5 * (vals[:, 0] + signal.terminal)
-    return vals
-
-
 def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
     """Transform estimates on the full two-sided DFT grid (fftfreq order).
 
@@ -125,7 +117,12 @@ def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
     values differ.
     """
     N = signal.num_samples
-    vals = _wrap_endpoint(signal) if endpoint_average else signal.values
+    vals = signal.values
+    if endpoint_average:
+        if signal.terminal is None:
+            raise ValueError("endpoint averaging needs the terminal sample s(T)")
+        vals = vals.copy()
+        vals[:, 0] = 0.5 * (vals[:, 0] + signal.terminal)
     coeffs = np.fft.fft(vals, axis=-1) * (signal.length / N)
     freqs = np.fft.fftfreq(N, d=signal.length / N)
     return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
@@ -151,10 +148,7 @@ def apply_window(signal: Signal, table, k: int | range = 0) -> Signal:
     out = table.samples[list(rows), None, :] * signal.values
     term = None
     if signal.terminal is not None:
-        from .windows import window_value
-
-        term = np.concatenate([signal.terminal * window_value(table.spec, j, signal.length)
-                               for j in rows])
+        term = table.terminal[list(rows), None] * signal.terminal
     return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples),
                   terminal=term)
 

@@ -81,11 +81,13 @@ class WindowTable:
     """Sampled window derivative rows d^k w/dt^k on t_j = j T / N.
 
     Row k holds the k-th derivative.  Endpoint samples store the one-sided
-    limits from inside the support (0 for both proposed families at k = 0).
+    limits from inside the support (0 for both proposed families at k = 0);
+    ``terminal`` holds every row's value at t = T.
     """
 
     spec: WindowSpec
     samples: np.ndarray  # (max_deriv + 1, N), float64
+    terminal: np.ndarray  # (max_deriv + 1,), float64
 
     @property
     def max_deriv(self) -> int:
@@ -193,16 +195,15 @@ def window_value(spec: WindowSpec, k: int, t) -> np.ndarray | float:
 
 
 def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
-    """Sample the window and its derivatives on the uniform grid t_j = j T / N."""
+    """Sample the window and its derivatives on the grid t_j = j T / N and at T."""
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     if max_deriv < 0:
         raise ValueError("max_deriv must be >= 0")
-    t = np.arange(num_samples) * (spec.length / num_samples)
-    rows = np.empty((max_deriv + 1, num_samples), dtype=float)
-    for k in range(max_deriv + 1):
-        rows[k] = window_value(spec, k, t)
-    return WindowTable(spec=spec, samples=rows)
+    t = np.append(np.arange(num_samples) * (spec.length / num_samples), spec.length)
+    rows = np.array([window_value(spec, k, t) for k in range(max_deriv + 1)])
+    return WindowTable(spec=spec, samples=np.ascontiguousarray(rows[:, :-1]),
+                       terminal=rows[:, -1].copy())
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # nodes, weights

@@ -58,6 +58,9 @@ class TestIdentify:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "corrected"
+        sv = report["m2_singular_values"]
+        assert len(sv) == 10 and sv == sorted(sv, reverse=True)
+        assert report["m2_condition"] == pytest.approx(sv[0] / sv[-1], rel=1e-15)
         assert report["residual_l2"] < 1e-4
         assert (out / "residual.csv").exists()
 
@@ -298,6 +301,31 @@ class TestConfigAndExitCodes:
         assert main(["window", "--out", str(tmp_path / "w"),
                      "--window", window]) == 2
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+    def test_zero_fine_rate_is_exit_2(self, tmp_path, command, capsys):
+        # used to divide by zero in reference_dataset (exit 1, traceback)
+        assert main([command, "--out", str(tmp_path / "z"),
+                     "--fine-rate", "0"]) == 2
+        assert "fine rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_bad_sigma_is_exit_2(self, tmp_path, command, sigma, capsys):
+        # a negative or NaN sigma used to write noise-free outputs, exit 0
+        out = tmp_path / "s"
+        trials = ["--trials", "1"] if command == "montecarlo" else []
+        assert main([command, "--out", str(out), "--fine-rate", "7680",
+                     "--fs", "80", "--sigma", sigma, *trials]) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+    def test_probe_outside_band_is_exit_2(self, tmp_path, capsys):
+        # the residual_probe column used to hold the band edge's residual
+        assert main(["sweep", "--out", str(tmp_path / "p"), *FAST_SIM,
+                     "--fs-list", "80", "--windows", "cinf:4",
+                     "--probe-freq", "1000"]) == 2
+        assert "probe" in capsys.readouterr().err
 
     def test_underdetermined_is_nonzero(self, sim_dir, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "u"),

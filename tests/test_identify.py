@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
-                     Signal, Spectrum, WindowSpec, build_regression, fft_spectrum,
+                     RegressionSystem, Signal, Spectrum, WindowSpec,
+                     build_regression, fft_spectrum,
                      identify_from_signals, param_error, residual_spectrum,
                      rng_for, solve_ls, window_table)
 from freqwin.corrections import modulate
@@ -103,6 +106,56 @@ class TestExactRecovery:
         for m1, m2 in zip(r1.theta_hat.A + r1.theta_hat.B,
                           r2.theta_hat.A + r2.theta_hat.B):
             np.testing.assert_array_equal(m1, m2)
+
+
+REF = ModelStructure(n_x=5, n_u=5, n_a=1, n_b=0)
+
+
+def random_regression(seed, cols, n_poly):
+    """Random complex model rows of the reference structure (A_0 then B_0),
+    then n_poly Chebyshev rows on a centred frequency grid."""
+    rng = np.random.default_rng(seed)
+    freqs = np.fft.fftfreq(cols, d=1.0 / cols)
+    model = rng.standard_normal((10, cols)) + 1j * rng.standard_normal((10, cols))
+    poly = np.polynomial.chebyshev.chebvander(freqs / np.abs(freqs).max(),
+                                              max(n_poly - 1, 0)).T[:n_poly]
+    m1 = rng.standard_normal((5, cols)) + 1j * rng.standard_normal((5, cols))
+    return RegressionSystem(m1=m1, m2=np.vstack([model, poly]), freqs=freqs,
+                            band=np.arange(cols), structure=REF, length=T,
+                            n_poly=n_poly)
+
+
+class TestSolver:
+    @pytest.mark.parametrize("rows, cols", [(10, 80), (20, 768), (60, 768)])
+    def test_matches_pseudo_inverse_oracle(self, rows, cols):
+        reg = random_regression(rows + cols, cols, rows - 10)
+        oracle = -reg.m1 @ np.linalg.pinv(reg.m2)
+        report = solve_ls(reg)
+        scale = np.abs(oracle).max()
+        got = np.hstack([report.theta_hat.A[0], report.theta_hat.B[0]])
+        np.testing.assert_allclose(got, oracle[:, :10].real, rtol=0,
+                                   atol=1e-12 * scale)
+        assert report.imag_norm == pytest.approx(
+            np.linalg.norm(oracle[:, :10].imag), rel=1e-12)
+        if rows > 10:
+            np.testing.assert_allclose(report.poly_coeffs, oracle[:, 10:],
+                                       rtol=0, atol=1e-12 * scale)
+        assert report.m2_condition == pytest.approx(np.linalg.cond(reg.m2),
+                                                    rel=1e-10)
+
+    def test_duplicated_row_is_rank_deficient(self):
+        reg = random_regression(1, 80, 0)
+        m2 = reg.m2.copy()
+        m2[3] = m2[0]
+        with pytest.raises(RankDeficiencyError,
+                           match=r"rank 9 below .*\(smallest singular value ratio"):
+            solve_ls(replace(reg, m2=m2))
+
+    def test_zero_matrix_is_rank_deficient(self):
+        reg = random_regression(2, 80, 0)
+        with pytest.raises(RankDeficiencyError,
+                           match=r"rank 0 below .*\(smallest singular value ratio 0\.00e\+00\)"):
+            solve_ls(replace(reg, m2=np.zeros_like(reg.m2)))
 
 
 def exp_integral(g, f, length):

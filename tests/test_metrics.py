@@ -40,6 +40,16 @@ class TestErrorNorms:
         spec = Spectrum(length=1.0, coeffs=coeffs)  # freqs 0..7
         assert residual_probe_norm(spec, 3.4) == 3.0
 
+    def test_probe_outside_band_rejected(self):
+        # fftfreq grid 0..3, -4..-1 Hz: negative probes inside it still work
+        spec = Spectrum(length=1.0, coeffs=np.arange(8, dtype=complex)[None, :],
+                        freqs=np.fft.fftfreq(8, d=1 / 8))
+        assert residual_probe_norm(spec, -2.2) == 6.0
+        assert residual_probe_norm(spec, 3.5) == 3.0
+        for probe in (3.51, -4.6, 1000.0, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                residual_probe_norm(spec, probe)
+
 
 class TestParamError:
     def test_identical_is_zero(self):

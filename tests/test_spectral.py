@@ -194,6 +194,16 @@ class TestApplyWindow:
         with pytest.raises(ValueError):
             apply_window(sig, table2, 0)
 
+    def test_terminal_sample_weighted_by_terminal_rows(self):
+        # sin_1'(T) = -pi/T, so the derivative row keeps a nonzero s(T)
+        length = 2.5
+        sig = Signal(length=length, values=np.ones((2, 64)), terminal=[2.0, 3.0j])
+        table = window_table(WindowSpec(family="sin", order=1, length=length), 64, 1)
+        out = apply_window(sig, table, range(2))
+        np.testing.assert_allclose(
+            out.terminal, [0.0, 0.0, -2 * np.pi / length, -3j * np.pi / length],
+            atol=1e-15)
+
     def test_row_outside_table_rejected(self):
         # a negative row used to index the table from the end
         sig = tone(1.0, 64)
