@@ -252,11 +252,11 @@ def cmd_overlap(args) -> int:
     rows = []
     for text in windows:
         spec = bench.parse_window(text)
+        var0 = overlap_variance(spec, 0.0, base_windows)
         for tau in taus:
             # fixed data length L = base_windows * T; windows that fit
             k = int(np.floor((base_windows - 1) / (1.0 - tau))) + 1
             var = overlap_variance(spec, float(tau), k)
-            var0 = overlap_variance(spec, 0.0, base_windows)
             rows.append([text, float(tau), k, var, var / var0])
     io.write_csv(out / "overlap.csv",
                   ["window", "tau", "num_windows", "variance", "normalized"],

@@ -9,10 +9,10 @@ derivatives.  A rectangular window is provided so the polynomial-transient
 baseline shares the same pipeline, and a flat reference polynomial window
 ``poly_ref`` exists only for the overlap-variance figures.
 
-Derivatives are exact: the sine windows are finite trigonometric sums which
-are differentiated term by term; a bump-family derivative is the window
-times a rational prefactor whose numerator polynomial is built once per
-(order, k) in exact fractions, then evaluated in floating point.
+Derivatives are exact: a sine-window derivative is a sum of sin^a cos^b
+terms with integer coefficients, a bump-family derivative the window times a
+rational prefactor built once per (order, k) in exact fractions.  Every
+window is even about T/2: w^(k)(T - t) = (-1)^k w^(k)(t).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite, perm
+from math import isfinite, perm, prod
 
 import numpy as np
 import scipy.fft
@@ -30,9 +30,7 @@ from .spectral import Spectrum
 
 FAMILIES = ("rectangular", "sin", "cinf", "poly_ref")
 
-# sin_n costs n + 1 exponentials per sample and (2j)**n overflows near
-# n = 1024; the paper uses n <= 9
-SIN_MAX_ORDER = 64
+SIN_MAX_ORDER = 64  # the paper uses n <= 9; tests check up to here against mpmath
 
 # exp() underflows to 0 below this; the rational prefactors of the bump
 # window stay finite well past it, so the product is exactly 0 there.
@@ -43,8 +41,8 @@ _EXP_FLOOR = -700.0
 class WindowSpec:
     """Window family, smoothness order and support length.
 
-    ``order`` must be a positive integer for ``sin`` and ``poly_ref``; the
-    ``cinf`` family accepts any real order > 0 (e.g. 0.25).  It is ignored
+    ``order`` must be a positive integer for ``sin``, an even one for
+    ``poly_ref`` and any real > 0 for ``cinf`` (e.g. 0.25).  It is ignored
     for ``rectangular``.
     """
 
@@ -64,6 +62,8 @@ class WindowSpec:
                 raise ValueError(f"{self.family} order must be a positive integer")
             if self.family == "sin" and self.order > SIN_MAX_ORDER:
                 raise ValueError(f"sin order must be <= {SIN_MAX_ORDER}")
+            if self.family == "poly_ref" and self.order % 2:
+                raise ValueError("poly_ref order must be even")
         elif self.family == "cinf":
             if self.order <= 0:
                 raise ValueError("cinf order must be > 0")
@@ -139,17 +139,24 @@ def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarr
     return out
 
 
-def _sin_terms(n: int, length: float) -> list[tuple[complex, complex]]:
-    """Pairs (c_m, om_m) with sin^n(pi t/T) = sum_m c_m exp(om_m t)."""
-    return [(comb(n, m) * (-1) ** (n - m) / (2j) ** n, 1j * np.pi * (2 * m - n) / length)
-            for m in range(n + 1)]
+@functools.lru_cache(maxsize=None)
+def _sin_poly(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (b, c_b) with d^k/dx^k sin^n x = sum_b c_b sin^(n-b) x cos^b x,
+    by d/dx S^a C^b = a S^(a-1) C^(b+1) - b S^(a+1) C^(b-1): a + b = n stays,
+    b has the parity of k (at most k/2 + 1 terms) and a never goes negative."""
+    if k == 0:
+        return ((0, 1),)
+    terms = dict.fromkeys(range(-1, n + 2), 0)
+    for b, c in _sin_poly(n, k - 1):
+        terms[b + 1] += (n - b) * c
+        terms[b - 1] -= b * c
+    return tuple((b, c) for b, c in sorted(terms.items()) if c)
 
 
-def _sin_values(order: int, k: int, t: np.ndarray, length: float) -> np.ndarray:
-    acc = np.zeros(t.shape, dtype=complex)
-    for c, om in _sin_terms(order, length):
-        acc += c * om**k * np.exp(om * t)
-    return acc.real
+def _sin_values(n: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
+    sx, cx = np.sin(np.pi * s), np.cos(np.pi * s)
+    acc = sum(c * sx ** (n - b) * cx ** b for b, c in _sin_poly(n, k))
+    return acc * (np.pi / length) ** k
 
 
 def _poly_ref_values(n: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
@@ -181,13 +188,11 @@ def window_value(spec: WindowSpec, k: int, t) -> np.ndarray | float:
     else:
         if spec.family == "rectangular":
             if k >= 1:
-                raise ValueError(
-                    "rectangular window has no pointwise derivatives; "
-                    "it participates only in the polynomial-transient baseline"
-                )
+                raise ValueError("rectangular window has no pointwise derivatives; it "
+                                 "participates only in the polynomial-transient baseline")
             vals = 1.0
         elif spec.family == "sin":
-            vals = _sin_values(int(spec.order), k, t_arr, T)
+            vals = _sin_values(int(spec.order), k, s, T)
         else:  # poly_ref
             vals = _poly_ref_values(int(spec.order), k, s, T)
         out = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
@@ -215,10 +220,10 @@ def window_area(spec: WindowSpec) -> float:
     if spec.family == "rectangular":
         return T
     if spec.family == "sin":
-        # int_0^T sin^n(pi t/T) dt via the same exponential expansion
-        total = sum(c * T if om == 0 else c * (np.exp(om * T) - 1.0) / om
-                    for c, om in _sin_terms(int(spec.order), T))
-        return float(total.real)
+        # Wallis: int_0^pi sin^n is pi (n-1)!!/n!! for even n, 2 (n-1)!!/n!! for odd
+        n = int(spec.order)
+        ratio = prod(range(n - 1, 0, -2)) / prod(range(n, 0, -2))
+        return T * ratio if n % 2 == 0 else 2.0 * T / np.pi * ratio
     # no closed form needed elsewhere: high-order quadrature on the analytics
     nodes, weights = _leggauss(200)
     tq = 0.5 * T * (nodes + 1.0)
@@ -242,26 +247,33 @@ def _spectrum_samples(spec: WindowSpec, k: int, f_max: float,
 
     n_hi / T >= 32 f_max keeps the diagnostic's own aliasing below 1e-14 of
     the peak for smooth windows, 1e-11 for 1/f^2 tails at f_err's bound.
-    Only bins q <= keep of the refine * n_hi point DFT are formed, by the
-    chirp z-transform: jq = (j^2 + q^2 - (q - j)^2) / 2 makes X_q = c_q
-    sum_j v_j c_j conj(c_{q-j}), one FFT convolution of size >= n_hi + keep.
-    The chirp phase comes from the integer j^2 mod 2 refine n_hi: with the
-    float power of scipy.signal.czt, bins of a uniform random 2^19-point input
-    were off by 4.2e-9 of the peak, enough to move f_err at p = 1e-12; this
-    path stays within 2.3e-16.  The chirp cache is keyed by sizes, not data.
+    Parity halves the work: with c = n_hi / 2, v_{c-i} = (-1)^k v_{c+i}, so
+    only the right half enters Y_q = sum_{i<c} v_{c+i} omega^(qi), where
+    omega = exp(-2 pi i / M), M = refine n_hi, and X_q = v_0 + omega^(qc) B_q
+    with omega^(qc) = exp(-i pi (q mod 2 refine) / refine) and B_q equal to
+    2 Re Y_q - v_c for even k, 2i Im Y_q for odd k (v_c = 0).  Only bins
+    q <= keep are formed, by the chirp z-transform: iq = (i^2 + q^2 -
+    (q - i)^2) / 2 makes Y_q = c_q sum_i v_{c+i} c_i conj(c_{q-i}), one FFT
+    convolution of next_fast_len(c + keep) points.  Its chirp phase comes
+    from the integer i^2 mod 2M, as scipy.signal.czt's float power is off by
+    4.2e-9 of the peak, enough to move f_err at p = 1e-12; the bins stay
+    within 5.5e-16 of a direct DFT.  The chirp cache is keyed by sizes.
     """
     T = spec.length
     n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * f_max * T)))))
-    t = np.arange(n_hi) * (T / n_hi)
-    vals = window_value(spec, k, t).astype(float)
+    half = n_hi // 2
+    right = window_value(spec, k, (half + np.arange(half)) * (T / n_hi))
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
-    vals[0] = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, T))
+    wrap = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, T))
     keep = int(round(f_max * refine * T))
-    chirp, kernel = _chirp_plan(n_hi, keep + 1, refine * n_hi)
-    conv = scipy.fft.ifft(scipy.fft.fft(vals * chirp[:n_hi], n=kernel.size) * kernel)
-    coeffs = conv[: keep + 1] * chirp[: keep + 1] * (T / n_hi)
-    return np.arange(keep + 1) / (refine * T), coeffs
+    chirp, kernel = _chirp_plan(half, keep + 1, refine * n_hi)
+    conv = scipy.fft.ifft(scipy.fft.fft(right * chirp[:half], n=kernel.size) * kernel)
+    y = conv[: keep + 1] * chirp[: keep + 1]
+    fold = 2.0 * y.real - right[0] if k % 2 == 0 else 2j * y.imag
+    q = np.arange(keep + 1)
+    shift = np.exp(-1j * np.pi / refine * np.arange(2 * refine))[q % (2 * refine)]
+    return q / (refine * T), (T / n_hi) * (wrap + shift * fold)
 
 
 def window_spectrum(spec: WindowSpec, k: int, f_max: float | None = None):
@@ -285,10 +297,11 @@ def f_err(spec: WindowSpec, k: int, p: float, f_search_max: float | None = None)
 
     S is the base window's area for every derivative order.  The envelope is
     taken on a 16x refined grid (leakage between the 1/T bins is what
-    aliases; even-order sine windows are exactly zero ON the 1/T grid): the
-    chirp z-transform in ``_spectrum_samples`` turns 2^19 window samples
-    into just the 163 265 kept bins of the 2^23 point DFT.  Returns inf when
-    the threshold is not met below f_search_max; the result is on the 1/T grid.
+    aliases; even-order sine windows are exactly zero ON the 1/T grid): by
+    parity ``_spectrum_samples`` transforms only the 2^18-sample right half
+    of the 2^19-sample record, one 425 920-point chirp z-transform convolution
+    for the 163 265 kept bins of its 2^23 point DFT.  Returns inf when the
+    threshold is not met below f_search_max; the result is on the 1/T grid.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import freqwin.bench as bench
-from freqwin import identify_from_signals
+from freqwin import identify_from_signals, io, overlap_variance
 from freqwin.cli import main
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
@@ -247,6 +247,26 @@ class TestOverlapCommand:
                    "--num-windows", "8"])
         assert rc == 0
 
+    def test_baseline_once_per_window_keeps_file(self, tmp_path):
+        # the zero-overlap baseline is computed once per window; the file
+        # must equal the one built with the baseline recomputed on every row
+        out = tmp_path / "ov"
+        windows = ["rect", "sin:2", "poly:6"]
+        assert main(["overlap", "--out", str(out), "--windows", ",".join(windows),
+                     "--tau-step", "0.25", "--tau-max", "0.75",
+                     "--num-windows", "8"]) == 0
+        rows = []
+        for text in windows:
+            spec = bench.parse_window(text)
+            for tau in np.arange(0.0, 0.75 + 1e-12, 0.25):
+                k = int(np.floor(7 / (1.0 - tau))) + 1
+                var = overlap_variance(spec, float(tau), k)
+                rows.append([text, float(tau), k, var,
+                             var / overlap_variance(spec, 0.0, 8)])
+        io.write_csv(tmp_path / "expect.csv",
+                     ["window", "tau", "num_windows", "variance", "normalized"], rows)
+        assert (out / "overlap.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
+
     @pytest.mark.parametrize("flags", [["--tau-max", "1.0"],
                                        ["--tau-step", "0"],
                                        ["--tau-step", "-0.1"]])
@@ -301,6 +321,17 @@ class TestConfigAndExitCodes:
         assert main(["window", "--out", str(tmp_path / "w"),
                      "--window", window]) == 2
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("window", ["poly:1", "poly:3"])
+    @pytest.mark.parametrize("command,flag", [("window", "--window"),
+                                              ("overlap", "--windows")])
+    def test_odd_poly_order_is_exit_2(self, tmp_path, command, flag, window, capsys):
+        # poly_3 is 1.125 at t = 0 and 0.875 at T; its tables and f_err
+        # values used to be written with exit 0
+        out = tmp_path / "p"
+        assert main([command, "--out", str(out), flag, window]) == 2
+        assert "poly_ref order must be even" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
     def test_zero_fine_rate_is_exit_2(self, tmp_path, command, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import freqwin
@@ -88,8 +89,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sin order"):
             WindowSpec(family="sin", order=SIN_MAX_ORDER + 1)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_odd_poly_ref_order_rejected(self, order):
+        # 1 - (s - 1/2)^n is asymmetric for odd n: poly_3 is 1.125 at t = 0
+        with pytest.raises(ValueError, match="poly_ref order must be even"):
+            WindowSpec(family="poly_ref", order=order)
+
     def test_largest_sin_order_is_accurate(self):
-        # the exponential expansion still cancels to full precision here
         spec = WindowSpec(family="sin", order=SIN_MAX_ORDER)
         t = np.linspace(0.0, 1.0, 33)
         np.testing.assert_allclose(window_value(spec, 0, t), np.sin(np.pi * t) ** SIN_MAX_ORDER,
@@ -127,6 +133,50 @@ class TestCinfDerivativeOracle:
                 ref = np.array([float(mpmath.diff(bump, mpmath.mpf(float(tj)), k))
                                 for tj in t])
                 assert (np.abs(got - ref) <= 1e-12 * np.abs(ref)).all(), (k, got, ref)
+
+
+class TestSinDerivativeOracle:
+    """The sin^a cos^b sums against 50-digit numerical differentiation of
+    sin^n(pi t), which shares nothing with them."""
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 9, 64])
+    def test_matches_mpmath(self, order):
+        spec = make("sin", order)
+        t = np.array([0, 6, 12, 180, 300, 360, 375, 384, 390, 400, 756, 762, 768]) / 768
+        with mpmath.workdps(50):
+            def sine_power(x):
+                return mpmath.sin(mpmath.pi * x) ** order
+
+            for k in range(5):
+                got = window_value(spec, k, t)
+                ref = np.array([float(mpmath.diff(sine_power, mpmath.mpf(float(tj)), k))
+                                for tj in t])
+                peak = np.abs(ref).max()
+                assert np.abs(got - ref).max() <= 1e-13 * peak, (k, got, ref)
+
+
+@st.composite
+def any_window(draw):
+    family = draw(st.sampled_from(["sin", "cinf", "poly_ref", "rectangular"]))
+    length = draw(st.floats(0.25, 4.0))
+    if family == "rectangular":
+        return WindowSpec(family, 1.0, length), 0
+    order = {"sin": st.integers(1, SIN_MAX_ORDER), "cinf": st.floats(0.25, 8.0),
+             "poly_ref": st.integers(1, 6).map(lambda h: 2 * h)}[family]
+    return WindowSpec(family, draw(order), length), draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=any_window(), frac=st.floats(0.0, 1.0))
+def test_every_window_is_even_about_its_centre(case, frac):
+    """w^(k)(T - t) = (-1)^k w^(k)(t), the symmetry the half-record spectrum
+    relies on, checked pointwise on the analytic derivatives."""
+    spec, k = case
+    T = spec.length
+    t = frac * T
+    scale = np.abs(window_value(spec, k, np.linspace(0.0, T, 4097))).max()
+    mirrored = window_value(spec, k, T - t)
+    assert abs(mirrored - (-1) ** k * window_value(spec, k, t)) <= 1e-12 * scale
 
 
 class TestWindowTable:
@@ -214,19 +264,26 @@ class TestWindowSpectrum:
 
 def test_spectrum_samples_own_their_memory():
     # views into the convolution buffer would keep it alive in the cache
-    freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), 1, 104.0, refine=16)
-    assert freqs.base is None and coeffs.base is None
-    assert freqs.size == coeffs.size == 104 * 16 + 1
+    for k in (0, 1):
+        freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), k, 104.0, refine=16)
+        assert freqs.base is None and coeffs.base is None
+        assert freqs.size == coeffs.size == 104 * 16 + 1
 
 
-@pytest.mark.parametrize("spec", [make("sin", 2), make("cinf", 0.3125)],
-                         ids=lambda s: s.label)
-@pytest.mark.parametrize("k", [0, 1])
+# sin_2 at k = 2 has a nonzero wrap sample (2 pi^2); rect (k = 0) and
+# poly_ref_6 (k = 1) are nonzero at the record's edges
+DFT_CASES = [(k, make("sin", 2)) for k in (0, 1, 2)] + [
+    (k, make("cinf", 0.3125)) for k in (0, 1)] + [
+    (1, make("poly_ref", 6)), (0, make("rectangular"))]
+
+
+@pytest.mark.parametrize("k,spec", DFT_CASES, ids=[f"{k}-{s.label}" for k, s in DFT_CASES])
 def test_refined_transform_matches_direct_dft(spec, k):
-    """The chirp z-transform bins of f_err's default range against the direct
-    DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of the same samples.  With
-    j = 1024 a + b the phase splits into two integer-reduced factors, so
-    the sum over b runs as one matrix product for all bins at once."""
+    """The half-record chirp z-transform bins of f_err's default range
+    against the direct DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of all n
+    samples, which uses no symmetry.  With j = 1024 a + b the phase splits
+    into two integer-reduced factors, so the sum over b runs as one matrix
+    product for all bins at once."""
     freqs, coeffs = _spectrum_samples(spec, k, 10000.0 * 1.02 + 4.0, refine=16)
     n, size, block = 1 << 19, 16 << 19, 1024
     keep = coeffs.size - 1
@@ -241,9 +298,9 @@ def test_refined_transform_matches_direct_dft(spec, k):
     # each row is summed pairwise: a running sum over a would add 1.5e-15
     direct = ((inner @ v.reshape(-1, block).T) * outer).sum(axis=1) / n
     np.testing.assert_array_equal(freqs[q[:, 0]], q[:, 0] / 16)
-    # Scale: the transform's peak (|coeffs[0]| for k = 0; ~0 for k = 1).
-    # Observed 3e-16.  A chirp phase formed in floats, pi j^2 / M, gives
-    # 6e-15 to 1e-14; scipy.signal.czt's complex power 1e-9.
+    # Scale: the transform's peak.  Observed at most 5.5e-16.  A chirp phase
+    # formed in floats, pi j^2 / M, gives 6e-15 to 1e-14; scipy.signal.czt's
+    # complex power 1e-9.
     err = np.abs(coeffs[q[:, 0]] - direct).max() / np.abs(coeffs).max()
     assert err <= 2e-15
 
@@ -400,3 +457,7 @@ def test_window_area_matches_quadrature():
         val, _ = integrate.quad(lambda t: window_value(spec, 0, t), 0.0, 1.0,
                                 limit=200)
         assert window_area(spec) == pytest.approx(val, rel=1e-9)
+    # Wallis: T (n-1)!!/n!! for even n, (2T/pi) (n-1)!!/n!! for odd n
+    assert window_area(make("sin", 2)) == 0.5
+    assert window_area(make("sin", 1, 2.0)) == pytest.approx(4.0 / np.pi, rel=1e-15)
+    assert window_area(make("sin", 4, 2.0)) == 0.75
