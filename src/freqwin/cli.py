@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate | identify | window | sweep | montecarlo | overlap.
-Every run writes its fully resolved configuration next to its outputs so
-results are reproducible from the saved file alone.  A flat key = value
-config file can seed any subcommand's defaults; explicit flags win.
+Every successful run writes its fully resolved options to run_config.txt
+next to its outputs, and ``--config`` with that file alone replays the run.
+A flat key = value config file seeds the subcommand's defaults; argparse
+converts its values like flags, and explicit flags win.
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 numeric failures.
 Worker count for sweep/montecarlo fan-out comes from FREQWIN_WORKERS.
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io, metrics
-from .identify import ModelStructure, RankDeficiencyError, identify_from_signals
+from .identify import (METHODS, ModelStructure, RankDeficiencyError,
+                       identify_from_signals)
 from .simulate import INPUT_NOISE_OFFSET, add_noise
 from .windows import f_err, overlap_variance, window_spectrum, window_table
 
@@ -29,15 +31,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _workers() -> int:
+    text = os.environ.get("FREQWIN_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("FREQWIN_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"FREQWIN_WORKERS must be a positive integer, not {text!r}")
+    return workers
 
 
 def _out_dir(args) -> Path:
@@ -46,75 +48,71 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_config(out: Path, name: str, args, fields) -> None:
-    resolved = {k: getattr(args, k) for k in fields}
-    resolved["command"] = name
-    io.write_resolved_config(out / "run_config.txt", resolved)
+def _config_defaults(args) -> dict:
+    """The config file's values for the options of ``args.command``.
 
-
-def _merge_config_file(args, argv) -> None:
-    """Overlay config-file values onto parsed args; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        values = io.read_config_file(args.config)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    Set as the subparser's defaults, argparse converts them with each
+    option's type on the next parse.  Store-true options take True/False.
+    """
+    values = io.read_config_file(args.config)
+    command = values.pop("command", args.command)
+    if command != args.command:
+        raise ValueError(f"config key command = {command} does not match "
+                         f"subcommand {args.command}")
+    defaults = {}
     for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in given or not hasattr(args, key):
+        if key == "func" or not hasattr(args, key):
             continue
-        setattr(args, key, value)
+        if isinstance(getattr(args, key), bool):
+            if value not in ("True", "False"):
+                raise ValueError(f"config key {key} must be True or False, "
+                                 f"not {value!r}")
+            value = value == "True"
+        defaults[key] = value
+    return defaults
 
 
 def _dataset_from_args(args) -> bench.Dataset:
-    return bench.reference_dataset(seed=int(args.seed),
-                                   length=float(args.length),
-                                   fine_rate=int(args.fine_rate))
+    return bench.reference_dataset(seed=args.seed, length=args.length,
+                                   fine_rate=args.fine_rate)
 
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    f_s = float(args.fs)
-    x, u = dataset.decimated(f_s)
-    sigma = float(args.sigma)
-    x = add_noise(x, sigma, dataset.seed, trial=0)
-    u = add_noise(u, sigma, dataset.seed, trial=INPUT_NOISE_OFFSET)
+    x, u = dataset.decimated(args.fs)
+    x = add_noise(x, args.sigma, dataset.seed, trial=0)
+    u = add_noise(u, args.sigma, dataset.seed, trial=INPUT_NOISE_OFFSET)
     io.write_signal_csv(out / "x.csv", x)
     io.write_signal_csv(out / "u.csv", u)
     io.write_truth_json(out / "truth.json", dataset.theta_true, dataset.forcing,
                         seeds={"root": dataset.seed})
-    _write_config(out, "simulate", args,
-                  ["seed", "fs", "sigma", "length", "fine_rate"])
     print(f"wrote x.csv, u.csv, truth.json to {out}")
     return EXIT_OK
 
 
 def cmd_identify(args) -> int:
+    if args.x is None or args.u is None:
+        raise ValueError("identify needs --x and --u")
     out = _out_dir(args)
-    x = io.read_signal_csv(args.x, length=float(args.length))
-    u = io.read_signal_csv(args.u, length=float(args.length))
+    x = io.read_signal_csv(args.x, length=args.length)
+    u = io.read_signal_csv(args.u, length=args.length)
     window = bench.parse_window(args.window) if args.window else None
     structure = ModelStructure(n_x=x.num_channels, n_u=u.num_channels,
-                               n_a=int(args.na), n_b=int(args.nb))
+                               n_a=args.na, n_b=args.nb)
     band = None
     if args.f_min is not None or args.f_max is not None:
         freqs = np.fft.fftfreq(x.num_samples, d=x.length / x.num_samples)
-        lo = float(args.f_min) if args.f_min is not None else -np.inf
-        hi = float(args.f_max) if args.f_max is not None else np.inf
+        lo = args.f_min if args.f_min is not None else -np.inf
+        hi = args.f_max if args.f_max is not None else np.inf
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
     report = identify_from_signals(
         x, u, structure, method=args.method, window_spec=window,
-        n_p=int(args.np), band=band,
-        endpoint_average=bool(args.endpoint_average))
-    # record what the method applied: only corrected/mixed window the
-    # records, only ps/mixed fit polynomial rows
+        n_p=args.np, band=band, endpoint_average=args.endpoint_average)
+    # record what the method applied: only corrected/mixed window the records
     if report.method not in ("corrected", "mixed"):
         args.window = "rect"
-    if report.method not in ("ps", "mixed"):
-        args.np = 0
+    args.np = report.regression.n_poly
     io.write_report_json(out / "report.json", report,
                          window=args.window, seeds={})
     res = report.per_frequency_residual
@@ -124,25 +122,24 @@ def cmd_identify(args) -> int:
         theta_true = io.read_truth_json(args.truth)
         err = metrics.param_error(theta_true, report.theta_hat)
         print(f"parameter error vs truth: {err:.6e}")
-    _write_config(out, "identify", args,
-                  ["x", "u", "method", "window", "np", "na", "nb", "length",
-                   "endpoint_average"])
     print(f"method={report.method} residual_l2={report.residual_l2:.6e} "
           f"wall_time={report.wall_time:.4f}s -> {out}")
     return EXIT_OK
 
 
 def cmd_window(args) -> int:
+    if args.window is None:
+        raise ValueError("window needs --window")
     out = _out_dir(args)
     spec = bench.parse_window(args.window)
-    n = int(args.samples)
-    max_deriv = 0 if spec.family == "rectangular" else int(args.max_deriv)
+    n = args.samples
+    max_deriv = 0 if spec.family == "rectangular" else args.max_deriv
     table = window_table(spec, n, max_deriv)
     t = np.arange(n) * spec.length / n
     header = ["t"] + [f"d{k}" for k in range(max_deriv + 1)]
     io.write_csv(out / "window.csv", header,
                   [[t[j]] + table.samples[:, j].tolist() for j in range(n)])
-    spectrum = window_spectrum(spec, 0, f_max=float(args.f_max) / spec.length)
+    spectrum = window_spectrum(spec, 0, f_max=args.f_max / spec.length)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     rows = []
     for k in range(max_deriv + 1):
@@ -151,7 +148,6 @@ def cmd_window(args) -> int:
             rows.append([k, p, (">10000" if not np.isfinite(val)
                                 else val * spec.length)])
     io.write_csv(out / "ferr.csv", ["deriv", "p", "f_err_over_T"], rows)
-    _write_config(out, "window", args, ["window", "samples", "max_deriv", "f_max"])
     print(f"wrote window.csv, spectrum.csv, ferr.csv to {out}")
     return EXIT_OK
 
@@ -166,9 +162,8 @@ def _init_pool(dataset) -> None:
     _POOL_DATASET = dataset
 
 
-def _fan_out(dataset, fn, jobs) -> list:
-    """fn over jobs, in order, on FREQWIN_WORKERS processes (or in-process)."""
-    workers = _workers()
+def _fan_out(dataset, fn, jobs, workers: int) -> list:
+    """fn over jobs, in order, on ``workers`` processes (or in-process)."""
     if workers == 1:
         _init_pool(dataset)
         return [fn(j) for j in jobs]
@@ -185,22 +180,19 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
+    workers = _workers()
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    rates = [float(v) for v in str(args.fs_list).split(",") if v]
-    windows = [w for w in str(args.windows).split(",") if w]
-    n_p = int(args.np)
-    jobs = [(f_s, args.method, w, n_p, float(args.probe_freq))
+    rates = [float(v) for v in args.fs_list.split(",") if v]
+    windows = [w for w in args.windows.split(",") if w]
+    jobs = [(f_s, args.method, w, args.np, args.probe_freq)
             for w in windows for f_s in rates]
-    results = _fan_out(dataset, _sweep_one, jobs)
+    results = _fan_out(dataset, _sweep_one, jobs, workers)
     io.write_csv(out / "sweep.csv",
                   ["fs", "method", "window", "residual_probe", "residual_l2",
                    "param_error", "wall_time"],
                   [[r.swept_value, r.method, r.window, r.residual_probe,
                     r.residual_l2, r.param_error, r.wall_time] for r in results])
-    _write_config(out, "sweep", args,
-                  ["seed", "fs_list", "windows", "method", "np", "probe_freq",
-                   "length", "fine_rate"])
     print(f"wrote sweep.csv ({len(results)} rows) to {out}")
     return EXIT_OK
 
@@ -213,42 +205,35 @@ def _mc_one(payload):
 
 
 def cmd_montecarlo(args) -> int:
+    workers = _workers()
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    f_s = float(args.fs)
-    sigma = float(args.sigma)
-    trials = int(args.trials)
-    windows = [w for w in str(args.windows).split(",") if w]
+    windows = [w for w in args.windows.split(",") if w]
     rows = []
     for window_text in windows:
-        jobs = [(f_s, sigma, k, args.method, window_text, int(args.np))
-                for k in range(trials)]
-        reports = _fan_out(dataset, _mc_one, jobs)
+        jobs = [(args.fs, args.sigma, k, args.method, window_text, args.np)
+                for k in range(args.trials)]
+        reports = _fan_out(dataset, _mc_one, jobs, workers)
         err_curve, std_curve = metrics.ensemble_stats(reports, dataset.theta_true)
-        for k in range(trials):
+        for k in range(args.trials):
             rows.append([window_text, k + 1, err_curve[k], std_curve[k],
                          metrics.param_error(dataset.theta_true,
                                              reports[k].theta_hat)])
     io.write_csv(out / "ensemble.csv",
                   ["window", "k", "cummean_error", "param_std", "trial_error"],
                   rows)
-    _write_config(out, "montecarlo", args,
-                  ["seed", "fs", "sigma", "trials", "windows", "method", "np",
-                   "length", "fine_rate"])
     print(f"wrote ensemble.csv ({len(rows)} rows) to {out}")
     return EXIT_OK
 
 
 def cmd_overlap(args) -> int:
     out = _out_dir(args)
-    windows = [w for w in str(args.windows).split(",") if w]
-    tau_min, tau_max, tau_step = (float(args.tau_min), float(args.tau_max),
-                                  float(args.tau_step))
-    if not (tau_step > 0 and 0 <= tau_min <= tau_max < 1):
+    windows = [w for w in args.windows.split(",") if w]
+    if not (args.tau_step > 0 and 0 <= args.tau_min <= args.tau_max < 1):
         raise ValueError("overlap grid needs tau-step > 0 and "
                          "0 <= tau-min <= tau-max < 1")
-    taus = np.arange(tau_min, tau_max + 1e-12, tau_step)
-    base_windows = int(args.num_windows)  # windows at zero overlap = L / T
+    taus = np.arange(args.tau_min, args.tau_max + 1e-12, args.tau_step)
+    base_windows = args.num_windows  # windows at zero overlap = L / T
     rows = []
     for text in windows:
         spec = bench.parse_window(text)
@@ -261,108 +246,111 @@ def cmd_overlap(args) -> int:
     io.write_csv(out / "overlap.csv",
                   ["window", "tau", "num_windows", "variance", "normalized"],
                   rows)
-    _write_config(out, "overlap", args,
-                  ["windows", "tau_min", "tau_max", "tau_step", "num_windows"])
     print(f"wrote overlap.csv ({len(rows)} rows) to {out}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name.
+
+    Each option's name, type and default live only here; run_config.txt
+    and config files use the option's destination name as key.
+    """
     parser = argparse.ArgumentParser(
         prog="freqwin",
         description="Frequency-domain ODE identification with windowing corrections")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--config", type=str, help="flat key = value config file")
+        p.add_argument("--out", type=str, default="out", help="output directory")
 
     p = sub.add_parser("simulate", help="generate the benchmark dataset")
     common(p)
-    p.add_argument("--seed", default=bench.REF_SEED)
-    p.add_argument("--fs", default=bench.REF_FS)
-    p.add_argument("--sigma", default=0.0)
-    p.add_argument("--length", default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", dest="fine_rate", default=bench.REF_FINE_RATE)
+    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    p.add_argument("--fs", type=float, default=bench.REF_FS)
+    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
+    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("identify", help="estimate parameters from CSV records")
     common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--truth")
-    p.add_argument("--method", default="corrected",
-                   choices=["corrected", "ps", "mixed", "naive"])
-    p.add_argument("--window", default="cinf:4")
-    p.add_argument("--np", default=0, help="polynomial transient order")
-    p.add_argument("--na", default=1, help="highest state-derivative order")
-    p.add_argument("--nb", default=0, help="highest input-derivative order")
-    p.add_argument("--length", default=bench.REF_LENGTH)
-    p.add_argument("--f-min", dest="f_min", default=None)
-    p.add_argument("--f-max", dest="f_max", default=None)
-    p.add_argument("--endpoint-average", dest="endpoint_average",
-                   action="store_true")
+    p.add_argument("--x", type=str, help="state record CSV (required)")
+    p.add_argument("--u", type=str, help="input record CSV (required)")
+    p.add_argument("--truth", type=str)
+    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
+    p.add_argument("--window", type=str, default="cinf:4")
+    p.add_argument("--np", type=int, default=0, help="polynomial transient order")
+    p.add_argument("--na", type=int, default=1,
+                   help="highest state-derivative order")
+    p.add_argument("--nb", type=int, default=0,
+                   help="highest input-derivative order")
+    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
+    p.add_argument("--f-min", type=float)
+    p.add_argument("--f-max", type=float)
+    p.add_argument("--endpoint-average", action="store_true")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("window", help="window samples, spectrum, f_err table")
     common(p)
-    p.add_argument("--window", required=True)
-    p.add_argument("--samples", default=4096)
-    p.add_argument("--max-deriv", dest="max_deriv", default=3)
-    p.add_argument("--f-max", dest="f_max", default=128)
+    p.add_argument("--window", type=str, help="window name (required)")
+    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--max-deriv", type=int, default=3)
+    p.add_argument("--f-max", type=float, default=128.0)
     p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("sweep", help="sampling-rate sweep")
     common(p)
-    p.add_argument("--seed", default=bench.REF_SEED)
-    p.add_argument("--fs-list", dest="fs_list",
-                   default="128,192,256,384,512,768")
-    p.add_argument("--windows", default="sin:1,sin:2,sin:3,sin:4")
-    p.add_argument("--method", default="corrected",
-                   choices=["corrected", "ps", "mixed", "naive"])
-    p.add_argument("--np", default=0)
-    p.add_argument("--probe-freq", dest="probe_freq", default=2.0)
-    p.add_argument("--length", default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", dest="fine_rate", default=bench.REF_FINE_RATE)
+    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    p.add_argument("--fs-list", type=str, default="128,192,256,384,512,768")
+    p.add_argument("--windows", type=str, default="sin:1,sin:2,sin:3,sin:4")
+    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
+    p.add_argument("--np", type=int, default=0)
+    p.add_argument("--probe-freq", type=float, default=2.0)
+    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
+    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("montecarlo", help="noise ensemble at fixed rate")
     common(p)
-    p.add_argument("--seed", default=bench.REF_SEED)
-    p.add_argument("--fs", default=bench.REF_FS)
-    p.add_argument("--sigma", default=1e-2)
-    p.add_argument("--trials", default=100)
-    p.add_argument("--windows", default="sin:1,cinf:4")
-    p.add_argument("--method", default="corrected",
-                   choices=["corrected", "ps", "mixed", "naive"])
-    p.add_argument("--np", default=0)
-    p.add_argument("--length", default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", dest="fine_rate", default=bench.REF_FINE_RATE)
+    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    p.add_argument("--fs", type=float, default=bench.REF_FS)
+    p.add_argument("--sigma", type=float, default=1e-2)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--windows", type=str, default="sin:1,cinf:4")
+    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
+    p.add_argument("--np", type=int, default=0)
+    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
+    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("overlap", help="overlap-variance curves")
     common(p)
-    p.add_argument("--windows", default="rect,sin:1,sin:2,sin:3,sin:4,poly:6")
-    p.add_argument("--tau-min", dest="tau_min", default=0.0)
-    p.add_argument("--tau-max", dest="tau_max", default=0.95)
-    p.add_argument("--tau-step", dest="tau_step", default=0.05)
-    p.add_argument("--num-windows", dest="num_windows", default=20)
+    p.add_argument("--windows", type=str,
+                   default="rect,sin:1,sin:2,sin:3,sin:4,poly:6")
+    p.add_argument("--tau-min", type=float, default=0.0)
+    p.add_argument("--tau-max", type=float, default=0.95)
+    p.add_argument("--tau-step", type=float, default=0.05)
+    p.add_argument("--num-windows", type=int, default=20)
     p.set_defaults(func=cmd_overlap)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config_file(args, argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(args)
+        if args.config:
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        rc = args.func(args)
+        resolved = {k: v for k, v in vars(args).items()
+                    if k not in ("config", "out", "func") and v is not None}
+        io.write_resolved_config(Path(args.out) / "run_config.txt", resolved)
+        return rc
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,26 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def exit_code(argv):
+    """main's return code; an argparse usage error exits through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def without_wall_time(path):
+    """A run's output file with its timing fields dropped, else its bytes."""
+    if path.name == "report.json":
+        payload = json.loads(path.read_text())
+        payload.pop("wall_time")
+        return payload
+    if path.name == "sweep.csv":
+        return [{k: v for k, v in row.items() if k != "wall_time"}
+                for row in read_rows(path)]
+    return path.read_bytes()
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
         for name in ("x.csv", "u.csv", "truth.json", "run_config.txt"):
@@ -219,6 +239,20 @@ class TestWorkerPool:
         for a, b in zip(rows_s, rows_p):
             assert a["param_error"] == b["param_error"]
 
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_bad_worker_count_is_exit_2(self, tmp_path, monkeypatch, value, capsys):
+        # used to clamp silently to one worker
+        def no_simulation(**kwargs):
+            raise AssertionError("simulated before checking FREQWIN_WORKERS")
+
+        monkeypatch.setenv("FREQWIN_WORKERS", value)
+        monkeypatch.setattr(bench, "reference_dataset", no_simulation)
+        out = tmp_path / "w"
+        assert main(["sweep", "--out", str(out), *FAST_SIM, "--fs-list", "96",
+                     "--windows", "sin:2"]) == 2
+        assert "FREQWIN_WORKERS" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestNoiseFlag:
     def test_sigma_changes_records(self, tmp_path):
@@ -280,8 +314,14 @@ class TestOverlapCommand:
         assert not (out / "overlap.csv").exists()
 
 
+IDENTIFY_INPUTS = ["--x", "{sim}/x.csv", "--u", "{sim}/u.csv"]
+
+
 class TestConfigAndExitCodes:
-    def test_config_file_applies_and_flags_win(self, tmp_path):
+    @pytest.mark.parametrize("seed_flag", [["--seed", "9"], ["--seed=9"],
+                                           ["--se", "9"]],
+                             ids=["separate", "equals", "abbreviated"])
+    def test_config_file_applies_and_flags_win(self, tmp_path, seed_flag):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 4\nfine_rate = 23040\n")
         out1 = tmp_path / "o1"
@@ -289,8 +329,53 @@ class TestConfigAndExitCodes:
         assert "seed = 4" in (out1 / "run_config.txt").read_text()
         out2 = tmp_path / "o2"
         assert main(["simulate", "--out", str(out2), "--config", str(cfg),
-                     "--seed", "9"]) == 0
+                     *seed_flag]) == 0
         assert "seed = 9" in (out2 / "run_config.txt").read_text()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("simulate", [*FAST_SIM, "--fs", "80", "--sigma", "1e-3"]),
+        ("identify", [*IDENTIFY_INPUTS, "--method", "naive"]),
+        ("identify", [*IDENTIFY_INPUTS, "--window", "sin:1"]),
+        ("identify", [*IDENTIFY_INPUTS, "--method", "ps", "--np", "3",
+                      "--f-max", "20"]),
+        ("identify", [*IDENTIFY_INPUTS, "--window", "cinf:2", "--f-min", "1",
+                      "--endpoint-average", "--truth", "{sim}/truth.json"]),
+        ("window", ["--window", "sin:2", "--samples", "64", "--max-deriv", "1",
+                    "--f-max", "8"]),
+        ("sweep", [*FAST_SIM, "--fs-list", "96", "--windows", "sin:2"]),
+        ("montecarlo", [*FAST_SIM, "--trials", "2", "--sigma", "1e-4",
+                        "--windows", "cinf:1"]),
+        ("overlap", ["--windows", "rect,sin:2", "--tau-step", "0.5",
+                     "--tau-max", "0.5", "--num-windows", "8"]),
+    ])
+    def test_run_config_alone_replays_run(self, sim_dir, tmp_path, command, flags):
+        # the saved file used to drop --f-min/--f-max/--truth, replay
+        # endpoint_average = False as True and need --x/--u/--window again
+        first, again = tmp_path / "first", tmp_path / "again"
+        flags = [f.format(sim=sim_dir) for f in flags]
+        assert main([command, "--out", str(first), *flags]) == 0
+        assert main([command, "--config", str(first / "run_config.txt"),
+                     "--out", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert without_wall_time(again / name) == without_wall_time(first / name)
+
+    @pytest.mark.parametrize("command,line,key", [
+        ("simulate", "seed = abc", "seed"),
+        ("identify", "endpoint_average = yes", "endpoint_average"),
+        ("identify", "command = simulate", "command"),
+    ])
+    def test_bad_config_value_is_exit_2(self, sim_dir, tmp_path, command, line,
+                                        key, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "bad"
+        inputs = [f.format(sim=sim_dir) for f in IDENTIFY_INPUTS]
+        assert exit_code([command, "--out", str(out), "--config", str(cfg),
+                          *(inputs if command == "identify" else [])]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x"),

@@ -1,7 +1,11 @@
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import freqwin.bench as bench
 
 from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
                      RegressionSystem, Signal, Spectrum, WindowSpec,
@@ -240,6 +244,63 @@ class TestResidualSpectrum:
                             A=(theta.A[0] + 0.5, theta.A[1]), B=theta.B)
         resid = residual_spectrum(wrong, reg)
         assert np.abs(resid.coeffs).max() > 1e-2
+
+
+@cache
+def reference_records():
+    """The reference experiment (seed 7) sampled at 160 Hz."""
+    return bench.reference_dataset(seed=7).decimated(160.0)
+
+
+@cache
+def reference_estimate(method, window):
+    x, u = reference_records()
+    return estimate_ab0(x, u, method, bench.parse_window(window))
+
+
+def estimate_ab0(x, u, method, window):
+    """(A_0, B_0) of the reference structure; mixed and ps fit 3 polynomial rows."""
+    n_p = 3 if method in ("mixed", "ps") else 0
+    theta = identify_from_signals(x, u, bench.REF_STRUCTURE, method=method,
+                                  window_spec=window, n_p=n_p).theta_hat
+    return theta.A[0], theta.B[0]
+
+
+def assert_relative(got, want, rtol=1e-9):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+
+invariance_case = dict(method=st.sampled_from(["corrected", "mixed", "ps", "naive"]),
+                       window=st.sampled_from(["cinf:4", "sin:3"]))
+
+
+class TestInvariances:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(perm=st.permutations(range(5)), **invariance_case)
+    def test_channel_permutation(self, perm, method, window):
+        """Relabelling the state and input channels by P permutes the
+        estimate: A_0 -> A_0[P][:, P], B_0 -> B_0[P][:, P]."""
+        p = np.array(perm)
+        x, u = reference_records()
+        a0, b0 = estimate_ab0(replace(x, values=x.values[p], terminal=x.terminal[p]),
+                              replace(u, values=u.values[p], terminal=u.terminal[p]),
+                              method, bench.parse_window(window))
+        want_a0, want_b0 = reference_estimate(method, window)
+        assert_relative(a0, want_a0[p][:, p])
+        assert_relative(b0, want_b0[p][:, p])
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(c=st.floats(0.1, 10.0), **invariance_case)
+    def test_record_length_rescaling(self, c, method, window):
+        """The same samples over length cT, windowed on [0, cT], are the
+        system x' + A_0 x / c = B_0 u / c: A_0 and B_0 scale by 1/c."""
+        x, u = reference_records()
+        spec = replace(bench.parse_window(window), length=c * x.length)
+        a0, b0 = estimate_ab0(replace(x, length=c * x.length),
+                              replace(u, length=c * u.length), method, spec)
+        want_a0, want_b0 = reference_estimate(method, window)
+        assert_relative(a0, want_a0 / c)
+        assert_relative(b0, want_b0 / c)
 
 
 class TestSecondOrderSystem:
