@@ -39,12 +39,18 @@ class Dataset:
     forcing: ForcingSpec
     seed: int
 
-    def decimated(self, f_s: float) -> tuple[Signal, Signal]:
+    def decimated(self, f_s: float, sigma: float = 0.0,
+                  trial: int = 0) -> tuple[Signal, Signal]:
+        """The records at f_s plus noise of standard deviation sigma: the
+        state record draws noise trial ``trial``, the input record
+        ``trial + INPUT_NOISE_OFFSET``."""
         n = f_s * self.x.length
         if abs(n - round(n)) > 1e-9:
             raise ValueError("f_s * T must be an integer sample count")
         n = int(round(n))
-        return resample(self.x, n), resample(self.u, n)
+        return (add_noise(resample(self.x, n), sigma, self.seed, trial),
+                add_noise(resample(self.u, n), sigma, self.seed,
+                          trial + INPUT_NOISE_OFFSET))
 
 
 def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
@@ -84,9 +90,7 @@ def estimate(dataset: Dataset, f_s: float, method: str,
              window: WindowSpec | None = None, n_p: int = 0,
              band=None, sigma: float = 0.0, noise_trial: int = 0,
              endpoint_average: bool = False) -> EstimateReport:
-    x, u = dataset.decimated(f_s)
-    x = add_noise(x, sigma, dataset.seed, trial=noise_trial)
-    u = add_noise(u, sigma, dataset.seed, trial=noise_trial + INPUT_NOISE_OFFSET)
+    x, u = dataset.decimated(f_s, sigma, noise_trial)
     return identify_from_signals(
         x, u, dataset.theta_true.structure, method=method, window_spec=window,
         n_p=n_p, band=band, endpoint_average=endpoint_average)

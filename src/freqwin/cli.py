@@ -3,19 +3,16 @@
 Subcommands: simulate | identify | window | sweep | montecarlo | overlap.
 Every successful run writes its fully resolved options to run_config.txt
 next to its outputs, and ``--config`` with that file alone replays the run.
-A flat key = value config file seeds the subcommand's defaults; argparse
-converts its values like flags, and explicit flags win.
+A flat key = value config file's entries are parsed as flags placed before
+the command line's own, so argparse checks them and explicit flags win.
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 numeric failures.
-Worker count for sweep/montecarlo fan-out comes from FREQWIN_WORKERS.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +20,11 @@ import numpy as np
 from . import bench, io, metrics
 from .identify import (METHODS, ModelStructure, RankDeficiencyError,
                        identify_from_signals)
-from .simulate import INPUT_NOISE_OFFSET, add_noise
 from .windows import f_err, overlap_variance, window_spectrum, window_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _workers() -> int:
-    text = os.environ.get("FREQWIN_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"FREQWIN_WORKERS must be a positive integer, not {text!r}")
-    return workers
 
 
 def _out_dir(args) -> Path:
@@ -48,28 +33,34 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_defaults(args) -> dict:
-    """The config file's values for the options of ``args.command``.
+def _config_flags(args) -> list[str]:
+    """The config file's entries for ``args.command`` as ``--key=value`` flags.
 
-    Set as the subparser's defaults, argparse converts them with each
-    option's type on the next parse.  Store-true options take True/False.
+    Store-true options take True/False; keys that are not options are ignored.
     """
     values = io.read_config_file(args.config)
     command = values.pop("command", args.command)
     if command != args.command:
         raise ValueError(f"config key command = {command} does not match "
                          f"subcommand {args.command}")
-    defaults = {}
+    flags = []
     for key, value in values.items():
         if key == "func" or not hasattr(args, key):
             continue
+        flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):
             if value not in ("True", "False"):
                 raise ValueError(f"config key {key} must be True or False, "
                                  f"not {value!r}")
-            value = value == "True"
-        defaults[key] = value
-    return defaults
+            flags += [flag] if value == "True" else []
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def _abs_path(text: str) -> str:
+    """Input paths are kept absolute so run_config.txt replays anywhere."""
+    return str(Path(text).resolve())
 
 
 def _dataset_from_args(args) -> bench.Dataset:
@@ -80,9 +71,7 @@ def _dataset_from_args(args) -> bench.Dataset:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    x, u = dataset.decimated(args.fs)
-    x = add_noise(x, args.sigma, dataset.seed, trial=0)
-    u = add_noise(u, args.sigma, dataset.seed, trial=INPUT_NOISE_OFFSET)
+    x, u = dataset.decimated(args.fs, args.sigma)
     io.write_signal_csv(out / "x.csv", x)
     io.write_signal_csv(out / "u.csv", u)
     io.write_truth_json(out / "truth.json", dataset.theta_true, dataset.forcing,
@@ -152,42 +141,14 @@ def cmd_window(args) -> int:
     return EXIT_OK
 
 
-# Fan-out state: the simulated dataset is installed once per worker process
-# (or once in-process for serial runs) instead of travelling with every job.
-_POOL_DATASET = None
-
-
-def _init_pool(dataset) -> None:
-    global _POOL_DATASET
-    _POOL_DATASET = dataset
-
-
-def _fan_out(dataset, fn, jobs, workers: int) -> list:
-    """fn over jobs, in order, on ``workers`` processes (or in-process)."""
-    if workers == 1:
-        _init_pool(dataset)
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                             initargs=(dataset,)) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _sweep_one(payload):
-    f_s, method, window_text, n_p, probe = payload
-    window = bench.parse_window(window_text) if window_text else None
-    return bench.sweep_rates(_POOL_DATASET, [f_s], method, window, n_p=n_p,
-                             probe_freq=probe)[0]
-
-
 def cmd_sweep(args) -> int:
-    workers = _workers()
+    rates = [float(v) for v in args.fs_list.split(",") if v]
+    windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    rates = [float(v) for v in args.fs_list.split(",") if v]
-    windows = [w for w in args.windows.split(",") if w]
-    jobs = [(f_s, args.method, w, args.np, args.probe_freq)
-            for w in windows for f_s in rates]
-    results = _fan_out(dataset, _sweep_one, jobs, workers)
+    results = [r for window in windows
+               for r in bench.sweep_rates(dataset, rates, args.method, window,
+                                          n_p=args.np, probe_freq=args.probe_freq)]
     io.write_csv(out / "sweep.csv",
                   ["fs", "method", "window", "residual_probe", "residual_l2",
                    "param_error", "wall_time"],
@@ -197,28 +158,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _mc_one(payload):
-    f_s, sigma, trial, method, window_text, n_p = payload
-    window = bench.parse_window(window_text) if window_text else None
-    return bench.estimate(_POOL_DATASET, f_s, method, window, n_p=n_p,
-                          sigma=sigma, noise_trial=trial)
-
-
 def cmd_montecarlo(args) -> int:
-    workers = _workers()
+    windows = [(w, bench.parse_window(w)) for w in args.windows.split(",") if w]
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
-    windows = [w for w in args.windows.split(",") if w]
+    truth = dataset.theta_true
     rows = []
-    for window_text in windows:
-        jobs = [(args.fs, args.sigma, k, args.method, window_text, args.np)
-                for k in range(args.trials)]
-        reports = _fan_out(dataset, _mc_one, jobs, workers)
-        err_curve, std_curve = metrics.ensemble_stats(reports, dataset.theta_true)
-        for k in range(args.trials):
-            rows.append([window_text, k + 1, err_curve[k], std_curve[k],
-                         metrics.param_error(dataset.theta_true,
-                                             reports[k].theta_hat)])
+    for text, window in windows:
+        reports = bench.monte_carlo(dataset, args.fs, args.sigma, args.trials,
+                                    args.method, window, n_p=args.np)
+        err_curve, std_curve = metrics.ensemble_stats(reports, truth)
+        rows += [[text, k + 1, err_curve[k], std_curve[k],
+                  metrics.param_error(truth, report.theta_hat)]
+                 for k, report in enumerate(reports)]
     io.write_csv(out / "ensemble.csv",
                   ["window", "k", "cummean_error", "param_std", "trial_error"],
                   rows)
@@ -250,8 +202,8 @@ def cmd_overlap(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name.
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with one subparser per subcommand.
 
     Each option's name, type and default live only here; run_config.txt
     and config files use the option's destination name as key.
@@ -276,9 +228,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("identify", help="estimate parameters from CSV records")
     common(p)
-    p.add_argument("--x", type=str, help="state record CSV (required)")
-    p.add_argument("--u", type=str, help="input record CSV (required)")
-    p.add_argument("--truth", type=str)
+    p.add_argument("--x", type=_abs_path, help="state record CSV (required)")
+    p.add_argument("--u", type=_abs_path, help="input record CSV (required)")
+    p.add_argument("--truth", type=_abs_path)
     p.add_argument("--method", type=str, default="corrected", choices=METHODS)
     p.add_argument("--window", type=str, default="cinf:4")
     p.add_argument("--np", type=int, default=0, help="polynomial transient order")
@@ -335,17 +287,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--num-windows", type=int, default=20)
     p.set_defaults(func=cmd_overlap)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            commands[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            args = parser.parse_args([args.command, *_config_flags(args),
+                                      *argv[1:]])
         rc = args.func(args)
         resolved = {k: v for k, v in vars(args).items()
                     if k not in ("config", "out", "func") and v is not None}

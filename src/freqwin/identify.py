@@ -271,17 +271,15 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
                           method: str = "corrected",
                           window_spec: WindowSpec | None = None,
                           n_p: int = 0, band=None,
-                          endpoint_average: bool = False,
-                          table=None) -> EstimateReport:
+                          endpoint_average: bool = False) -> EstimateReport:
     """One-shot estimation from sampled records.
 
     ``method`` only picks the settings: corrected and mixed multiply the
     records by the window-derivative rows up to the model order, ps and
     naive keep the bare records (K = 0); mixed and ps add ``n_p`` polynomial
     rows (ps with n_p = 0 is the naive estimator).  Times the whole
-    per-dataset pipeline (modulation, transforms, assembly, solve).
-    Window-derivative tables count as precomputed design artifacts and may
-    be passed in; building one here is excluded from the reported wall time.
+    per-dataset pipeline (modulation, transforms, assembly, solve); the
+    window-derivative table is a design artifact built before the clock starts.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -289,9 +287,8 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
         method = "naive"
     if method in ("corrected", "naive"):
         n_p = 0
-    if method not in ("corrected", "mixed"):
-        table = None
-    elif table is None:
+    table = None
+    if method in ("corrected", "mixed"):
         if window_spec is None:
             raise ValueError(f"method {method!r} needs a window")
         table = window_table(window_spec, x_sig.num_samples,

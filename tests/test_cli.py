@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import freqwin.bench as bench
-from freqwin import identify_from_signals, io, overlap_variance
+from freqwin import identify_from_signals, io, overlap_variance, param_error
 from freqwin.cli import main
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
@@ -203,6 +203,25 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert float(rows[0]["param_error"]) < 1e-8
 
+    def test_rows_are_the_library_sweep(self, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), *FAST_SIM, "--fs-list", "96,192",
+                     "--windows", "sin:1,sin:2"]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert [(r["window"], r["fs"]) for r in rows] == [
+            ("sin_1", "96"), ("sin_1", "192"), ("sin_2", "96"), ("sin_2", "192")]
+        dataset = bench.reference_dataset(seed=3, fine_rate=23040)
+        want = [r for w in ("sin:1", "sin:2")
+                for r in bench.sweep_rates(dataset, [96.0, 192.0], "corrected",
+                                           bench.parse_window(w))]
+        for row, r in zip(rows, want):
+            assert row == {"fs": io.FMT % r.swept_value, "method": r.method,
+                           "window": r.window,
+                           "residual_probe": io.FMT % r.residual_probe,
+                           "residual_l2": io.FMT % r.residual_l2,
+                           "param_error": io.FMT % r.param_error,
+                           "wall_time": row["wall_time"]}
+
 
 class TestMonteCarloCommand:
     def test_single_trial(self, tmp_path):
@@ -223,35 +242,18 @@ class TestMonteCarloCommand:
         rows = read_rows(out / "ensemble.csv")
         assert len(rows) == 6
 
-
-class TestWorkerPool:
-    def test_parallel_sweep_matches_serial(self, tmp_path, monkeypatch):
-        out_s, out_p = tmp_path / "serial", tmp_path / "parallel"
-        args = ["sweep", *FAST_SIM, "--fs-list", "96,192",
-                "--windows", "sin:2"]
-        assert main([*args, "--out", str(out_s)]) == 0
-        monkeypatch.setenv("FREQWIN_WORKERS", "2")
-        assert main([*args, "--out", str(out_p)]) == 0
-        assert (out_p / "sweep.csv").read_text().splitlines()[0] == \
-            (out_s / "sweep.csv").read_text().splitlines()[0]
-        rows_s = read_rows(out_s / "sweep.csv")
-        rows_p = read_rows(out_p / "sweep.csv")
-        for a, b in zip(rows_s, rows_p):
-            assert a["param_error"] == b["param_error"]
-
-    @pytest.mark.parametrize("value", ["0", "two"])
-    def test_bad_worker_count_is_exit_2(self, tmp_path, monkeypatch, value, capsys):
-        # used to clamp silently to one worker
-        def no_simulation(**kwargs):
-            raise AssertionError("simulated before checking FREQWIN_WORKERS")
-
-        monkeypatch.setenv("FREQWIN_WORKERS", value)
-        monkeypatch.setattr(bench, "reference_dataset", no_simulation)
-        out = tmp_path / "w"
-        assert main(["sweep", "--out", str(out), *FAST_SIM, "--fs-list", "96",
-                     "--windows", "sin:2"]) == 2
-        assert "FREQWIN_WORKERS" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+    def test_trial_errors_are_the_library_ensemble(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--out", str(out), *FAST_SIM, "--trials", "2",
+                     "--sigma", "1e-4", "--windows", "sin:1,cinf:1"]) == 0
+        rows = read_rows(out / "ensemble.csv")
+        dataset = bench.reference_dataset(seed=3, fine_rate=23040)
+        want = [(w, param_error(dataset.theta_true, r.theta_hat))
+                for w in ("sin:1", "cinf:1")
+                for r in bench.monte_carlo(dataset, bench.REF_FS, 1e-4, 2,
+                                           "corrected", bench.parse_window(w))]
+        assert [(r["window"], r["trial_error"]) for r in rows] == \
+            [(w, io.FMT % err) for w, err in want]
 
 
 class TestNoiseFlag:
@@ -365,9 +367,17 @@ class TestConfigAndExitCodes:
         ("simulate", "seed = abc", "seed"),
         ("identify", "endpoint_average = yes", "endpoint_average"),
         ("identify", "command = simulate", "command"),
+        # argparse checks choices on flags only; a config value used to
+        # reach the command, which simulated before failing
+        ("sweep", "method = bogus", "method"),
+        ("montecarlo", "method = bogus", "method"),
     ])
-    def test_bad_config_value_is_exit_2(self, sim_dir, tmp_path, command, line,
-                                        key, capsys):
+    def test_bad_config_value_is_exit_2(self, sim_dir, tmp_path, monkeypatch,
+                                        command, line, key, capsys):
+        def no_simulation(**kwargs):
+            raise AssertionError("simulated before checking the config")
+
+        monkeypatch.setattr(bench, "reference_dataset", no_simulation)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "bad"
@@ -375,7 +385,21 @@ class TestConfigAndExitCodes:
         assert exit_code([command, "--out", str(out), "--config", str(cfg),
                           *(inputs if command == "identify" else [])]) == 2
         assert key in capsys.readouterr().err
-        assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+        assert not out.exists()
+
+    def test_run_config_replays_from_another_directory(self, sim_dir, tmp_path,
+                                                        monkeypatch):
+        # relative --x/--u/--truth used to be recorded as given, so a replay
+        # from another working directory could not find them (exit 2)
+        first, again = tmp_path / "first", tmp_path / "again"
+        monkeypatch.chdir(sim_dir)
+        assert main(["identify", "--out", str(first), "--x", "x.csv",
+                     "--u", "u.csv", "--truth", "truth.json"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["identify", "--config", str(first / "run_config.txt"),
+                     "--out", str(again)]) == 0
+        assert without_wall_time(again / "report.json") == \
+            without_wall_time(first / "report.json")
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x"),
