@@ -55,11 +55,10 @@ class Dataset:
 
 def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
                       fine_rate: int = REF_FINE_RATE,
-                      structure: ModelStructure = REF_STRUCTURE,
-                      n_tones: int = REF_NUM_TONES) -> Dataset:
+                      structure: ModelStructure = REF_STRUCTURE) -> Dataset:
     """Simulate the reference experiment at the fine rate."""
     theta = random_system(structure, seed)
-    forcing = multisine(n_tones, REF_F_MIN, REF_F_MAX, seed,
+    forcing = multisine(REF_NUM_TONES, REF_F_MIN, REF_F_MAX, seed,
                         n_channels=structure.n_u)
     n_fine = int(round(fine_rate * length))
     if n_fine < 1:

@@ -33,28 +33,35 @@ def _out_dir(args) -> Path:
     return out
 
 
+class _CheckParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error as ValueError, to name the config key
+        raise ValueError(message)
+
+
 def _config_flags(args) -> list[str]:
     """The config file's entries for ``args.command`` as ``--key=value`` flags.
 
     Store-true options take True/False; keys that are not options are ignored.
+    A bad entry raises ValueError naming the file and the key.
     """
-    values = io.read_config_file(args.config)
-    command = values.pop("command", args.command)
-    if command != args.command:
-        raise ValueError(f"config key command = {command} does not match "
-                         f"subcommand {args.command}")
+    check = build_parser(_CheckParser)
     flags = []
-    for key, value in values.items():
-        if key == "func" or not hasattr(args, key):
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
-            if value not in ("True", "False"):
-                raise ValueError(f"config key {key} must be True or False, "
-                                 f"not {value!r}")
-            flags += [flag] if value == "True" else []
-        else:
-            flags.append(f"{flag}={value}")
+    for key, value in io.read_config_file(args.config).items():
+        try:
+            if key == "command" and value != args.command:
+                raise ValueError(f"does not match subcommand {args.command}")
+            if key in ("command", "func") or not hasattr(args, key):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(getattr(args, key), bool):
+                if value not in ("True", "False"):
+                    raise ValueError("must be True or False")
+                flags += [flag] if value == "True" else []
+            else:
+                flags.append(f"{flag}={value}")
+                check.parse_args([args.command, flags[-1]])
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {key} = {value}: {exc}") from None
     return flags
 
 
@@ -84,8 +91,8 @@ def cmd_identify(args) -> int:
     if args.x is None or args.u is None:
         raise ValueError("identify needs --x and --u")
     out = _out_dir(args)
-    x = io.read_signal_csv(args.x, length=args.length)
-    u = io.read_signal_csv(args.u, length=args.length)
+    x = io.read_signal_csv(args.x)
+    u = io.read_signal_csv(args.u)
     window = bench.parse_window(args.window) if args.window else None
     structure = ModelStructure(n_x=x.num_channels, n_u=u.num_channels,
                                n_a=args.na, n_b=args.nb)
@@ -124,18 +131,17 @@ def cmd_window(args) -> int:
     n = args.samples
     max_deriv = 0 if spec.family == "rectangular" else args.max_deriv
     table = window_table(spec, n, max_deriv)
-    t = np.arange(n) * spec.length / n
+    s = np.arange(n) / n
     header = ["t"] + [f"d{k}" for k in range(max_deriv + 1)]
     io.write_csv(out / "window.csv", header,
-                  [[t[j]] + table.samples[:, j].tolist() for j in range(n)])
-    spectrum = window_spectrum(spec, 0, f_max=args.f_max / spec.length)
+                  [[s[j]] + table.samples[:, j].tolist() for j in range(n)])
+    spectrum = window_spectrum(spec, 0, f_max=args.f_max)
     io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     rows = []
     for k in range(max_deriv + 1):
         for p in (1e-3, 1e-6, 1e-12):
             val = f_err(spec, k, p)
-            rows.append([k, p, (">10000" if not np.isfinite(val)
-                                else val * spec.length)])
+            rows.append([k, p, val if np.isfinite(val) else ">10000"])
     io.write_csv(out / "ferr.csv", ["deriv", "p", "f_err_over_T"], rows)
     print(f"wrote window.csv, spectrum.csv, ferr.csv to {out}")
     return EXIT_OK
@@ -159,16 +165,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    windows = [(w, bench.parse_window(w)) for w in args.windows.split(",") if w]
+    windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
     out = _out_dir(args)
     dataset = _dataset_from_args(args)
     truth = dataset.theta_true
     rows = []
-    for text, window in windows:
+    for window in windows:
         reports = bench.monte_carlo(dataset, args.fs, args.sigma, args.trials,
                                     args.method, window, n_p=args.np)
         err_curve, std_curve = metrics.ensemble_stats(reports, truth)
-        rows += [[text, k + 1, err_curve[k], std_curve[k],
+        rows += [[window.label, k + 1, err_curve[k], std_curve[k],
                   metrics.param_error(truth, report.theta_hat)]
                  for k, report in enumerate(reports)]
     io.write_csv(out / "ensemble.csv",
@@ -202,13 +208,13 @@ def cmd_overlap(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with one subparser per subcommand.
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The top-level parser and one subparser per subcommand, of ``parser_class``.
 
     Each option's name, type and default live only here; run_config.txt
     and config files use the option's destination name as key.
     """
-    parser = argparse.ArgumentParser(
+    parser = parser_class(
         prog="freqwin",
         description="Frequency-domain ODE identification with windowing corrections")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -238,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highest state-derivative order")
     p.add_argument("--nb", type=int, default=0,
                    help="highest input-derivative order")
-    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
     p.add_argument("--f-min", type=float)
     p.add_argument("--f-max", type=float)
     p.add_argument("--endpoint-average", action="store_true")

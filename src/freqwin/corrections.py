@@ -59,8 +59,8 @@ def modulated_row(stack: np.ndarray, D: np.ndarray, i: int,
     return row
 
 
-def correction_spectra(signal: Signal, table: WindowTable, j_max: int,
-                       endpoint_average: bool = False) -> tuple[Spectrum, ...]:
+def correction_spectra(signal: Signal, table: WindowTable,
+                       j_max: int) -> tuple[Spectrum, ...]:
     """Correction spectra x^{1}..x^{j_max} on the two-sided DFT grid.
 
     These are the paper's "additional terms": the spectra that, subtracted
@@ -71,8 +71,7 @@ def correction_spectra(signal: Signal, table: WindowTable, j_max: int,
         raise ValueError("j_max must be >= 0")
     if j_max == 0:
         return ()
-    spec = fft_spectrum(modulate(signal, table, j_max),
-                        endpoint_average=endpoint_average)
+    spec = fft_spectrum(modulate(signal, table, j_max))
     stack = spec.coeffs.reshape(j_max + 1, signal.num_channels, -1)
     D = 2j * np.pi * spec.freqs
     return tuple(

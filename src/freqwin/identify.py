@@ -183,8 +183,9 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
     band = _check_band(band, xs.num_bins)
-    if us.num_bins != xs.num_bins:
-        raise ValueError("state and input spectra live on different grids")
+    if us.num_bins != xs.num_bins or abs(us.length - xs.length) > 1e-12 * xs.length:
+        raise ValueError(f"state record (T = {xs.length:.17g}, N = {xs.num_bins}) and "
+                         f"input record (T = {us.length:.17g}, N = {us.num_bins}) differ")
     freqs = xs.freqs[band]
     D = 2j * np.pi * freqs
 

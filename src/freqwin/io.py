@@ -52,9 +52,9 @@ def write_signal_csv(path, signal: Signal) -> None:
     _write_channels(path, "t", signal.times, signal.values, footer)
 
 
-def read_signal_csv(path, length: float | None = None) -> Signal:
-    """Read a signal CSV; without ``length`` the record length is inferred
-    from the first time step.  The time column must be the grid
+def read_signal_csv(path) -> Signal:
+    """Read a signal CSV.  The record length T is the terminal row's time,
+    else N dt from the first time step dt; the time column must be the grid
     t_j = j T/N (relative 1e-9 of T), else ValueError."""
     lines = Path(path).read_text().splitlines()
     data = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
@@ -72,9 +72,7 @@ def read_signal_csv(path, length: float | None = None) -> Signal:
     if not (np.diff(t) > 0).all():
         raise ValueError(f"{path}: time column is not strictly increasing")
     n = data.shape[0]
-    if length is None:
-        # uniform grid t_j = j T / N implies T = N * dt
-        length = (t[1] - t[0]) * n
+    length = t[-1] if terminal is not None else (t[1] - t[0]) * n
     if np.abs(t - np.arange(t.size) * (length / n)).max() > GRID_RTOL * length:
         raise ValueError(f"{path}: time column is not the uniform grid "
                          f"t_j = j T/N with T = {length!r}, N = {n}")
@@ -156,7 +154,7 @@ def read_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
+            raise ValueError(f"{path}: bad config line: {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

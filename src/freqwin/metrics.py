@@ -50,8 +50,8 @@ def param_error(theta_true: ModelParams, theta_hat: ModelParams) -> float:
     return float(np.linalg.norm(theta_true.free_stack() - theta_hat.free_stack()))
 
 
-def loglog_slope(xs, ys, confidence: float = 0.95) -> tuple[float, float]:
-    """OLS slope of log y against log x with a t-based CI half-width."""
+def loglog_slope(xs, ys) -> tuple[float, float]:
+    """OLS slope of log y against log x with a t-based 95 % CI half-width."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size != ys.size or xs.size < 2:
@@ -69,7 +69,7 @@ def loglog_slope(xs, ys, confidence: float = 0.95) -> tuple[float, float]:
     s2 = float(((ly - fitted) ** 2).sum() / dof)
     sxx = float(((lx - lx.mean()) ** 2).sum())
     se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    half = float(stats.t.ppf(0.5 + confidence / 2, dof) * se)
+    half = float(stats.t.ppf(0.975, dof) * se)
     return slope, half
 
 

@@ -47,7 +47,6 @@ class ForcingSpec:
 
     amplitudes: np.ndarray  # (n_channels, n_tones)
     freqs: np.ndarray  # strictly increasing, Hz
-    seed: int | None = None
 
     def __post_init__(self):
         amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
@@ -88,7 +87,7 @@ def multisine(n_f: int, f_min: float, f_max: float, seed: int,
     freqs = np.linspace(f_min, f_max, n_f)
     rng = rng_for(seed, COMPONENT_FORCING)
     amps = rng.standard_normal((n_channels, n_f)) + 1j * rng.standard_normal((n_channels, n_f))
-    return ForcingSpec(amplitudes=amps, freqs=freqs, seed=seed)
+    return ForcingSpec(amplitudes=amps, freqs=freqs)
 
 
 @dataclass(frozen=True)
@@ -161,6 +160,8 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
     Signal carries x(T) so endpoint averaging stays available downstream.
     """
     s = theta.structure
+    if config.structure != s:
+        raise ValueError("config structure differs from the model's")
     if forcing.num_channels != s.n_u:
         raise ValueError("forcing channel count must match the input dimension")
     if not np.allclose(theta.A[s.n_a], np.eye(s.n_x)):

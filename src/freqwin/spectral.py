@@ -43,8 +43,8 @@ class Signal:
             raise ValueError("need at least 2 samples")
         if not np.isfinite(vals).all():
             raise ValueError("signal contains non-finite values")
-        if self.length <= 0:
-            raise ValueError("record length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("record length must be finite and positive")
         object.__setattr__(self, "values", vals)
         if self.terminal is not None:
             term = np.asarray(self.terminal, dtype=complex).reshape(vals.shape[0])
@@ -129,7 +129,8 @@ def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
 
 
 def apply_window(signal: Signal, table, k: int | range = 0) -> Signal:
-    """Pointwise product of every channel with window-derivative row k.
+    """Pointwise product of every channel with window-derivative row k,
+    times T^-k, which turns the table's d^k w/ds^k (s = t/T) into d^k w/dt^k.
 
     A range of rows gives the products w^(k) s for every k in it, stacked
     as consecutive channel blocks of one Signal; a terminal sample s(T) is
@@ -141,14 +142,13 @@ def apply_window(signal: Signal, table, k: int | range = 0) -> Signal:
             f"window table has {table.num_samples} samples, signal has "
             f"{signal.num_samples}"
         )
-    if abs(table.spec.length - signal.length) > 1e-12 * signal.length:
-        raise ValueError("window and signal record lengths differ")
     if not rows or rows[0] < 0 or rows[-1] > table.max_deriv:
         raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, not {k}")
-    out = table.samples[list(rows), None, :] * signal.values
+    scale = signal.length ** -np.array(rows, dtype=float)[:, None]
+    out = (table.samples[list(rows)] * scale)[:, None, :] * signal.values
     term = None
     if signal.terminal is not None:
-        term = table.terminal[list(rows), None] * signal.terminal
+        term = table.terminal[list(rows), None] * scale * signal.terminal
     return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples),
                   terminal=term)
 

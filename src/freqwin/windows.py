@@ -1,18 +1,22 @@
-"""Window families with analytic derivatives and spectral diagnostics.
+"""Window shapes on the unit interval, with analytic derivatives and
+spectral diagnostics.
 
-Two families are the workhorses: powers of a half-period sine,
-``sin_n(t) = sin^n(pi t / T)``, and an infinitely smooth bump,
-``cinf_n(t) = exp(4n - n T^2 / (t (T - t)))``, both supported on (0, T) and
-equal to 1 at T/2.  The sine family is C^(n-1) across the window edges (its
-first n-1 derivatives vanish there); the bump family vanishes with all its
-derivatives.  A rectangular window is provided so the polynomial-transient
-baseline shares the same pipeline, and a flat reference polynomial window
-``poly_ref`` exists only for the overlap-variance figures.
+A window lives on s = t/T in [0, 1]: the record it multiplies supplies T
+(``spectral.apply_window`` scales d^k/ds^k by T^-k), and frequencies here
+count bins m of 1/T.  Two families are the workhorses: powers of a half-period
+sine, ``sin_n(s) = sin^n(pi s)``, and an infinitely smooth bump,
+``cinf_n(s) = exp(4n - n / (s (1 - s)))``, both supported on (0, 1) and
+equal to 1 at s = 1/2.  The sine family is C^(n-1) across the window edges
+(its first n-1 derivatives vanish there); the bump family vanishes with all
+its derivatives.  A rectangular window is provided so the
+polynomial-transient baseline shares the same pipeline, and a flat
+reference polynomial window ``poly_ref`` exists only for the
+overlap-variance figures.
 
 Derivatives are exact: a sine-window derivative is a sum of sin^a cos^b
 terms with integer coefficients, a bump-family derivative the window times a
 rational prefactor built once per (order, k) in exact fractions.  Every
-window is even about T/2: w^(k)(T - t) = (-1)^k w^(k)(t).
+window is even about 1/2: w^(k)(1 - s) = (-1)^k w^(k)(s).
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ SIN_MAX_ORDER = 64  # the paper uses n <= 9; tests check up to here against mpma
 # window stay finite well past it, so the product is exactly 0 there.
 _EXP_FLOOR = -700.0
 
+F_ERR_SEARCH_BINS = 10000  # f_err's last bin m; beyond it, inf
+
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window family, smoothness order and support length.
+    """Window family and smoothness order; the support is [0, 1].
 
     ``order`` must be a positive integer for ``sin``, an even one for
     ``poly_ref`` and any real > 0 for ``cinf`` (e.g. 0.25).  It is ignored
@@ -48,15 +54,12 @@ class WindowSpec:
 
     family: str
     order: float = 1.0
-    length: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown window family {self.family!r}")
-        if not (isfinite(self.order) and isfinite(self.length)):
-            raise ValueError("window order and length must be finite")
-        if self.length <= 0:
-            raise ValueError("window length must be positive")
+        if not isfinite(self.order):
+            raise ValueError("window order must be finite")
         if self.family in ("sin", "poly_ref"):
             if self.order < 1 or self.order != int(self.order):
                 raise ValueError(f"{self.family} order must be a positive integer")
@@ -78,11 +81,11 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class WindowTable:
-    """Sampled window derivative rows d^k w/dt^k on t_j = j T / N.
+    """Sampled window derivative rows d^k w/ds^k on s_j = j / N.
 
     Row k holds the k-th derivative.  Endpoint samples store the one-sided
     limits from inside the support (0 for both proposed families at k = 0);
-    ``terminal`` holds every row's value at t = T.
+    ``terminal`` holds every row's value at s = 1.
     """
 
     spec: WindowSpec
@@ -120,11 +123,12 @@ def _cinf_poly(order: float, k: int) -> np.ndarray:
                      P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * (k - 1) * _Q)))
 
 
-def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarray:
+def _cinf_values(order: float, k: int, s: np.ndarray) -> np.ndarray:
     out = np.zeros(s.shape, dtype=float)
     inside = (s > 0.0) & (s < 1.0)
     expo = np.full(s.shape, -np.inf)
-    expo[inside] = 4.0 * order - order / (s[inside] * (1.0 - s[inside]))
+    with np.errstate(over="ignore"):  # subnormal s: the exponent is -inf
+        expo[inside] = 4.0 * order - order / (s[inside] * (1.0 - s[inside]))
     live = inside & (expo > _EXP_FLOOR)
     if not live.any():
         return out
@@ -134,7 +138,7 @@ def _cinf_values(order: float, k: int, s: np.ndarray, length: float) -> np.ndarr
         # the denominator from s, not c, so nothing cancels at the edges
         sl = s[live]
         num = P.polyval(sl - 0.5, _cinf_poly(float(order), k).astype(float))
-        pref = num / (sl * (1.0 - sl)) ** (2 * k) / length**k
+        pref = num / (sl * (1.0 - sl)) ** (2 * k)
     out[live] = pref * np.exp(expo[live])
     return out
 
@@ -153,38 +157,36 @@ def _sin_poly(n: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple((b, c) for b, c in sorted(terms.items()) if c)
 
 
-def _sin_values(n: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
+def _sin_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
     sx, cx = np.sin(np.pi * s), np.cos(np.pi * s)
     acc = sum(c * sx ** (n - b) * cx ** b for b, c in _sin_poly(n, k))
-    return acc * (np.pi / length) ** k
+    return acc * np.pi ** k
 
 
-def _poly_ref_values(n: int, k: int, s: np.ndarray, length: float) -> np.ndarray:
-    # w = 1 - (s - 1/2)^n on the unit interval, s = t/T
+def _poly_ref_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
+    # w = 1 - (s - 1/2)^n
     out = np.zeros(s.shape, dtype=float)
     if k == 0:
         out[:] = 1.0 - (s - 0.5) ** n
     elif k <= n:
-        out[:] = -perm(n, k) * (s - 0.5) ** (n - k) / length**k
+        out[:] = -perm(n, k) * (s - 0.5) ** (n - k)
     return out
 
 
-def window_value(spec: WindowSpec, k: int, t) -> np.ndarray | float:
-    """Evaluate d^k w/dt^k at time(s) t.
+def window_value(spec: WindowSpec, k: int, s) -> np.ndarray | float:
+    """Evaluate d^k w/ds^k at s.
 
-    Returns 0 strictly outside [0, T]; at t = 0 and t = T the one-sided
+    Returns 0 strictly outside [0, 1]; at s = 0 and s = 1 the one-sided
     limit from inside the support is returned, so tables sampled from here
     carry the right-limit at the first sample.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    T = spec.length
-    s = t_arr / T
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
     if spec.family == "cinf":
-        out = _cinf_values(spec.order, k, s, T)
+        out = _cinf_values(spec.order, k, s)
     else:
         if spec.family == "rectangular":
             if k >= 1:
@@ -192,21 +194,21 @@ def window_value(spec: WindowSpec, k: int, t) -> np.ndarray | float:
                                  "participates only in the polynomial-transient baseline")
             vals = 1.0
         elif spec.family == "sin":
-            vals = _sin_values(int(spec.order), k, s, T)
+            vals = _sin_values(int(spec.order), k, s)
         else:  # poly_ref
-            vals = _poly_ref_values(int(spec.order), k, s, T)
+            vals = _poly_ref_values(int(spec.order), k, s)
         out = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
     return float(out[0]) if scalar else out
 
 
 def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
-    """Sample the window and its derivatives on the grid t_j = j T / N and at T."""
+    """Sample the window and its derivatives on the grid s_j = j / N and at 1."""
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     if max_deriv < 0:
         raise ValueError("max_deriv must be >= 0")
-    t = np.append(np.arange(num_samples) * (spec.length / num_samples), spec.length)
-    rows = np.array([window_value(spec, k, t) for k in range(max_deriv + 1)])
+    s = np.append(np.arange(num_samples) * (1.0 / num_samples), 1.0)
+    rows = np.array([window_value(spec, k, s) for k in range(max_deriv + 1)])
     return WindowTable(spec=spec, samples=np.ascontiguousarray(rows[:, :-1]),
                        terminal=rows[:, -1].copy())
 
@@ -215,19 +217,19 @@ _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # nodes, weights
 
 
 def window_area(spec: WindowSpec) -> float:
-    """Area under the base window, used to normalize spectral envelopes."""
-    T = spec.length
+    """Area under the base window on [0, 1], used to normalize spectral
+    envelopes."""
     if spec.family == "rectangular":
-        return T
+        return 1.0
     if spec.family == "sin":
         # Wallis: int_0^pi sin^n is pi (n-1)!!/n!! for even n, 2 (n-1)!!/n!! for odd
         n = int(spec.order)
         ratio = prod(range(n - 1, 0, -2)) / prod(range(n, 0, -2))
-        return T * ratio if n % 2 == 0 else 2.0 * T / np.pi * ratio
+        return ratio if n % 2 == 0 else 2.0 / np.pi * ratio
     # no closed form needed elsewhere: high-order quadrature on the analytics
     nodes, weights = _leggauss(200)
-    tq = 0.5 * T * (nodes + 1.0)
-    return float(0.5 * T * np.sum(weights * window_value(spec, 0, tq)))
+    sq = 0.5 * (nodes + 1.0)
+    return float(0.5 * np.sum(weights * window_value(spec, 0, sq)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,12 +243,12 @@ def _chirp_plan(n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _spectrum_samples(spec: WindowSpec, k: int, f_max: float,
+def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
                       refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """DFT of d^k w/dt^k from n_hi samples, on the grid q / (refine T) <= f_max.
+    """DFT of d^k w/ds^k from n_hi samples, on the bins q / refine <= m_max.
 
-    n_hi / T >= 32 f_max keeps the diagnostic's own aliasing below 1e-14 of
-    the peak for smooth windows, 1e-11 for 1/f^2 tails at f_err's bound.
+    n_hi >= 32 m_max keeps the diagnostic's own aliasing below 1e-14 of
+    the peak for smooth windows, 1e-11 for 1/m^2 tails at f_err's bound.
     Parity halves the work: with c = n_hi / 2, v_{c-i} = (-1)^k v_{c+i}, so
     only the right half enters Y_q = sum_{i<c} v_{c+i} omega^(qi), where
     omega = exp(-2 pi i / M), M = refine n_hi, and X_q = v_0 + omega^(qc) B_q
@@ -259,95 +261,87 @@ def _spectrum_samples(spec: WindowSpec, k: int, f_max: float,
     4.2e-9 of the peak, enough to move f_err at p = 1e-12; the bins stay
     within 5.5e-16 of a direct DFT.  The chirp cache is keyed by sizes.
     """
-    T = spec.length
-    n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * f_max * T)))))
+    n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * m_max)))))
     half = n_hi // 2
-    right = window_value(spec, k, (half + np.arange(half)) * (T / n_hi))
+    right = window_value(spec, k, (half + np.arange(half)) * (1.0 / n_hi))
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
-    wrap = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, T))
-    keep = int(round(f_max * refine * T))
+    wrap = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, 1.0))
+    keep = int(round(m_max * refine))
     chirp, kernel = _chirp_plan(half, keep + 1, refine * n_hi)
     conv = scipy.fft.ifft(scipy.fft.fft(right * chirp[:half], n=kernel.size) * kernel)
     y = conv[: keep + 1] * chirp[: keep + 1]
     fold = 2.0 * y.real - right[0] if k % 2 == 0 else 2j * y.imag
     q = np.arange(keep + 1)
     shift = np.exp(-1j * np.pi / refine * np.arange(2 * refine))[q % (2 * refine)]
-    return q / (refine * T), (T / n_hi) * (wrap + shift * fold)
+    return q / refine, (1.0 / n_hi) * (wrap + shift * fold)
 
 
-def window_spectrum(spec: WindowSpec, k: int, f_max: float | None = None):
-    """Transform of d^k w/dt^k on the grid f = j/T up to f_max.
+def window_spectrum(spec: WindowSpec, k: int, f_max: int = 128) -> Spectrum:
+    """Transform of d^k w/ds^k on the bins m = 0..f_max (f = m/T on a
+    record of length T).
 
     Exact trig-polynomial windows (even-order sine) have identically zero
     coefficients on this grid beyond their harmonic content; use f_err for
     leakage envelopes, which refines the grid internally.
     """
-    T = spec.length
-    f_max = 128.0 / T if f_max is None else f_max
-    m = f_max * T
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError("f_max must be a multiple of 1/T")
+    if f_max != int(f_max):
+        raise ValueError("f_max must be a whole number of bins")
     freqs, coeffs = _spectrum_samples(spec, k, f_max, refine=1)
-    return Spectrum(length=T, coeffs=coeffs[np.newaxis, :], freqs=freqs)
+    return Spectrum(length=1.0, coeffs=coeffs[np.newaxis, :], freqs=freqs)
 
 
-def f_err(spec: WindowSpec, k: int, p: float, f_search_max: float | None = None) -> float:
-    """Smallest f = m/T with sup_{|f'| >= f} |w_k(f')| / S < p.
+def f_err(spec: WindowSpec, k: int, p: float) -> float:
+    """Smallest bin m with sup_{|m'| >= m} |w_k(m')| / S < p; f_err = m/T
+    on a record of length T.
 
     S is the base window's area for every derivative order.  The envelope is
-    taken on a 16x refined grid (leakage between the 1/T bins is what
-    aliases; even-order sine windows are exactly zero ON the 1/T grid): by
-    parity ``_spectrum_samples`` transforms only the 2^18-sample right half
-    of the 2^19-sample record, one 425 920-point chirp z-transform convolution
-    for the 163 265 kept bins of its 2^23 point DFT.  Returns inf when the
-    threshold is not met below f_search_max; the result is on the 1/T grid.
+    taken on a 16x refined grid (leakage between the bins is what aliases;
+    even-order sine windows are exactly zero ON the bins): by parity
+    ``_spectrum_samples`` transforms only the 2^18-sample right half of the
+    2^19-sample record, one 425 920-point chirp z-transform convolution for
+    the 163 265 kept bins of its 2^23 point DFT.  Returns inf when the
+    threshold is not met at m <= F_ERR_SEARCH_BINS.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")
     if spec.family == "rectangular" and k >= 1:
         raise ValueError("rectangular window has no derivative spectra")
-    T = spec.length
-    if f_search_max is None:
-        f_search_max = 10000.0 / T
     refine = 16
     # small slack above the bound so the sup is taken over a full tail
-    _, coeffs = _spectrum_samples(spec, k, f_search_max * 1.02 + 4.0 / T, refine=refine)
+    _, coeffs = _spectrum_samples(spec, k, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
     mag = np.abs(coeffs) / window_area(spec)
     env = np.maximum.accumulate(mag[::-1])[::-1]
-    m_max = int(np.floor(f_search_max * T))
-    below = np.flatnonzero(env[refine : m_max * refine + 1 : refine] < p)
-    return (int(below[0]) + 1) / T if below.size else np.inf
+    below = np.flatnonzero(env[refine : F_ERR_SEARCH_BINS * refine + 1 : refine] < p)
+    return float(below[0] + 1) if below.size else np.inf
 
 
 def overlap_variance(spec: WindowSpec, tau: float, num_windows: int) -> float:
     """Normalized periodogram variance for K overlapped windows.
 
     Implements (1 + 2 sum_{j>=1} ((K-j)/K) rho_j) / K with
-    rho_j = (int w(t) w(t - j T (1-tau)) dt / int w^2)^2, the overlap
+    rho_j = (int w(s) w(s - j (1-tau)) ds / int w^2)^2, the overlap
     integrals evaluated by Gauss-Legendre quadrature on the analytic window.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError("overlap fraction must be in [0, 1)")
     if num_windows < 1:
         raise ValueError("need at least one window")
-    T = spec.length
     K = num_windows
     nodes, weights = _leggauss(400)
 
     def overlap_integral(shift: float) -> float:
-        lo, hi = shift, T
-        if hi <= lo:
+        if shift >= 1.0:
             return 0.0
-        tq = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        wq = window_value(spec, 0, tq) * window_value(spec, 0, tq - shift)
-        return float(0.5 * (hi - lo) * np.sum(weights * wq))
+        sq = 0.5 * (1.0 - shift) * (nodes + 1.0) + shift
+        wq = window_value(spec, 0, sq) * window_value(spec, 0, sq - shift)
+        return float(0.5 * (1.0 - shift) * np.sum(weights * wq))
 
     norm = overlap_integral(0.0)
     acc = 1.0
     for j in range(1, K):
-        shift = j * T * (1.0 - tau)
-        if shift >= T:
+        shift = j * (1.0 - tau)
+        if shift >= 1.0:
             break
         rho = (overlap_integral(shift) / norm) ** 2
         acc += 2.0 * ((K - j) / K) * rho

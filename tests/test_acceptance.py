@@ -17,8 +17,8 @@ from freqwin import (ModelParams, ModelStructure, Signal, SimConfig,
 from leibniz_oracle import correction_time_oracle
 
 T = 1.0
-CINF4 = WindowSpec("cinf", 4.0, T)
-SIN1 = WindowSpec("sin", 1, T)
+CINF4 = WindowSpec("cinf", 4.0)
+SIN1 = WindowSpec("sin", 1)
 
 
 def report(criterion, ok, detail):
@@ -59,8 +59,8 @@ def test_criterion_1_leibniz_oracle_equivalence():
     sig = Signal(length=T, values=values(np.arange(n) * T / n))
     sig_hi = Signal(length=T, values=values(np.arange(n * over) * T / (n * over)))
     worst = 0.0
-    for spec in (WindowSpec("sin", 3, T), WindowSpec("sin", 4, T),
-                 WindowSpec("cinf", 1, T), CINF4):
+    for spec in (WindowSpec("sin", 3), WindowSpec("sin", 4),
+                 WindowSpec("cinf", 1), CINF4):
         table = window_table(spec, n, 4)
         table_hi = window_table(spec, n * over, 4)
         cs = correction_spectra(sig, table, 4)
@@ -94,7 +94,7 @@ def test_criterion_2_ferr_spot_checks():
     stated +-1 grid unit or +-10 percent tolerance."""
     failures = []
     for fam, order, k, p, expect in REFERENCE_FERR_CASES:
-        got = f_err(WindowSpec(fam, order, T), k, p) * T
+        got = f_err(WindowSpec(fam, order), k, p)
         tol = max(1.0, 0.1 * expect)
         if abs(got - expect) > tol:
             failures.append((fam, order, k, p, expect, got))
@@ -114,7 +114,7 @@ def test_criterion_2_sin2_deep_tail_tabulated_value():
     test below pins the implementation against that closed form; see the
     decisions ledger for the full analysis.
     """
-    got = f_err(WindowSpec("sin", 2, T), 0, 1e-12) * T
+    got = f_err(WindowSpec("sin", 2), 0, 1e-12)
     expect = 4911.0
     ok = abs(got - expect) <= max(1.0, 0.1 * expect)
     report(2, ok, f"sin_2 f_err(1e-12): got {got:g}, table says {expect:g}")
@@ -126,7 +126,7 @@ def test_criterion_2_sin2_deep_tail_closed_form_cross_check():
     sin^2 window transform crosses 1e-12 where pi f (f^2 - 1) = 1e12."""
     roots = np.roots([np.pi, 0.0, -np.pi, -1e12])
     crossing = float(roots[np.isreal(roots)].real.max())
-    got = f_err(WindowSpec("sin", 2, T), 0, 1e-12) * T
+    got = f_err(WindowSpec("sin", 2), 0, 1e-12)
     assert abs(got - crossing) <= max(1.0, 0.01 * crossing)
 
 
@@ -145,7 +145,7 @@ def test_criterion_3_decay_slopes(paper_data):
     details = []
     for n, limit in limits.items():
         rows = bench.sweep_rates(paper_data, rates, "corrected",
-                                 WindowSpec("sin", n, T), probe_freq=2.0)
+                                 WindowSpec("sin", n), probe_freq=2.0)
         probe = [r.residual_probe for r in rows]
         full = [r.residual_l2 for r in rows]
         slope, _ = loglog_slope(rates, probe)
@@ -250,7 +250,7 @@ def test_criterion_7_aliasing_foldback():
 
 # ---------------------------------------------------------------- criterion 8
 def test_criterion_8_overlap_variance():
-    rect = WindowSpec("rectangular", length=T)
+    rect = WindowSpec("rectangular")
     k = 50
     worst_rect = 0.0
     for tau in (0.0, 0.25, 0.5, 0.8):
@@ -264,7 +264,7 @@ def test_criterion_8_overlap_variance():
     base = 20
     worst_sin = 0.0
     for n in (1, 2, 3, 4):
-        spec = WindowSpec("sin", n, T)
+        spec = WindowSpec("sin", n)
         vals = {}
         for tau in (0.0, 0.8, 0.95):
             kk = int(np.floor((base - 1) / (1.0 - tau))) + 1

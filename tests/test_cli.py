@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import freqwin.bench as bench
-from freqwin import identify_from_signals, io, overlap_variance, param_error
+from freqwin import (Signal, identify_from_signals, io, overlap_variance,
+                     param_error)
 from freqwin.cli import main
+from freqwin.identify import METHODS
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
 
@@ -153,11 +155,50 @@ class TestIdentify:
                    "--truth", str(sim_dir / "truth.json")])
         assert rc == 2
 
-    def test_length_mismatch_is_exit_2(self, sim_dir, tmp_path):
-        rc = main(["identify", "--out", str(tmp_path / "len"),
-                   "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--method", "naive", "--length", "2"])
-        assert rc == 2
+    def test_length_mismatch_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # an input record of another length T; ps and naive used to fit it
+        u = io.read_signal_csv(sim_dir / "u.csv")
+        io.write_signal_csv(tmp_path / "u2.csv",
+                            Signal(length=2.0, values=u.values, terminal=u.terminal))
+        for method in METHODS:
+            rc = main(["identify", "--out", str(tmp_path / method),
+                       "--x", str(sim_dir / "x.csv"), "--u", str(tmp_path / "u2.csv"),
+                       "--method", method, "--np", "2"])
+            assert rc == 2
+            assert "input record (T = 2," in capsys.readouterr().err
+
+    def test_length_flag_is_gone(self, sim_dir, tmp_path):
+        # the records carry T; identify has no --length to disagree with them
+        assert exit_code(["identify", "--out", str(tmp_path / "len"),
+                          "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                          "--length", "1"]) == 2
+
+
+class TestRecordLength:
+    """A record of length T = 2: every windowed path takes T from the data."""
+
+    LONG_SIM = ["--length", "2", "--fine-rate", "23040", "--seed", "3"]
+
+    def test_simulate_then_identify(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), *self.LONG_SIM, "--fs", "160"]) == 0
+        out = tmp_path / "id"
+        assert main(["identify", "--out", str(out), "--x", str(sim / "x.csv"),
+                     "--u", str(sim / "u.csv")]) == 0
+        report = json.loads((out / "report.json").read_text())
+        err = param_error(io.read_truth_json(sim / "truth.json"),
+                          io.params_from_payload(report["theta_hat"]))
+        assert err < 1e-9
+
+    def test_sweep(self, tmp_path):
+        assert main(["sweep", "--out", str(tmp_path), *self.LONG_SIM,
+                     "--fs-list", "64,128,192", "--windows", "sin:2,cinf:4"]) == 0
+        assert len(read_rows(tmp_path / "sweep.csv")) == 6
+
+    def test_montecarlo(self, tmp_path):
+        assert main(["montecarlo", "--out", str(tmp_path), *self.LONG_SIM,
+                     "--trials", "2"]) == 0
+        assert len(read_rows(tmp_path / "ensemble.csv")) == 4
 
 
 class TestWindowCommand:
@@ -248,12 +289,24 @@ class TestMonteCarloCommand:
                      "--sigma", "1e-4", "--windows", "sin:1,cinf:1"]) == 0
         rows = read_rows(out / "ensemble.csv")
         dataset = bench.reference_dataset(seed=3, fine_rate=23040)
-        want = [(w, param_error(dataset.theta_true, r.theta_hat))
+        want = [(bench.parse_window(w).label,
+                 param_error(dataset.theta_true, r.theta_hat))
                 for w in ("sin:1", "cinf:1")
                 for r in bench.monte_carlo(dataset, bench.REF_FS, 1e-4, 2,
                                            "corrected", bench.parse_window(w))]
         assert [(r["window"], r["trial_error"]) for r in rows] == \
             [(w, io.FMT % err) for w, err in want]
+
+
+def test_montecarlo_and_sweep_name_windows_alike(tmp_path):
+    # ensemble.csv used to write the window as typed (sin:1), sweep.csv its
+    # label (sin_1), so the two outputs of one study could not be joined
+    assert main(["montecarlo", "--out", str(tmp_path / "mc"), *FAST_SIM,
+                 "--trials", "2"]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "sw"), *FAST_SIM]) == 0
+    mc = {r["window"] for r in read_rows(tmp_path / "mc" / "ensemble.csv")}
+    sw = {r["window"] for r in read_rows(tmp_path / "sw" / "sweep.csv")}
+    assert mc == {"sin_1", "cinf_4"} and mc & sw == {"sin_1"}
 
 
 class TestNoiseFlag:
@@ -365,6 +418,7 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("command,line,key", [
         ("simulate", "seed = abc", "seed"),
+        ("simulate", "seed 4", "seed"),
         ("identify", "endpoint_average = yes", "endpoint_average"),
         ("identify", "command = simulate", "command"),
         # argparse checks choices on flags only; a config value used to
@@ -384,7 +438,8 @@ class TestConfigAndExitCodes:
         inputs = [f.format(sim=sim_dir) for f in IDENTIFY_INPUTS]
         assert exit_code([command, "--out", str(out), "--config", str(cfg),
                           *(inputs if command == "identify" else [])]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and str(cfg) in err
         assert not out.exists()
 
     def test_run_config_replays_from_another_directory(self, sim_dir, tmp_path,

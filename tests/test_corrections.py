@@ -58,7 +58,7 @@ class TestRecurrenceCoeffs:
     @staticmethod
     def recurrence_gap(n, j_max=6):
         sig, *_ = smooth_multisine(256, kill_derivs=0)
-        table = window_table(WindowSpec("cinf", 2, T), 256, j_max)
+        table = window_table(WindowSpec("cinf", 2), 256, j_max)
         cs = correction_spectra(sig, table, j_max)
         stack = fft_spectrum(modulate(sig, table, j_max)).coeffs
         D = 2j * np.pi * cs[0].freqs
@@ -88,7 +88,7 @@ class TestRecurrenceCoeffs:
         # orders above 4 need only a deep enough table; they obey the same law
         sig, *_ = smooth_multisine(64)
         with pytest.raises(ValueError, match="derivative"):
-            correction_spectra(sig, window_table(WindowSpec("cinf", 2, T), 64, 4), 5)
+            correction_spectra(sig, window_table(WindowSpec("cinf", 2), 64, 4), 5)
         for n in (5, 6):
             assert self.recurrence_gap(n) < 1e-12
 
@@ -112,7 +112,7 @@ class TestRecurrenceCoeffs:
 
     def test_invalid_order(self):
         sig = Signal(length=T, values=np.ones(64))
-        table = window_table(WindowSpec("sin", 2, T), 64, 1)
+        table = window_table(WindowSpec("sin", 2), 64, 1)
         with pytest.raises(ValueError):
             correction_spectra(sig, table, -1)
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ class TestModulate:
         t = np.arange(n + 1) * T / n
         vals = np.vstack([np.exp(2j * np.pi * 2.7 * t), t**2])
         sig = Signal(length=T, values=vals[:, :n], terminal=vals[:, n])
-        spec = WindowSpec("sin", 3, T)
+        spec = WindowSpec("sin", 3)
         table = window_table(spec, n, 2)
         stacked = modulate(sig, table, 2)
         assert stacked.num_channels == 6
@@ -143,7 +143,7 @@ class TestModulate:
 class TestCorrectionSpectra:
     def test_zero_signal_gives_zero(self):
         sig = Signal(length=T, values=np.zeros(256))
-        table = window_table(WindowSpec(family="sin", order=4, length=T), 256, 4)
+        table = window_table(WindowSpec(family="sin", order=4), 256, 4)
         cs = correction_spectra(sig, table, 4)
         for j in (1, 2, 3, 4):
             assert np.abs(cs[j - 1].coeffs).max() == 0.0
@@ -151,7 +151,7 @@ class TestCorrectionSpectra:
     def test_zero_order_convention(self):
         # order 0 is identically zero and never returned; row 0 is X_0 itself
         sig = Signal(length=T, values=np.ones(64))
-        table = window_table(WindowSpec(family="sin", order=1, length=T), 64, 1)
+        table = window_table(WindowSpec(family="sin", order=1), 64, 1)
         assert correction_spectra(sig, table, 0) == ()
         stack = fft_spectrum(modulate(sig, table, 1)).coeffs[:, None, :]
         np.testing.assert_array_equal(modulated_row(stack, np.ones(64), 0), stack[0])
@@ -160,7 +160,7 @@ class TestCorrectionSpectra:
         # x = 1: correction is F(dw/dt) = F((pi/T) cos(pi t/T)), closed form
         n = 4096
         sig = Signal(length=T, values=np.ones(n))
-        table = window_table(WindowSpec(family="sin", order=1, length=T), n, 1)
+        table = window_table(WindowSpec(family="sin", order=1), n, 1)
         (c1,) = correction_spectra(sig, table, 1)
         got = c1.coeffs[0, :17]
         expect = np.array([
@@ -173,7 +173,7 @@ class TestCorrectionSpectra:
 
     def test_requires_enough_derivative_rows(self):
         sig = Signal(length=T, values=np.ones(64))
-        table = window_table(WindowSpec(family="sin", order=3, length=T), 64, 1)
+        table = window_table(WindowSpec(family="sin", order=3), 64, 1)
         with pytest.raises(ValueError, match="derivative"):
             correction_spectra(sig, table, 2)
 
@@ -181,7 +181,7 @@ class TestCorrectionSpectra:
         n = 512
         sig1, *_ = smooth_multisine(n, seed=1)
         sig2, *_ = smooth_multisine(n, seed=2)
-        table = window_table(WindowSpec(family="cinf", order=1, length=T), n, 3)
+        table = window_table(WindowSpec(family="cinf", order=1), n, 3)
         combo = Signal(length=T, values=3.0 * sig1.values - 2.0 * sig2.values)
         a = correction_spectra(sig1, table, 3)
         b = correction_spectra(sig2, table, 3)
@@ -200,7 +200,7 @@ class TestCorrectionSpectra:
         t_hi = np.arange(n * over) * T / (n * over)
         sig = Signal(length=T, values=np.exp(2j * np.pi * 3 * t))
         sig_hi = Signal(length=T, values=np.exp(2j * np.pi * 3 * t_hi))
-        spec = WindowSpec(family="cinf", order=1, length=T)
+        spec = WindowSpec(family="cinf", order=1)
         table = window_table(spec, n, 2)
         table_hi = window_table(spec, n * over, 2)
         cs = correction_spectra(sig, table, 2)
@@ -212,7 +212,7 @@ class TestCorrectionSpectra:
     def test_two_sided_grid(self):
         n = 256
         sig, *_ = smooth_multisine(n)
-        table = window_table(WindowSpec(family="cinf", order=1, length=T), n, 2)
+        table = window_table(WindowSpec(family="cinf", order=1), n, 2)
         cs = correction_spectra(sig, table, 2)
         assert cs[0].num_bins == n
         np.testing.assert_array_equal(cs[0].freqs, np.fft.fftfreq(n, T / n))
@@ -222,7 +222,7 @@ class TestCorrectionSpectra:
         # derivative taken analytically (on-grid tones, smooth bump window)
         n = 512
         sig, values, *_ = smooth_multisine(n, kill_derivs=0)
-        table = window_table(WindowSpec("cinf", 2, T), n, 6)
+        table = window_table(WindowSpec("cinf", 2), n, 6)
         cs = correction_spectra(sig, table, 6)
         x0 = fft_spectrum(modulate(sig, table, 0))
         D = 2j * np.pi * x0.freqs
@@ -242,7 +242,7 @@ class TestDerivativeCorrectionIdentity:
     def test_convergence_to_windowed_derivative(self, family, order, floor):
         # D^j F(w x) - x^{j} -> F(w x^(j)) as N grows, at the rate set by
         # the window smoothness class (instant to roundoff for the bump)
-        spec = WindowSpec(family=family, order=order, length=T)
+        spec = WindowSpec(family=family, order=order)
         errs = []
         for n in (128, 512, 2048):
             sig, values, tones, amps = smooth_multisine(n, kill_derivs=0)
@@ -277,8 +277,8 @@ def on_grid_multisine(seed, n):
 def window_and_order(draw):
     i = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        return WindowSpec("cinf", draw(st.floats(0.25, 6.0)), T), i, 1e-12
-    return WindowSpec("sin", draw(st.integers(i + 2, 6)), T), i, 1e-9
+        return WindowSpec("cinf", draw(st.floats(0.25, 6.0))), i, 1e-12
+    return WindowSpec("sin", draw(st.integers(i + 2, 6))), i, 1e-9
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -304,7 +304,7 @@ class TestTimeOracle:
     def test_first_order_is_exact_product(self):
         n = 1024
         sig, *_ = smooth_multisine(n)
-        spec = WindowSpec(family="sin", order=3, length=T)
+        spec = WindowSpec(family="sin", order=3)
         table = window_table(spec, n, 1)
         out = correction_time_oracle(sig, table, 1, oversample=4)
         np.testing.assert_allclose(out.values, table.samples[1] * sig.values,
@@ -315,7 +315,7 @@ class TestTimeOracle:
         n = 8192
         t = np.arange(n) * T / n
         sig = Signal(length=T, values=t**2)
-        spec = WindowSpec(family="cinf", order=1, length=T)
+        spec = WindowSpec(family="cinf", order=1)
         table = window_table(spec, n, 3)
         out = correction_time_oracle(sig, table, 3, oversample=16)
         expect = (6 * table.samples[1] + 6 * t * table.samples[2]
@@ -325,7 +325,7 @@ class TestTimeOracle:
 
     def test_oversample_guard(self):
         sig = Signal(length=T, values=np.ones(64))
-        table = window_table(WindowSpec(family="sin", order=1, length=T), 64, 1)
+        table = window_table(WindowSpec(family="sin", order=1), 64, 1)
         with pytest.raises(ValueError, match="oversampling"):
             correction_time_oracle(sig, table, 1, oversample=2)
 
@@ -343,7 +343,7 @@ class TestLeibnizEquivalence:
         sig, values, *_ = smooth_multisine(n, tones=np.arange(4.0, 33.0, 4.0))
         t_hi = np.arange(n * over) * T / (n * over)
         sig_hi = Signal(length=T, values=values(t_hi))
-        spec = WindowSpec(family=family, order=order, length=T)
+        spec = WindowSpec(family=family, order=order)
         table = window_table(spec, n, 4)
         table_hi = window_table(spec, n * over, 4)
         cs = correction_spectra(sig, table, 4)

@@ -13,6 +13,7 @@ from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
                      identify_from_signals, param_error, residual_spectrum,
                      rng_for, solve_ls, window_table)
 from freqwin.corrections import modulate
+from freqwin.identify import METHODS
 
 T = 1.0
 
@@ -77,7 +78,7 @@ class TestExactRecovery:
     def test_corrected_on_consistent_data(self):
         x, u, theta = exact_dataset()
         report = identify_from_signals(x, u, theta.structure, method="corrected",
-                                       window_spec=WindowSpec("cinf", 2, T))
+                                       window_spec=WindowSpec("cinf", 2))
         assert param_error(theta, report.theta_hat) < 1e-9
 
     def test_duplicated_band_leaves_estimate_unchanged(self):
@@ -213,7 +214,7 @@ class TestPsBaseline:
 class TestMixed:
     def test_order_zero_identical_to_corrected(self):
         x, u, theta = exact_dataset()
-        w = WindowSpec("sin", 2, T)
+        w = WindowSpec("sin", 2)
         r1 = identify_from_signals(x, u, theta.structure, method="corrected",
                                    window_spec=w)
         r2 = identify_from_signals(x, u, theta.structure, method="mixed",
@@ -295,9 +296,9 @@ class TestInvariances:
         """The same samples over length cT, windowed on [0, cT], are the
         system x' + A_0 x / c = B_0 u / c: A_0 and B_0 scale by 1/c."""
         x, u = reference_records()
-        spec = replace(bench.parse_window(window), length=c * x.length)
         a0, b0 = estimate_ab0(replace(x, length=c * x.length),
-                              replace(u, length=c * u.length), method, spec)
+                              replace(u, length=c * u.length), method,
+                              bench.parse_window(window))
         want_a0, want_b0 = reference_estimate(method, window)
         assert_relative(a0, want_a0 / c)
         assert_relative(b0, want_b0 / c)
@@ -319,9 +320,9 @@ class TestSecondOrderSystem:
         u = sample_forcing(forcing, T, n_fine)
         xd, ud = resample(x, 256), resample(u, 256)
         errs = {}
-        for label, spec in (("cinf_3", WindowSpec("cinf", 3, T)),
-                            ("sin_3", WindowSpec("sin", 3, T)),
-                            ("sin_4", WindowSpec("sin", 4, T))):
+        for label, spec in (("cinf_3", WindowSpec("cinf", 3)),
+                            ("sin_3", WindowSpec("sin", 3)),
+                            ("sin_4", WindowSpec("sin", 4))):
             rep = identify_from_signals(xd, ud, structure, method="corrected",
                                         window_spec=spec)
             errs[label] = param_error(theta, rep.theta_hat)
@@ -353,7 +354,7 @@ class TestErrorPaths:
         # stops short of the model order is an error
         x, u, _ = exact_dataset()
         structure = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=2)
-        table = window_table(WindowSpec("cinf", 2, T), x.num_samples, 2)
+        table = window_table(WindowSpec("cinf", 2), x.num_samples, 2)
 
         def stack(sig, k_max):
             return fft_spectrum(modulate(sig, table, k_max))
@@ -367,6 +368,15 @@ class TestErrorPaths:
         odd = Spectrum(length=T, coeffs=stack(x, 2).coeffs[:5])
         with pytest.raises(ValueError, match="2-channel blocks"):
             build_regression(odd, stack(u, 2), structure)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_records_of_different_length_rejected(self, method):
+        # ps and naive used to fit such a pair without complaint
+        x, u, theta = exact_dataset()
+        with pytest.raises(ValueError, match=r"input record \(T = 2,"):
+            identify_from_signals(x, replace(u, length=2 * T), theta.structure,
+                                  method=method, window_spec=WindowSpec("cinf", 2),
+                                  n_p=2)
 
     def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()

@@ -13,7 +13,7 @@ def test_signal_csv_round_trip_preserves_full_precision(tmp_path):
     sig = Signal(length=1.25, values=values)
     path = tmp_path / "sig.csv"
     write_signal_csv(path, sig)
-    back = read_signal_csv(path, length=1.25)
+    back = read_signal_csv(path)
     np.testing.assert_array_equal(back.values, sig.values)
 
 
@@ -44,18 +44,19 @@ def test_signal_csv_carries_terminal_sample(tmp_path):
     assert read_signal_csv(plain).terminal is None
 
 
-@pytest.mark.parametrize("times,length", [
+@pytest.mark.parametrize("times,terminal_time", [
     ([0.0, 0.5, 0.25, 0.75], None),  # not increasing
     ([0.0, 0.25, 0.5, 0.8], None),  # not uniform
     ([0.1, 0.35, 0.6, 0.85], None),  # uniform but not starting at t = 0
-    ([0.0, 0.25, 0.5, 0.75], 1.0 + 1e-6),  # the grid of another length
+    ([0.0, 0.25, 0.5, 0.75], 1.0 + 1e-6),  # s(T) off the samples' grid
 ])
-def test_signal_csv_rejects_bad_time_column(tmp_path, times, length):
+def test_signal_csv_rejects_bad_time_column(tmp_path, times, terminal_time):
     path = tmp_path / "sig.csv"
+    footer = "" if terminal_time is None else f"# terminal,{terminal_time},1,0\n"
     path.write_text("t,ch0_re,ch0_im\n"
-                    + "".join(f"{t},1,0\n" for t in times))
+                    + "".join(f"{t},1,0\n" for t in times) + footer)
     with pytest.raises(ValueError, match="time column"):
-        read_signal_csv(path, length=length)
+        read_signal_csv(path)
 
 
 def test_spectrum_csv_columns(tmp_path):

@@ -208,6 +208,14 @@ class TestIntegrateRK4:
         out = integrate_rk4(scalar_system(1.0), silent_forcing(), cfg)
         assert out.num_samples == 100
 
+    def test_config_structure_must_be_the_models(self):
+        # the integrator reads the model's structure; a config naming
+        # another one used to be ignored
+        other = ModelStructure(n_x=1, n_u=1, n_a=2, n_b=0)
+        cfg = SimConfig(structure=other, dt=1e-3, length=1.0)
+        with pytest.raises(ValueError, match="structure"):
+            integrate_rk4(scalar_system(1.0), silent_forcing(), cfg)
+
     def test_incommensurate_output_grid_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(structure=SCALAR, dt=1e-3, length=1.0, n_out=300)

@@ -114,7 +114,7 @@ class TestSpectralDerivative:
         # F((w x)') computed two ways: spectral derivative of F(wx) versus
         # the transform of the analytically differentiated product; the
         # mismatch is pure aliasing and collapses to roundoff with sampling
-        spec = WindowSpec(family="cinf", order=1.0, length=T)
+        spec = WindowSpec(family="cinf", order=1.0)
         f0 = 9.0
         errs = []
         for n in (32, 64, 128, 256):
@@ -136,7 +136,7 @@ class TestTruncationConvergence:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_coefficient_error_decay(self, order):
         # |a_k - a_{k,N}| at fixed k falls with slope <= -order + 0.5
-        spec = WindowSpec(family="sin", order=order, length=T)
+        spec = WindowSpec(family="sin", order=order)
         f0 = 3.37  # off the bin grid
         k = 3
         n_ref = 2**16
@@ -162,20 +162,20 @@ class TestTruncationConvergence:
 class TestApplyWindow:
     def test_rectangular_identity(self):
         sig = tone(2.0, 64)
-        table = window_table(WindowSpec(family="rectangular", length=T), 64, 0)
+        table = window_table(WindowSpec(family="rectangular"), 64, 0)
         out = apply_window(sig, table, 0)
         np.testing.assert_array_equal(out.values, sig.values)
 
     def test_cinf_endpoints_vanish(self):
         sig = Signal(length=T, values=np.ones(128))
-        table = window_table(WindowSpec(family="cinf", order=1.0, length=T), 128, 0)
+        table = window_table(WindowSpec(family="cinf", order=1.0), 128, 0)
         out = apply_window(sig, table, 0)
         assert out.values[0, 0] == 0.0
 
     def test_energy_matches_quadrature(self):
         from scipy import integrate
 
-        spec = WindowSpec(family="sin", order=2, length=T)
+        spec = WindowSpec(family="sin", order=2)
         f0 = 4.0
         n = 4096
         sig = tone(f0, n)
@@ -187,18 +187,15 @@ class TestApplyWindow:
 
     def test_grid_mismatch_rejected(self):
         sig = tone(1.0, 64)
-        table = window_table(WindowSpec(family="sin", order=1, length=T), 65, 0)
+        table = window_table(WindowSpec(family="sin", order=1), 65, 0)
         with pytest.raises(ValueError):
             apply_window(sig, table, 0)
-        table2 = window_table(WindowSpec(family="sin", order=1, length=2.0), 64, 0)
-        with pytest.raises(ValueError):
-            apply_window(sig, table2, 0)
 
     def test_terminal_sample_weighted_by_terminal_rows(self):
         # sin_1'(T) = -pi/T, so the derivative row keeps a nonzero s(T)
         length = 2.5
         sig = Signal(length=length, values=np.ones((2, 64)), terminal=[2.0, 3.0j])
-        table = window_table(WindowSpec(family="sin", order=1, length=length), 64, 1)
+        table = window_table(WindowSpec(family="sin", order=1), 64, 1)
         out = apply_window(sig, table, range(2))
         np.testing.assert_allclose(
             out.terminal, [0.0, 0.0, -2 * np.pi / length, -3j * np.pi / length],
@@ -207,7 +204,7 @@ class TestApplyWindow:
     def test_row_outside_table_rejected(self):
         # a negative row used to index the table from the end
         sig = tone(1.0, 64)
-        table = window_table(WindowSpec(family="sin", order=2, length=T), 64, 2)
+        table = window_table(WindowSpec(family="sin", order=2), 64, 2)
         for k in (-1, 3, range(0), range(-1, 2), range(4)):
             with pytest.raises(ValueError, match="derivatives 0 to 2"):
                 apply_window(sig, table, k)

@@ -30,7 +30,7 @@ class TestParamErrorDecay:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_slope_at_least_window_class(self, dataset, order):
-        window = WindowSpec("sin", order, T)
+        window = WindowSpec("sin", order)
         errs = [
             param_error(dataset.theta_true,
                         bench.estimate(dataset, fs, "corrected", window).theta_hat)
@@ -43,7 +43,7 @@ class TestParamErrorDecay:
 def test_halving_simulation_step_does_not_worsen_estimates():
     coarse = bench.reference_dataset(seed=2, fine_rate=bench.REF_FINE_RATE // 2)
     fine = bench.reference_dataset(seed=2, fine_rate=bench.REF_FINE_RATE)
-    w = WindowSpec("cinf", 4, T)
+    w = WindowSpec("cinf", 4)
     e_coarse = param_error(coarse.theta_true,
                            bench.estimate(coarse, 80.0, "corrected", w).theta_hat)
     e_fine = param_error(fine.theta_true,
@@ -54,7 +54,7 @@ def test_halving_simulation_step_does_not_worsen_estimates():
 
 class TestEndpointAveraging:
     def test_sin1_fixed_frequency_residual_improves(self, dataset):
-        window = WindowSpec("sin", 1, T)
+        window = WindowSpec("sin", 1)
         rates = [128.0, 256.0, 512.0]
         plain = [bench.sweep_rates(dataset, [fs], "corrected", window)[0]
                  for fs in rates]
@@ -92,7 +92,7 @@ def test_lowpass_filtering_mitigates_out_of_band_content():
     def estimate_err(xs, us):
         xd, ud = resample(xs, 128), resample(us, 128)
         rep = identify_from_signals(xd, ud, structure, method="corrected",
-                                    window_spec=WindowSpec("cinf", 2, T))
+                                    window_spec=WindowSpec("cinf", 2))
         return param_error(theta, rep.theta_hat)
 
     raw = estimate_err(x, u)
@@ -106,8 +106,8 @@ def test_mixed_method_does_not_beat_the_best_pure_route():
     window (it absorbs that window's own aliasing leak), but across the
     window set it does not push below the envelope set by the best pure
     method; stable over 5 seeds."""
-    windows = [WindowSpec("sin", 2, T), WindowSpec("sin", 4, T),
-               WindowSpec("cinf", 4, T)]
+    windows = [WindowSpec("sin", 2), WindowSpec("sin", 4),
+               WindowSpec("cinf", 4)]
     n_p = 10
     for seed in (42, 1, 2, 3, 4):
         ds = bench.reference_dataset(seed=seed)
@@ -138,6 +138,6 @@ def test_sweep_transforms_each_record_once(dataset, monkeypatch):
     for module in (identify, corrections, spectral):
         monkeypatch.setattr(module, "fft_spectrum", counted)
     rows = bench.sweep_rates(dataset, [80.0, 128.0], "corrected",
-                             WindowSpec("cinf", 4, T))
+                             WindowSpec("cinf", 4))
     assert len(rows) == 2
     assert len(calls) == 2 * 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import mpmath
@@ -10,19 +11,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import freqwin
-from freqwin import (WindowSpec, f_err, overlap_variance, window_area,
+from freqwin import (Signal, WindowSpec, f_err, overlap_variance, window_area,
                      window_spectrum, window_table, window_value)
 from freqwin.windows import SIN_MAX_ORDER, _spectrum_samples
 
 
-def make(family, order=1.0, length=1.0):
-    return WindowSpec(family=family, order=order, length=length)
+def make(family, order=1.0):
+    return WindowSpec(family=family, order=order)
 
 
 class TestWindowValue:
     def test_cinf_center_is_one(self):
         assert window_value(make("cinf", 1), 0, 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert window_value(make("cinf", 4, 2.0), 0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert window_value(make("cinf", 4), 0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_sin2_quarter(self):
         # sin^2(pi/4) = 1/2
@@ -59,9 +60,9 @@ class TestWindowValue:
             window_value(make("rectangular"), 1, 0.5)
 
     def test_endpoints_are_one_sided_limits(self):
-        # sin_1 derivative limit at 0+ is pi/T
-        spec = make("sin", 1, 2.0)
-        assert window_value(spec, 1, 0.0) == pytest.approx(np.pi / 2.0, rel=1e-13)
+        # sin_1 derivative limit at 0+ is pi
+        spec = make("sin", 1)
+        assert window_value(spec, 1, 0.0) == pytest.approx(np.pi, rel=1e-13)
 
     def test_vectorized(self):
         t = np.linspace(-0.5, 1.5, 101)
@@ -71,6 +72,10 @@ class TestWindowValue:
 
 
 class TestSpecValidation:
+    def test_window_is_only_a_shape(self):
+        # the record it multiplies supplies the length T
+        assert [f.name for f in fields(WindowSpec)] == ["family", "order"]
+
     def test_bad_family(self):
         with pytest.raises(ValueError):
             WindowSpec(family="hann")
@@ -82,8 +87,6 @@ class TestSpecValidation:
             WindowSpec(family="sin", order=0)
         with pytest.raises(ValueError):
             WindowSpec(family="cinf", order=0.0)
-        with pytest.raises(ValueError):
-            WindowSpec(family="sin", order=2, length=-1.0)
         with pytest.raises(ValueError, match="sin order"):
             WindowSpec(family="sin", order=1100)
         with pytest.raises(ValueError, match="sin order"):
@@ -106,10 +109,11 @@ class TestSpecValidation:
     @pytest.mark.parametrize("family", ["sin", "cinf", "poly_ref", "rectangular"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_order_and_length(self, family, bad):
+        # the record, not the window, carries the length T
         with pytest.raises(ValueError, match="finite"):
             WindowSpec(family=family, order=bad)
         with pytest.raises(ValueError, match="finite"):
-            WindowSpec(family=family, order=2, length=bad)
+            Signal(length=bad, values=np.ones(4))
 
 
 class TestCinfDerivativeOracle:
@@ -158,25 +162,23 @@ class TestSinDerivativeOracle:
 @st.composite
 def any_window(draw):
     family = draw(st.sampled_from(["sin", "cinf", "poly_ref", "rectangular"]))
-    length = draw(st.floats(0.25, 4.0))
     if family == "rectangular":
-        return WindowSpec(family, 1.0, length), 0
+        return WindowSpec(family, 1.0), 0
     order = {"sin": st.integers(1, SIN_MAX_ORDER), "cinf": st.floats(0.25, 8.0),
              "poly_ref": st.integers(1, 6).map(lambda h: 2 * h)}[family]
-    return WindowSpec(family, draw(order), length), draw(st.integers(0, 4))
+    return WindowSpec(family, draw(order)), draw(st.integers(0, 4))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=any_window(), frac=st.floats(0.0, 1.0))
 def test_every_window_is_even_about_its_centre(case, frac):
-    """w^(k)(T - t) = (-1)^k w^(k)(t), the symmetry the half-record spectrum
+    """w^(k)(1 - s) = (-1)^k w^(k)(s), the symmetry the half-record spectrum
     relies on, checked pointwise on the analytic derivatives."""
     spec, k = case
-    T = spec.length
-    t = frac * T
-    scale = np.abs(window_value(spec, k, np.linspace(0.0, T, 4097))).max()
-    mirrored = window_value(spec, k, T - t)
-    assert abs(mirrored - (-1) ** k * window_value(spec, k, t)) <= 1e-12 * scale
+    s = frac
+    scale = np.abs(window_value(spec, k, np.linspace(0.0, 1.0, 4097))).max()
+    mirrored = window_value(spec, k, 1.0 - s)
+    assert abs(mirrored - (-1) ** k * window_value(spec, k, s)) <= 1e-12 * scale
 
 
 class TestWindowTable:
@@ -240,9 +242,9 @@ def hann_transform(freq, length):
 
 class TestWindowSpectrum:
     def test_sin1_area(self):
-        spec = make("sin", 1, 2.0)
-        sp = window_spectrum(spec, 0, f_max=4.0)
-        assert abs(sp.coeffs[0, 0]) == pytest.approx(2 * 2.0 / np.pi, rel=1e-6)
+        spec = make("sin", 1)
+        sp = window_spectrum(spec, 0, f_max=4)
+        assert abs(sp.coeffs[0, 0]) == pytest.approx(2 / np.pi, rel=1e-6)
 
     def test_cinf1_deep_rejection(self):
         # Table value: f_err at 1e-12 is 64/T, so the bin there is below 1e-12
@@ -252,7 +254,7 @@ class TestWindowSpectrum:
 
     def test_sin2_matches_closed_form(self):
         length = 1.0
-        sp = window_spectrum(make("sin", 2, length), 0, f_max=32.0)
+        sp = window_spectrum(make("sin", 2), 0, f_max=32.0)
         expect = hann_transform(sp.freqs, length)
         scale = abs(expect[0])
         assert np.abs(sp.coeffs[0] - expect).max() / scale < 1e-10
@@ -327,12 +329,6 @@ class TestFErr:
 
     def test_sin2_derivative(self):
         assert f_err(make("sin", 2), 1, 1e-3) == pytest.approx(45.0)
-
-    def test_scaling_with_length(self):
-        # values are in units of 1/T
-        v1 = f_err(make("sin", 1, 1.0), 0, 1e-3)
-        v2 = f_err(make("sin", 1, 2.0), 0, 1e-3)
-        assert v1 == pytest.approx(2 * v2)
 
     def test_sentinel(self):
         assert np.isinf(f_err(make("sin", 1), 0, 1e-12))
@@ -457,7 +453,7 @@ def test_window_area_matches_quadrature():
         val, _ = integrate.quad(lambda t: window_value(spec, 0, t), 0.0, 1.0,
                                 limit=200)
         assert window_area(spec) == pytest.approx(val, rel=1e-9)
-    # Wallis: T (n-1)!!/n!! for even n, (2T/pi) (n-1)!!/n!! for odd n
+    # Wallis: (n-1)!!/n!! for even n, (2/pi) (n-1)!!/n!! for odd n
     assert window_area(make("sin", 2)) == 0.5
-    assert window_area(make("sin", 1, 2.0)) == pytest.approx(4.0 / np.pi, rel=1e-15)
-    assert window_area(make("sin", 4, 2.0)) == 0.75
+    assert window_area(make("sin", 1)) == pytest.approx(2.0 / np.pi, rel=1e-15)
+    assert window_area(make("sin", 4)) == 0.375
