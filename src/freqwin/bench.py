@@ -85,22 +85,30 @@ def parse_window(text: str) -> WindowSpec:
     return WindowSpec(family=fam, order=float(order))
 
 
-def estimate(dataset: Dataset, f_s: float, method: str,
+def estimate(dataset: Dataset, f_s: float, method: str | None = None,
              window: WindowSpec | None = None, n_p: int = 0,
              band=None, sigma: float = 0.0, noise_trial: int = 0,
              endpoint_average: bool = False) -> EstimateReport:
+    """Identify from the records at f_s.  The window and ``n_p`` pick the
+    method; ``method``, if given, must name the one they pick."""
     x, u = dataset.decimated(f_s, sigma, noise_trial)
-    return identify_from_signals(
-        x, u, dataset.theta_true.structure, method=method, window_spec=window,
-        n_p=n_p, band=band, endpoint_average=endpoint_average)
+    report = identify_from_signals(
+        x, u, dataset.theta_true.structure, window_spec=window, n_p=n_p,
+        band=band, endpoint_average=endpoint_average)
+    if method is not None and method != report.method:
+        label = window.label if window is not None else "none"
+        raise ValueError(f"method {method!r} disagrees with window {label} and "
+                         f"n_p = {n_p}, which select {report.method!r}")
+    return report
 
 
-def sweep_rates(dataset: Dataset, rates, method: str, window: WindowSpec | None,
-                n_p: int = 0, probe_freq: float = 2.0,
+def sweep_rates(dataset: Dataset, rates, method: str | None = None,
+                window: WindowSpec | None = None, n_p: int = 0,
+                probe_freq: float = 2.0,
                 endpoint_average: bool = False) -> list[SweepResult]:
     """Identify at every sampling rate; also evaluates the true-parameter
     equation residual on the regression the estimate solved, whose decay
-    reflects the window class directly."""
+    reflects the window class directly.  Rows carry the method that ran."""
     out = []
     for f_s in rates:
         report = estimate(dataset, f_s, method, window, n_p=n_p,
@@ -108,7 +116,7 @@ def sweep_rates(dataset: Dataset, rates, method: str, window: WindowSpec | None,
         resid = residual_spectrum(dataset.theta_true, report.regression)
         _, l2 = error_norms(resid)
         out.append(SweepResult(
-            swept_value=f_s, method=method,
+            swept_value=f_s, method=report.method,
             window=window.label if window is not None else "rect",
             residual_probe=residual_probe_norm(resid, probe_freq),
             residual_l2=l2,
@@ -119,12 +127,9 @@ def sweep_rates(dataset: Dataset, rates, method: str, window: WindowSpec | None,
 
 
 def monte_carlo(dataset: Dataset, f_s: float, sigma: float, trials: int,
-                method: str, window: WindowSpec | None,
-                n_p: int = 0) -> list[EstimateReport]:
+                window: WindowSpec | None, n_p: int = 0) -> list[EstimateReport]:
     """Seeded noise-corrupted re-estimations of one dataset (trial k uses
     the documented noise sub-stream k)."""
-    return [
-        estimate(dataset, f_s, method, window, n_p=n_p, sigma=sigma,
-                 noise_trial=k)
-        for k in range(trials)
-    ]
+    return [estimate(dataset, f_s, window=window, n_p=n_p, sigma=sigma,
+                     noise_trial=k)
+            for k in range(trials)]

@@ -4,7 +4,9 @@ Subcommands: simulate | identify | window | sweep | montecarlo | overlap.
 Every successful run writes its fully resolved options to run_config.txt
 next to its outputs, and ``--config`` with that file alone replays the run.
 A flat key = value config file's entries are parsed as flags placed before
-the command line's own, so argparse checks them and explicit flags win.
+the command line's own, so argparse checks them and explicit flags win; a
+key that is not an option of the subcommand is an error.  The output
+directory is created only once a command's work has succeeded.
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 numeric failures.
 """
@@ -18,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, io, metrics
-from .identify import (METHODS, ModelStructure, RankDeficiencyError,
-                       identify_from_signals)
+from .identify import ModelStructure, RankDeficiencyError, identify_from_signals
 from .windows import f_err, overlap_variance, window_spectrum, window_table
 
 EXIT_OK = 0
@@ -41,17 +42,19 @@ class _CheckParser(argparse.ArgumentParser):
 def _config_flags(args) -> list[str]:
     """The config file's entries for ``args.command`` as ``--key=value`` flags.
 
-    Store-true options take True/False; keys that are not options are ignored.
-    A bad entry raises ValueError naming the file and the key.
+    Store-true options take True/False.  A key that is not an option of the
+    subcommand, or a bad value, raises ValueError naming the file and the key.
     """
     check = build_parser(_CheckParser)
     flags = []
     for key, value in io.read_config_file(args.config).items():
         try:
-            if key == "command" and value != args.command:
-                raise ValueError(f"does not match subcommand {args.command}")
-            if key in ("command", "func") or not hasattr(args, key):
+            if key == "command":
+                if value != args.command:
+                    raise ValueError(f"does not match subcommand {args.command}")
                 continue
+            if key == "func" or not hasattr(args, key):
+                raise ValueError(f"not an option of {args.command}")
             flag = "--" + key.replace("_", "-")
             if isinstance(getattr(args, key), bool):
                 if value not in ("True", "False"):
@@ -76,9 +79,9 @@ def _dataset_from_args(args) -> bench.Dataset:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     dataset = _dataset_from_args(args)
     x, u = dataset.decimated(args.fs, args.sigma)
+    out = _out_dir(args)
     io.write_signal_csv(out / "x.csv", x)
     io.write_signal_csv(out / "u.csv", u)
     io.write_truth_json(out / "truth.json", dataset.theta_true, dataset.forcing,
@@ -90,7 +93,6 @@ def cmd_simulate(args) -> int:
 def cmd_identify(args) -> int:
     if args.x is None or args.u is None:
         raise ValueError("identify needs --x and --u")
-    out = _out_dir(args)
     x = io.read_signal_csv(args.x)
     u = io.read_signal_csv(args.u)
     window = bench.parse_window(args.window) if args.window else None
@@ -103,20 +105,18 @@ def cmd_identify(args) -> int:
         hi = args.f_max if args.f_max is not None else np.inf
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
     report = identify_from_signals(
-        x, u, structure, method=args.method, window_spec=window,
-        n_p=args.np, band=band, endpoint_average=args.endpoint_average)
-    # record what the method applied: only corrected/mixed window the records
-    if report.method not in ("corrected", "mixed"):
-        args.window = "rect"
-    args.np = report.regression.n_poly
+        x, u, structure, window_spec=window, n_p=args.np, band=band,
+        endpoint_average=args.endpoint_average)
+    err = None
+    if args.truth:
+        err = metrics.param_error(io.read_truth_json(args.truth), report.theta_hat)
+    out = _out_dir(args)
     io.write_report_json(out / "report.json", report,
                          window=args.window, seeds={})
     res = report.per_frequency_residual
     io.write_csv(out / "residual.csv", ["f", "residual_norm"],
                   list(zip(res.freqs.tolist(), np.abs(res.coeffs[0]).tolist())))
-    if args.truth:
-        theta_true = io.read_truth_json(args.truth)
-        err = metrics.param_error(theta_true, report.theta_hat)
+    if err is not None:
         print(f"parameter error vs truth: {err:.6e}")
     print(f"method={report.method} residual_l2={report.residual_l2:.6e} "
           f"wall_time={report.wall_time:.4f}s -> {out}")
@@ -126,22 +126,22 @@ def cmd_identify(args) -> int:
 def cmd_window(args) -> int:
     if args.window is None:
         raise ValueError("window needs --window")
-    out = _out_dir(args)
     spec = bench.parse_window(args.window)
     n = args.samples
     max_deriv = 0 if spec.family == "rectangular" else args.max_deriv
     table = window_table(spec, n, max_deriv)
     s = np.arange(n) / n
-    header = ["t"] + [f"d{k}" for k in range(max_deriv + 1)]
-    io.write_csv(out / "window.csv", header,
-                  [[s[j]] + table.samples[:, j].tolist() for j in range(n)])
     spectrum = window_spectrum(spec, 0, f_max=args.f_max)
-    io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     rows = []
     for k in range(max_deriv + 1):
         for p in (1e-3, 1e-6, 1e-12):
             val = f_err(spec, k, p)
             rows.append([k, p, val if np.isfinite(val) else ">10000"])
+    out = _out_dir(args)
+    header = ["t"] + [f"d{k}" for k in range(max_deriv + 1)]
+    io.write_csv(out / "window.csv", header,
+                  [[s[j]] + table.samples[:, j].tolist() for j in range(n)])
+    io.write_spectrum_csv(out / "spectrum.csv", spectrum)
     io.write_csv(out / "ferr.csv", ["deriv", "p", "f_err_over_T"], rows)
     print(f"wrote window.csv, spectrum.csv, ferr.csv to {out}")
     return EXIT_OK
@@ -150,11 +150,11 @@ def cmd_window(args) -> int:
 def cmd_sweep(args) -> int:
     rates = [float(v) for v in args.fs_list.split(",") if v]
     windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
-    out = _out_dir(args)
     dataset = _dataset_from_args(args)
     results = [r for window in windows
-               for r in bench.sweep_rates(dataset, rates, args.method, window,
-                                          n_p=args.np, probe_freq=args.probe_freq)]
+               for r in bench.sweep_rates(dataset, rates, window=window, n_p=args.np,
+                                          probe_freq=args.probe_freq)]
+    out = _out_dir(args)
     io.write_csv(out / "sweep.csv",
                   ["fs", "method", "window", "residual_probe", "residual_l2",
                    "param_error", "wall_time"],
@@ -166,17 +166,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
-    out = _out_dir(args)
     dataset = _dataset_from_args(args)
     truth = dataset.theta_true
     rows = []
     for window in windows:
         reports = bench.monte_carlo(dataset, args.fs, args.sigma, args.trials,
-                                    args.method, window, n_p=args.np)
+                                    window, n_p=args.np)
         err_curve, std_curve = metrics.ensemble_stats(reports, truth)
         rows += [[window.label, k + 1, err_curve[k], std_curve[k],
                   metrics.param_error(truth, report.theta_hat)]
                  for k, report in enumerate(reports)]
+    out = _out_dir(args)
     io.write_csv(out / "ensemble.csv",
                   ["window", "k", "cummean_error", "param_std", "trial_error"],
                   rows)
@@ -185,7 +185,6 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    out = _out_dir(args)
     windows = [w for w in args.windows.split(",") if w]
     if not (args.tau_step > 0 and 0 <= args.tau_min <= args.tau_max < 1):
         raise ValueError("overlap grid needs tau-step > 0 and "
@@ -201,6 +200,7 @@ def cmd_overlap(args) -> int:
             k = int(np.floor((base_windows - 1) / (1.0 - tau))) + 1
             var = overlap_variance(spec, float(tau), k)
             rows.append([text, float(tau), k, var, var / var0])
+    out = _out_dir(args)
     io.write_csv(out / "overlap.csv",
                   ["window", "tau", "num_windows", "variance", "normalized"],
                   rows)
@@ -237,8 +237,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--x", type=_abs_path, help="state record CSV (required)")
     p.add_argument("--u", type=_abs_path, help="input record CSV (required)")
     p.add_argument("--truth", type=_abs_path)
-    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
-    p.add_argument("--window", type=str, default="cinf:4")
+    p.add_argument("--window", type=str, default="cinf:4",
+                   help="window name; rect for the rectangular route")
     p.add_argument("--np", type=int, default=0, help="polynomial transient order")
     p.add_argument("--na", type=int, default=1,
                    help="highest state-derivative order")
@@ -262,7 +262,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--seed", type=int, default=bench.REF_SEED)
     p.add_argument("--fs-list", type=str, default="128,192,256,384,512,768")
     p.add_argument("--windows", type=str, default="sin:1,sin:2,sin:3,sin:4")
-    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
     p.add_argument("--np", type=int, default=0)
     p.add_argument("--probe-freq", type=float, default=2.0)
     p.add_argument("--length", type=float, default=bench.REF_LENGTH)
@@ -276,7 +275,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--sigma", type=float, default=1e-2)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--windows", type=str, default="sin:1,cinf:4")
-    p.add_argument("--method", type=str, default="corrected", choices=METHODS)
     p.add_argument("--np", type=int, default=0)
     p.add_argument("--length", type=float, default=bench.REF_LENGTH)
     p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)

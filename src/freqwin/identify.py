@@ -14,16 +14,15 @@ x^{i} (see ``corrections``).  The rectangular route keeps K = 0, so
 L_i = D^i X_0 with nothing subtracted.  The rows form a matrix M whose top
 n_x rows belong to the fixed A_{n_a} = I block; the remaining parameters
 solve theta_2 M_2 = -M_1 in the least-squares sense, by one LAPACK
-minimum-norm solve that also returns M_2's singular values.  The four
-methods are settings of two switches:
+minimum-norm solve that also returns M_2's singular values.  The window and
+n_p are the only settings; the method name is read off the regression that
+was solved:
 
-    method      window, stack depth K     polynomial rows
-    corrected   yes, K = n_a (n_b)        no
-    mixed       yes, K = n_a (n_b)        n_p
-    ps          no (rectangular), K = 0   n_p
-    naive       no (rectangular), K = 0   no
+    window                     stack depth K    n_p = 0      n_p > 0
+    smooth (sin, cinf, ..)     K = n_a (n_b)    corrected    mixed
+    none or rectangular        K = 0            naive        ps
 
-The polynomial rows are per-output transient terms in f, estimated as
+The n_p polynomial rows are per-output transient terms in f, estimated as
 nuisance parameters alongside the model.
 
 Parameters are real; the regression is complex.  The solve stays complex
@@ -46,7 +45,9 @@ from .windows import WindowSpec, window_table
 # rcond of the least-squares solve); a rank below M2's row count is an error
 RANK_RTOL = 1e-12
 
-METHODS = ("corrected", "ps", "mixed", "naive")
+# method name by (windowed stack K > 0, polynomial rows n_p > 0)
+METHODS = {(True, False): "corrected", (True, True): "mixed",
+           (False, False): "naive", (False, True): "ps"}
 
 
 class RankDeficiencyError(RuntimeError):
@@ -110,7 +111,8 @@ class RegressionSystem:
 
     ``m1`` holds the fixed A_{n_a} block (n_x rows), ``m2`` everything else
     with any polynomial nuisance rows last; one column per frequency bin in
-    ``band``.  ``freqs`` are the band's frequency values.
+    ``band``.  ``freqs`` are the band's frequency values; ``windowed`` says
+    the state rows came from a window-derivative stack (K > 0).
     """
 
     m1: np.ndarray
@@ -120,6 +122,11 @@ class RegressionSystem:
     structure: ModelStructure
     length: float
     n_poly: int = 0
+    windowed: bool = False
+
+    @property
+    def method(self) -> str:
+        return METHODS[self.windowed, self.n_poly > 0]
 
     @property
     def model_rows(self) -> np.ndarray:
@@ -133,11 +140,14 @@ class EstimateReport:
     residual_l2: float
     per_frequency_residual: Spectrum
     wall_time: float
-    method: str
     regression: RegressionSystem
     imag_norm: float = 0.0
     poly_coeffs: np.ndarray | None = None
     m2_singular_values: np.ndarray | None = None  # descending
+
+    @property
+    def method(self) -> str:
+        return self.regression.method
 
     @property
     def m2_condition(self) -> float:
@@ -208,7 +218,7 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
     n_x = structure.n_x
     return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=band,
                             structure=structure, length=xs.length,
-                            n_poly=n_p)
+                            n_poly=n_p, windowed=xs.num_channels > n_x)
 
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
@@ -230,7 +240,7 @@ def _split_theta(theta2: np.ndarray, structure: ModelStructure):
     return ModelParams(structure, A=A, B=tuple(reversed(blocks[s.n_a:])))
 
 
-def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport:
+def solve_ls(reg: RegressionSystem) -> EstimateReport:
     """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
 
     One LAPACK solve of M2^T theta_2^T = -M1^T returns the minimum-norm
@@ -261,42 +271,33 @@ def solve_ls(reg: RegressionSystem, method: str = "corrected") -> EstimateReport
                         freqs=reg.freqs)
     return EstimateReport(
         theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
-        per_frequency_residual=per_freq, wall_time=wall, method=method,
-        regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
+        per_frequency_residual=per_freq, wall_time=wall, regression=reg,
+        imag_norm=float(np.linalg.norm(model.imag)),
         poly_coeffs=theta2[:, rows - reg.n_poly:] if reg.n_poly else None,
         m2_singular_values=s,
     )
 
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
-                          method: str = "corrected",
                           window_spec: WindowSpec | None = None,
                           n_p: int = 0, band=None,
                           endpoint_average: bool = False) -> EstimateReport:
     """One-shot estimation from sampled records.
 
-    ``method`` only picks the settings: corrected and mixed multiply the
-    records by the window-derivative rows up to the model order, ps and
-    naive keep the bare records (K = 0); mixed and ps add ``n_p`` polynomial
-    rows (ps with n_p = 0 is the naive estimator).  Times the whole
-    per-dataset pipeline (modulation, transforms, assembly, solve); the
+    A window other than rectangular multiplies the records by its
+    derivative rows up to the model order (corrected, or mixed with
+    ``n_p`` > 0); no window or a rectangular one keeps the bare records,
+    K = 0 (naive, or ps with ``n_p`` > 0).  Times the whole per-dataset
+    pipeline (modulation, transforms, assembly, solve); the
     window-derivative table is a design artifact built before the clock starts.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "ps" and n_p == 0:
-        method = "naive"
-    if method in ("corrected", "naive"):
-        n_p = 0
     table = None
-    if method in ("corrected", "mixed"):
-        if window_spec is None:
-            raise ValueError(f"method {method!r} needs a window")
+    if window_spec is not None and window_spec.family != "rectangular":
         table = window_table(window_spec, x_sig.num_samples,
                              max(structure.n_a, structure.n_b))
     n_a, n_b = (structure.n_a, structure.n_b) if table is not None else (0, 0)
     t0 = time.perf_counter()
     xs = fft_spectrum(modulate(x_sig, table, n_a), endpoint_average=endpoint_average)
     us = fft_spectrum(modulate(u_sig, table, n_b), endpoint_average=endpoint_average)
-    report = solve_ls(build_regression(xs, us, structure, n_p, band), method=method)
+    report = solve_ls(build_regression(xs, us, structure, n_p, band))
     return replace(report, wall_time=time.perf_counter() - t0)

@@ -92,14 +92,13 @@ def multisine(n_f: int, f_min: float, f_max: float, seed: int,
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration setup: step dt over [0, T], decimated to n_out samples."""
+    """Integration setup: step dt over [0, T]."""
 
     structure: ModelStructure
     dt: float
     length: float
     seed: int = 0
     x0: np.ndarray | None = None
-    n_out: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.length <= 0:
@@ -107,10 +106,6 @@ class SimConfig:
         steps = self.length / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError("dt must divide the record length")
-        if self.n_out is not None:
-            stride = round(steps) / self.n_out
-            if abs(stride - round(stride)) > 1e-9:
-                raise ValueError("dt is not commensurate with the output grid")
 
     @property
     def num_steps(self) -> int:
@@ -225,10 +220,7 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
     if blown.any():
         raise RuntimeError(f"state blew up near t = {np.argmax(blown) * h:.6g}")
 
-    out = Signal(length=config.length, values=x[:, :n_steps], terminal=x[:, n_steps])
-    if config.n_out is not None and config.n_out != n_steps:
-        out = resample(out, config.n_out)
-    return out
+    return Signal(length=config.length, values=x[:, :n_steps], terminal=x[:, n_steps])
 
 
 def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:

@@ -144,8 +144,8 @@ def test_criterion_3_decay_slopes(paper_data):
     ok = True
     details = []
     for n, limit in limits.items():
-        rows = bench.sweep_rates(paper_data, rates, "corrected",
-                                 WindowSpec("sin", n), probe_freq=2.0)
+        rows = bench.sweep_rates(paper_data, rates, window=WindowSpec("sin", n),
+                                 probe_freq=2.0)
         probe = [r.residual_probe for r in rows]
         full = [r.residual_l2 for r in rows]
         slope, _ = loglog_slope(rates, probe)
@@ -158,8 +158,8 @@ def test_criterion_3_decay_slopes(paper_data):
 
 # ---------------------------------------------------------------- criterion 4
 def test_criterion_4_near_machine_precision(paper_data):
-    r80 = bench.estimate(paper_data, 80.0, "corrected", CINF4)
-    r160 = bench.estimate(paper_data, 160.0, "corrected", CINF4)
+    r80 = bench.estimate(paper_data, 80.0, window=CINF4)
+    r160 = bench.estimate(paper_data, 160.0, window=CINF4)
     e80 = param_error(paper_data.theta_true, r80.theta_hat)
     e160 = param_error(paper_data.theta_true, r160.theta_hat)
     ok = e80 < 1e-6 and e160 <= 1e-2 * e80
@@ -171,18 +171,16 @@ def test_criterion_4_near_machine_precision(paper_data):
 # ---------------------------------------------------------------- criterion 5
 def test_criterion_5_baseline_ordering(paper_data):
     e_corr = param_error(paper_data.theta_true,
-                         bench.estimate(paper_data, 80.0, "corrected",
-                                        CINF4).theta_hat)
+                         bench.estimate(paper_data, 80.0, window=CINF4).theta_hat)
     e_naive = param_error(paper_data.theta_true,
-                          bench.estimate(paper_data, 80.0, "naive",
-                                         None).theta_hat)
-    ps_report = bench.estimate(paper_data, 80.0, "ps", None, n_p=50)
+                          bench.estimate(paper_data, 80.0).theta_hat)
+    ps_report = bench.estimate(paper_data, 80.0, n_p=50)
     assert ps_report.poly_coeffs.shape == (5, 50)  # 250 extra parameters
     e_ps = param_error(paper_data.theta_true, ps_report.theta_hat)
-    t_corr = min(bench.estimate(paper_data, 80.0, "corrected",
-                                CINF4).wall_time for _ in range(5))
-    t_ps = min(bench.estimate(paper_data, 80.0, "ps", None,
-                              n_p=50).wall_time for _ in range(5))
+    t_corr = min(bench.estimate(paper_data, 80.0, window=CINF4).wall_time
+                 for _ in range(5))
+    t_ps = min(bench.estimate(paper_data, 80.0, n_p=50).wall_time
+               for _ in range(5))
     ok = (e_naive >= 1e3 * e_corr) and (e_ps <= 10 * e_corr) and (t_ps > t_corr)
     assert report(
         5, ok,
@@ -205,8 +203,7 @@ def test_criterion_6_noise_regime_inversion():
             errs = []
             for root in roots:
                 ds = bench.reference_dataset(seed=root)
-                reports = bench.monte_carlo(ds, 80.0, sigma, trials,
-                                            "corrected", spec)
+                reports = bench.monte_carlo(ds, 80.0, sigma, trials, spec)
                 from freqwin import ensemble_stats
 
                 err_curve, _ = ensemble_stats(reports, ds.theta_true)

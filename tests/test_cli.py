@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 import freqwin.bench as bench
 from freqwin import (Signal, identify_from_signals, io, overlap_variance,
                      param_error)
-from freqwin.cli import main
-from freqwin.identify import METHODS
+from freqwin.cli import build_parser, main
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
 
@@ -75,8 +75,7 @@ class TestIdentify:
         out = tmp_path / "id"
         rc = main(["identify", "--out", str(out),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--truth", str(sim_dir / "truth.json"),
-                   "--method", "corrected", "--window", "cinf:4"])
+                   "--truth", str(sim_dir / "truth.json"), "--window", "cinf:4"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "corrected"
@@ -86,23 +85,11 @@ class TestIdentify:
         assert report["residual_l2"] < 1e-4
         assert (out / "residual.csv").exists()
 
-    def test_naive_equals_ps_zero(self, sim_dir, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        base = ["--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv")]
-        assert main(["identify", "--out", str(out_a), *base,
-                     "--method", "naive"]) == 0
-        assert main(["identify", "--out", str(out_b), *base,
-                     "--method", "ps", "--np", "0"]) == 0
-        a = json.loads((out_a / "report.json").read_text())
-        b = json.loads((out_b / "report.json").read_text())
-        assert a["theta_hat"] == b["theta_hat"]
-
     def test_band_restriction(self, sim_dir, tmp_path):
         out = tmp_path / "band"
         rc = main(["identify", "--out", str(out),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--method", "corrected", "--window", "cinf:2",
-                   "--f-min", "0", "--f-max", "30"])
+                   "--window", "cinf:2", "--f-min", "0", "--f-max", "30"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["band"]) < 80
@@ -111,8 +98,7 @@ class TestIdentify:
         out = tmp_path / "ea"
         rc = main(["identify", "--out", str(out),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--method", "corrected", "--window", "cinf:4",
-                   "--endpoint-average"])
+                   "--window", "cinf:4", "--endpoint-average"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         x, u = bench.reference_dataset(seed=3, fine_rate=23040).decimated(80.0)
@@ -130,19 +116,53 @@ class TestIdentify:
         out = tmp_path / "nv"
         assert main(["identify", "--out", str(out),
                      "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                     "--method", "naive", "--window", "sin:3"]) == 0
-        assert json.loads((out / "report.json").read_text())["window"] == "rect"
+                     "--window", "rect"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["window"] == "rect" and report["method"] == "naive"
         assert "window = rect" in (out / "run_config.txt").read_text()
 
     def test_corrected_records_np_zero(self, sim_dir, tmp_path):
         out = tmp_path / "np"
         assert main(["identify", "--out", str(out),
                      "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                     "--method", "corrected", "--window", "cinf:4",
-                     "--np", "10"]) == 0
+                     "--window", "cinf:4"]) == 0
         config = (out / "run_config.txt").read_text()
         assert "np = 0" in config and "window = cinf:4" in config
-        assert json.loads((out / "report.json").read_text())["window"] == "cinf:4"
+        report = json.loads((out / "report.json").read_text())
+        assert report["window"] == "cinf:4" and report["method"] == "corrected"
+
+    @pytest.mark.parametrize("window, n_p, method", [
+        ("rect", "0", "naive"), ("rect", "3", "ps"),
+        ("cinf:4", "0", "corrected"), ("cinf:4", "3", "mixed")])
+    def test_window_and_np_pick_the_method(self, sim_dir, tmp_path, window, n_p,
+                                           method):
+        # corrected used to drop --np and ps/naive to ignore --window silently
+        out = tmp_path / "m"
+        assert main(["identify", "--out", str(out),
+                     "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                     "--window", window, "--np", n_p]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["method"], report["window"]) == (method, window)
+        config = (out / "run_config.txt").read_text()
+        assert f"window = {window}" in config and f"np = {n_p}" in config
+
+    @pytest.mark.parametrize("command", ["identify", "sweep", "montecarlo"])
+    def test_method_flag_is_gone(self, sim_dir, tmp_path, command):
+        # the window and --np pick the method; --method could disagree with them
+        inputs = [f.format(sim=sim_dir) for f in IDENTIFY_INPUTS]
+        out = tmp_path / "m"
+        assert exit_code([command, "--out", str(out),
+                          *(inputs if command == "identify" else FAST_SIM),
+                          "--method", "ps"]) == 2
+        assert not out.exists()
+
+    def test_missing_input_file_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # the output directory used to be created, and left empty, first
+        out = tmp_path / "missing"
+        assert main(["identify", "--out", str(out), "--x", str(tmp_path / "none.csv"),
+                     "--u", str(sim_dir / "u.csv")]) == 2
+        assert "none.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shuffled_time_column_is_exit_2(self, sim_dir, tmp_path):
         header, *rows = (sim_dir / "x.csv").read_text().splitlines()
@@ -160,10 +180,11 @@ class TestIdentify:
         u = io.read_signal_csv(sim_dir / "u.csv")
         io.write_signal_csv(tmp_path / "u2.csv",
                             Signal(length=2.0, values=u.values, terminal=u.terminal))
-        for method in METHODS:
-            rc = main(["identify", "--out", str(tmp_path / method),
+        for window, n_p in (("cinf:4", "0"), ("cinf:4", "2"), ("rect", "0"),
+                            ("rect", "2")):
+            rc = main(["identify", "--out", str(tmp_path / "len"),
                        "--x", str(sim_dir / "x.csv"), "--u", str(tmp_path / "u2.csv"),
-                       "--method", method, "--np", "2"])
+                       "--window", window, "--np", n_p])
             assert rc == 2
             assert "input record (T = 2," in capsys.readouterr().err
 
@@ -225,6 +246,14 @@ class TestWindowCommand:
         assert {r["deriv"] for r in rows} == {"0"}
 
 
+    def test_too_few_samples_is_exit_2(self, tmp_path):
+        # the output directory used to be created before the table was built
+        out = tmp_path / "w1"
+        assert main(["window", "--out", str(out), "--window", "sin:1",
+                     "--samples", "1"]) == 2
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_rows_and_columns(self, tmp_path):
         out = tmp_path / "sweep"
@@ -244,6 +273,15 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert float(rows[0]["param_error"]) < 1e-8
 
+    def test_windows_and_np_pick_row_methods(self, tmp_path):
+        # --method ps used to ignore the windows and label its rows with them
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), *FAST_SIM, "--fs-list", "80",
+                     "--windows", "rect,cinf:4", "--np", "10"]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert [(r["method"], r["window"]) for r in rows] == [
+            ("ps", "rect"), ("mixed", "cinf_4")]
+
     def test_rows_are_the_library_sweep(self, tmp_path):
         out = tmp_path / "sw"
         assert main(["sweep", "--out", str(out), *FAST_SIM, "--fs-list", "96,192",
@@ -253,8 +291,8 @@ class TestSweepCommand:
             ("sin_1", "96"), ("sin_1", "192"), ("sin_2", "96"), ("sin_2", "192")]
         dataset = bench.reference_dataset(seed=3, fine_rate=23040)
         want = [r for w in ("sin:1", "sin:2")
-                for r in bench.sweep_rates(dataset, [96.0, 192.0], "corrected",
-                                           bench.parse_window(w))]
+                for r in bench.sweep_rates(dataset, [96.0, 192.0],
+                                           window=bench.parse_window(w))]
         for row, r in zip(rows, want):
             assert row == {"fs": io.FMT % r.swept_value, "method": r.method,
                            "window": r.window,
@@ -293,7 +331,7 @@ class TestMonteCarloCommand:
                  param_error(dataset.theta_true, r.theta_hat))
                 for w in ("sin:1", "cinf:1")
                 for r in bench.monte_carlo(dataset, bench.REF_FS, 1e-4, 2,
-                                           "corrected", bench.parse_window(w))]
+                                           bench.parse_window(w))]
         assert [(r["window"], r["trial_error"]) for r in rows] == \
             [(w, io.FMT % err) for w, err in want]
 
@@ -389,9 +427,9 @@ class TestConfigAndExitCodes:
 
     @pytest.mark.parametrize("command,flags", [
         ("simulate", [*FAST_SIM, "--fs", "80", "--sigma", "1e-3"]),
-        ("identify", [*IDENTIFY_INPUTS, "--method", "naive"]),
+        ("identify", [*IDENTIFY_INPUTS, "--window", "rect"]),
         ("identify", [*IDENTIFY_INPUTS, "--window", "sin:1"]),
-        ("identify", [*IDENTIFY_INPUTS, "--method", "ps", "--np", "3",
+        ("identify", [*IDENTIFY_INPUTS, "--window", "rect", "--np", "3",
                       "--f-max", "20"]),
         ("identify", [*IDENTIFY_INPUTS, "--window", "cinf:2", "--f-min", "1",
                       "--endpoint-average", "--truth", "{sim}/truth.json"]),
@@ -425,6 +463,10 @@ class TestConfigAndExitCodes:
         # reach the command, which simulated before failing
         ("sweep", "method = bogus", "method"),
         ("montecarlo", "method = bogus", "method"),
+        # not an option: a run_config.txt of a run that had --method used
+        # to replay as whatever the window and np pick
+        ("identify", "method = corrected", "method"),
+        ("sweep", "sigma = 0.1", "sigma"),
     ])
     def test_bad_config_value_is_exit_2(self, sim_dir, tmp_path, monkeypatch,
                                         command, line, key, capsys):
@@ -441,6 +483,18 @@ class TestConfigAndExitCodes:
         err = capsys.readouterr().err
         assert key in err and str(cfg) in err
         assert not out.exists()
+
+    def test_config_with_method_key_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # run_config.txt of a run made when identify had --method
+        first, again = tmp_path / "first", tmp_path / "again"
+        inputs = [f.format(sim=sim_dir) for f in IDENTIFY_INPUTS]
+        assert main(["identify", "--out", str(first), *inputs]) == 0
+        cfg = first / "run_config.txt"
+        cfg.write_text(cfg.read_text() + "method = corrected\n")
+        assert main(["identify", "--config", str(cfg), "--out", str(again)]) == 2
+        assert (f"{cfg}: method = corrected: not an option of identify"
+                in capsys.readouterr().err)
+        assert not again.exists()
 
     def test_run_config_replays_from_another_directory(self, sim_dir, tmp_path,
                                                         monkeypatch):
@@ -517,13 +571,30 @@ class TestConfigAndExitCodes:
 
     def test_probe_outside_band_is_exit_2(self, tmp_path, capsys):
         # the residual_probe column used to hold the band edge's residual
-        assert main(["sweep", "--out", str(tmp_path / "p"), *FAST_SIM,
+        out = tmp_path / "p"
+        assert main(["sweep", "--out", str(out), *FAST_SIM,
                      "--fs-list", "80", "--windows", "cinf:4",
                      "--probe-freq", "1000"]) == 2
         assert "probe" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_underdetermined_is_nonzero(self, sim_dir, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "u"),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--method", "ps", "--np", "500"])
+                   "--window", "rect", "--np", "500"])
         assert rc in (2, 3)
+
+
+def test_readme_cli_block_parses():
+    # every freqwin line of README's CLI block, continuations joined, is a
+    # valid command line, so a removed or renamed flag fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split()
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["freqwin"]]
+    assert {argv[0] for argv in commands} == {
+        "simulate", "identify", "window", "sweep", "montecarlo", "overlap"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

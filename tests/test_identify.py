@@ -70,14 +70,14 @@ class TestStructureValidation:
 class TestExactRecovery:
     def test_naive_on_consistent_data(self):
         x, u, theta = exact_dataset()
-        report = identify_from_signals(x, u, theta.structure, method="naive")
+        report = identify_from_signals(x, u, theta.structure)
         assert param_error(theta, report.theta_hat) < 1e-10
         assert report.residual_l2 < 1e-10
         assert report.imag_norm < 1e-10
 
     def test_corrected_on_consistent_data(self):
         x, u, theta = exact_dataset()
-        report = identify_from_signals(x, u, theta.structure, method="corrected",
+        report = identify_from_signals(x, u, theta.structure,
                                        window_spec=WindowSpec("cinf", 2))
         assert param_error(theta, report.theta_hat) < 1e-9
 
@@ -98,16 +98,16 @@ class TestExactRecovery:
         scale = 37.5
         xs = Signal(length=T, values=scale * x.values)
         us = Signal(length=T, values=scale * u.values)
-        r1 = identify_from_signals(x, u, theta.structure, method="naive")
-        r2 = identify_from_signals(xs, us, theta.structure, method="naive")
+        r1 = identify_from_signals(x, u, theta.structure)
+        r2 = identify_from_signals(xs, us, theta.structure)
         for m1, m2 in zip(r1.theta_hat.A + r1.theta_hat.B,
                           r2.theta_hat.A + r2.theta_hat.B):
             np.testing.assert_allclose(m1, m2, atol=1e-11)
 
     def test_solver_determinism(self):
         x, u, theta = exact_dataset()
-        r1 = identify_from_signals(x, u, theta.structure, method="naive")
-        r2 = identify_from_signals(x, u, theta.structure, method="naive")
+        r1 = identify_from_signals(x, u, theta.structure)
+        r2 = identify_from_signals(x, u, theta.structure)
         for m1, m2 in zip(r1.theta_hat.A + r1.theta_hat.B,
                           r2.theta_hat.A + r2.theta_hat.B):
             np.testing.assert_array_equal(m1, m2)
@@ -199,29 +199,48 @@ class TestPsBaseline:
 
     def test_polynomial_row_count(self):
         x, u, theta = exact_dataset()
-        report = identify_from_signals(x, u, theta.structure, method="ps", n_p=10)
+        report = identify_from_signals(x, u, theta.structure, n_p=10)
+        assert report.method == "ps"
         assert report.poly_coeffs.shape == (theta.structure.n_x, 10)
 
-    def test_naive_equals_ps_order_zero(self):
+
+class TestRouteSelection:
+    """The window and n_p are the only route inputs; the method name is
+    read off the regression that ran."""
+
+    @pytest.mark.parametrize("window, n_p, method", [
+        (None, 0, "naive"), ("rect", 0, "naive"), ("cinf:4", 0, "corrected"),
+        (None, 3, "ps"), ("rect", 3, "ps"), ("cinf:4", 3, "mixed")])
+    def test_method_named_by_window_and_np(self, window, n_p, method):
         x, u, theta = exact_dataset()
-        r1 = identify_from_signals(x, u, theta.structure, method="naive")
-        r2 = identify_from_signals(x, u, theta.structure, method="ps", n_p=0)
+        spec = bench.parse_window(window) if window else None
+        report = identify_from_signals(x, u, theta.structure, window_spec=spec,
+                                       n_p=n_p)
+        assert report.method == method
+        assert report.regression.n_poly == n_p
+
+    @pytest.mark.parametrize("n_p", [0, 3])
+    def test_none_and_rect_select_one_route(self, n_p):
+        x, u, theta = exact_dataset()
+        r1 = identify_from_signals(x, u, theta.structure, n_p=n_p)
+        r2 = identify_from_signals(x, u, theta.structure,
+                                   window_spec=WindowSpec("rectangular"), n_p=n_p)
         for m1, m2 in zip(r1.theta_hat.A + r1.theta_hat.B,
                           r2.theta_hat.A + r2.theta_hat.B):
             np.testing.assert_array_equal(m1, m2)
+        assert r1.residual_l2 == r2.residual_l2
 
 
 class TestMixed:
     def test_order_zero_identical_to_corrected(self):
         x, u, theta = exact_dataset()
         w = WindowSpec("sin", 2)
-        r1 = identify_from_signals(x, u, theta.structure, method="corrected",
-                                   window_spec=w)
-        r2 = identify_from_signals(x, u, theta.structure, method="mixed",
-                                   window_spec=w, n_p=0)
+        r1 = identify_from_signals(x, u, theta.structure, window_spec=w)
+        r2 = identify_from_signals(x, u, theta.structure, window_spec=w, n_p=0)
         for m1, m2 in zip(r1.theta_hat.A + r1.theta_hat.B,
                           r2.theta_hat.A + r2.theta_hat.B):
             np.testing.assert_array_equal(m1, m2)
+        assert r2.method == "corrected"
 
 
 class TestResidualSpectrum:
@@ -260,11 +279,14 @@ def reference_estimate(method, window):
 
 
 def estimate_ab0(x, u, method, window):
-    """(A_0, B_0) of the reference structure; mixed and ps fit 3 polynomial rows."""
+    """(A_0, B_0) of the reference structure by ``method``: corrected and
+    mixed apply the window, mixed and ps fit 3 polynomial rows."""
     n_p = 3 if method in ("mixed", "ps") else 0
-    theta = identify_from_signals(x, u, bench.REF_STRUCTURE, method=method,
-                                  window_spec=window, n_p=n_p).theta_hat
-    return theta.A[0], theta.B[0]
+    window = window if method in ("corrected", "mixed") else None
+    report = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=window,
+                                   n_p=n_p)
+    assert report.method == method
+    return report.theta_hat.A[0], report.theta_hat.B[0]
 
 
 def assert_relative(got, want, rtol=1e-9):
@@ -323,8 +345,7 @@ class TestSecondOrderSystem:
         for label, spec in (("cinf_3", WindowSpec("cinf", 3)),
                             ("sin_3", WindowSpec("sin", 3)),
                             ("sin_4", WindowSpec("sin", 4))):
-            rep = identify_from_signals(xd, ud, structure, method="corrected",
-                                        window_spec=spec)
+            rep = identify_from_signals(xd, ud, structure, window_spec=spec)
             errs[label] = param_error(theta, rep.theta_hat)
         assert errs["cinf_3"] < 1e-6
         assert errs["sin_4"] < 1e-5
@@ -340,7 +361,7 @@ class TestErrorPaths:
         u = Signal(length=T, values=np.zeros((2, n)))
         structure = ModelStructure(n_x=2, n_u=2, n_a=1, n_b=0)
         with pytest.raises(RankDeficiencyError, match="rank"):
-            identify_from_signals(x, u, structure, method="naive")
+            identify_from_signals(x, u, structure)
 
     def test_underdetermined_rejected(self):
         x, u, theta = exact_dataset(n=128)
@@ -369,30 +390,21 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="2-channel blocks"):
             build_regression(odd, stack(u, 2), structure)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_records_of_different_length_rejected(self, method):
+    @pytest.mark.parametrize("windowed, poly", list(METHODS),
+                             ids=list(METHODS.values()))
+    def test_records_of_different_length_rejected(self, windowed, poly):
         # ps and naive used to fit such a pair without complaint
         x, u, theta = exact_dataset()
         with pytest.raises(ValueError, match=r"input record \(T = 2,"):
             identify_from_signals(x, replace(u, length=2 * T), theta.structure,
-                                  method=method, window_spec=WindowSpec("cinf", 2),
-                                  n_p=2)
+                                  window_spec=WindowSpec("cinf", 2) if windowed else None,
+                                  n_p=2 if poly else 0)
 
     def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()
         xw, uw = fft_spectrum(x), fft_spectrum(u)
         with pytest.raises(ValueError, match="polynomial order"):
             build_regression(xw, uw, theta.structure, n_p=-1)
-
-    def test_unknown_method(self):
-        x, u, theta = exact_dataset()
-        with pytest.raises(ValueError):
-            identify_from_signals(x, u, theta.structure, method="magic")
-
-    def test_corrected_needs_window(self):
-        x, u, theta = exact_dataset()
-        with pytest.raises(ValueError):
-            identify_from_signals(x, u, theta.structure, method="corrected")
 
     def test_empty_band(self):
         x, u, theta = exact_dataset()

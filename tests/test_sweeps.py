@@ -45,9 +45,9 @@ def test_halving_simulation_step_does_not_worsen_estimates():
     fine = bench.reference_dataset(seed=2, fine_rate=bench.REF_FINE_RATE)
     w = WindowSpec("cinf", 4)
     e_coarse = param_error(coarse.theta_true,
-                           bench.estimate(coarse, 80.0, "corrected", w).theta_hat)
+                           bench.estimate(coarse, 80.0, window=w).theta_hat)
     e_fine = param_error(fine.theta_true,
-                         bench.estimate(fine, 80.0, "corrected", w).theta_hat)
+                         bench.estimate(fine, 80.0, window=w).theta_hat)
     # integrator refinement may shuffle the sub-1e-10 floor but not degrade
     assert e_fine <= e_coarse + 1e-10
 
@@ -56,9 +56,9 @@ class TestEndpointAveraging:
     def test_sin1_fixed_frequency_residual_improves(self, dataset):
         window = WindowSpec("sin", 1)
         rates = [128.0, 256.0, 512.0]
-        plain = [bench.sweep_rates(dataset, [fs], "corrected", window)[0]
+        plain = [bench.sweep_rates(dataset, [fs], window=window)[0]
                  for fs in rates]
-        avg = [bench.sweep_rates(dataset, [fs], "corrected", window,
+        avg = [bench.sweep_rates(dataset, [fs], window=window,
                                  endpoint_average=True)[0] for fs in rates]
         for p, a in zip(plain, avg):
             assert a.residual_probe < 0.1 * p.residual_probe
@@ -91,8 +91,7 @@ def test_lowpass_filtering_mitigates_out_of_band_content():
 
     def estimate_err(xs, us):
         xd, ud = resample(xs, 128), resample(us, 128)
-        rep = identify_from_signals(xd, ud, structure, method="corrected",
-                                    window_spec=WindowSpec("cinf", 2))
+        rep = identify_from_signals(xd, ud, structure, window_spec=WindowSpec("cinf", 2))
         return param_error(theta, rep.theta_hat)
 
     raw = estimate_err(x, u)
@@ -112,13 +111,12 @@ def test_mixed_method_does_not_beat_the_best_pure_route():
     for seed in (42, 1, 2, 3, 4):
         ds = bench.reference_dataset(seed=seed)
         pure = [param_error(ds.theta_true,
-                            bench.estimate(ds, 128.0, "corrected", w).theta_hat)
+                            bench.estimate(ds, 128.0, window=w).theta_hat)
                 for w in windows]
         pure.append(param_error(ds.theta_true,
-                                bench.estimate(ds, 128.0, "ps", None,
-                                               n_p=n_p).theta_hat))
+                                bench.estimate(ds, 128.0, n_p=n_p).theta_hat))
         mixed = [param_error(ds.theta_true,
-                             bench.estimate(ds, 128.0, "mixed", w,
+                             bench.estimate(ds, 128.0, window=w,
                                             n_p=n_p).theta_hat)
                  for w in windows]
         assert min(mixed) >= 0.1 * min(pure), (seed, min(mixed), min(pure))
@@ -137,7 +135,23 @@ def test_sweep_transforms_each_record_once(dataset, monkeypatch):
 
     for module in (identify, corrections, spectral):
         monkeypatch.setattr(module, "fft_spectrum", counted)
-    rows = bench.sweep_rates(dataset, [80.0, 128.0], "corrected",
-                             WindowSpec("cinf", 4))
+    rows = bench.sweep_rates(dataset, [80.0, 128.0], window=WindowSpec("cinf", 4))
     assert len(rows) == 2
     assert len(calls) == 2 * 2
+
+
+class TestRouteLabels:
+    """Rows and reports name the method the window and n_p selected."""
+
+    def test_rect_with_polynomial_rows_is_ps(self, dataset):
+        rows = bench.sweep_rates(dataset, [80.0], window=WindowSpec("rectangular"),
+                                 n_p=10)
+        assert [(r.method, r.window) for r in rows] == [("ps", "rect")]
+
+    def test_named_method_must_match(self, dataset):
+        cinf4 = bench.parse_window("cinf:4")
+        assert bench.estimate(dataset, 80.0, "corrected", cinf4, 0).method == "corrected"
+        with pytest.raises(ValueError, match="'mixed' disagrees"):
+            bench.estimate(dataset, 80.0, "mixed", cinf4, 0)
+        with pytest.raises(ValueError, match="select 'naive'"):
+            bench.sweep_rates(dataset, [80.0], "ps", None)
