@@ -87,37 +87,34 @@ def parse_window(text: str) -> WindowSpec:
 
 def estimate(dataset: Dataset, f_s: float, method: str | None = None,
              window: WindowSpec | None = None, n_p: int = 0,
-             band=None, sigma: float = 0.0, noise_trial: int = 0,
-             endpoint_average: bool = False) -> EstimateReport:
-    """Identify from the records at f_s.  The window and ``n_p`` pick the
-    method; ``method``, if given, must name the one they pick."""
+             sigma: float = 0.0, noise_trial: int = 0) -> EstimateReport:
+    """Identify from the records at f_s (no window is the rectangular one).
+    The window and ``n_p`` pick the method; ``method``, if given, must name
+    the one they pick."""
+    window = window or WindowSpec("rectangular")
     x, u = dataset.decimated(f_s, sigma, noise_trial)
-    report = identify_from_signals(
-        x, u, dataset.theta_true.structure, window_spec=window, n_p=n_p,
-        band=band, endpoint_average=endpoint_average)
+    report = identify_from_signals(x, u, dataset.theta_true.structure,
+                                   window_spec=window, n_p=n_p)
     if method is not None and method != report.method:
-        label = window.label if window is not None else "none"
-        raise ValueError(f"method {method!r} disagrees with window {label} and "
+        raise ValueError(f"method {method!r} disagrees with window {window.label} and "
                          f"n_p = {n_p}, which select {report.method!r}")
     return report
 
 
 def sweep_rates(dataset: Dataset, rates, method: str | None = None,
                 window: WindowSpec | None = None, n_p: int = 0,
-                probe_freq: float = 2.0,
-                endpoint_average: bool = False) -> list[SweepResult]:
+                probe_freq: float = 2.0) -> list[SweepResult]:
     """Identify at every sampling rate; also evaluates the true-parameter
     equation residual on the regression the estimate solved, whose decay
     reflects the window class directly.  Rows carry the method that ran."""
+    window = window or WindowSpec("rectangular")
     out = []
     for f_s in rates:
-        report = estimate(dataset, f_s, method, window, n_p=n_p,
-                          endpoint_average=endpoint_average)
+        report = estimate(dataset, f_s, method, window, n_p=n_p)
         resid = residual_spectrum(dataset.theta_true, report.regression)
         _, l2 = error_norms(resid)
         out.append(SweepResult(
-            swept_value=f_s, method=report.method,
-            window=window.label if window is not None else "rect",
+            swept_value=f_s, method=report.method, window=window.label,
             residual_probe=residual_probe_norm(resid, probe_freq),
             residual_l2=l2,
             param_error=param_error(dataset.theta_true, report.theta_hat),

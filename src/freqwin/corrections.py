@@ -15,10 +15,10 @@ rows of a ``WindowTable``.  The correction of order n is the gap
     x^{n} = D^n X_0 - F(w x^(n))
           = sum_{k=1..n} (-1)^(k+1) C(n,k) D^(n-k) X_k,
 
-which in the time domain is sum_{k=1..n} C(n,k) w^(k) x^(n-k).  ``modulate``
-stacks the copies w^(k) x, k = 0..K, as channel blocks of one Signal, so all
-of them go through one FFT; ``modulated_row`` forms the binomial sums from
-the transformed stack.
+which in the time domain is sum_{k=1..n} C(n,k) w^(k) x^(n-k).
+``spectral.apply_window`` stacks the copies w^(k) x, k = 0..K, as channel
+blocks of one Signal, so all of them go through one FFT; ``modulated_row``
+forms the binomial sums from the transformed stack.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ import numpy as np
 
 from .spectral import Signal, Spectrum, apply_window, fft_spectrum
 from .windows import WindowTable
-
-
-def modulate(signal: Signal, table: WindowTable | None, k_max: int) -> Signal:
-    """The copies w^(k) s for k = 0..k_max as channel blocks of one Signal
-    (``apply_window`` over the rows 0..k_max).  ``table=None`` is the
-    rectangular window, whose only copy is the signal itself."""
-    if table is not None:
-        return apply_window(signal, table, range(k_max + 1))
-    if k_max:
-        raise ValueError("the rectangular route has no window derivatives")
-    return signal
 
 
 def modulated_row(stack: np.ndarray, D: np.ndarray, i: int,
@@ -71,7 +60,7 @@ def correction_spectra(signal: Signal, table: WindowTable,
         raise ValueError("j_max must be >= 0")
     if j_max == 0:
         return ()
-    spec = fft_spectrum(modulate(signal, table, j_max))
+    spec = fft_spectrum(apply_window(signal, table, j_max))
     stack = spec.coeffs.reshape(j_max + 1, signal.num_channels, -1)
     D = 2j * np.pi * spec.freqs
     return tuple(

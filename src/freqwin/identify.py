@@ -2,21 +2,22 @@
 
 Every estimator runs one pipeline: records -> stacked modulated spectra ->
 regression -> solve.  The records are multiplied by the window-derivative
-rows w^(k), k = 0..K, and transformed together, giving X_k = F(w^(k) x) and
-U_k = F(w^(k) u).  Per frequency bin f the regression stacks
+rows w^(k), k = 0..K (``spectral.apply_window``), and transformed
+together, giving X_k = F(w^(k) x) and U_k = F(w^(k) u).  Per frequency
+bin f the regression stacks
 
     L_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) X_k(f)   (state rows)
     R_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) U_k(f)   (input rows, negated)
 
 With K equal to the model order, L_i = F(w d^i x/dt^i) exactly: the
 modulating-function integral, i.e. D^i X_0 minus the windowing correction
-x^{i} (see ``corrections``).  The rectangular route keeps K = 0, so
-L_i = D^i X_0 with nothing subtracted.  The rows form a matrix M whose top
-n_x rows belong to the fixed A_{n_a} = I block; the remaining parameters
-solve theta_2 M_2 = -M_1 in the least-squares sense, by one LAPACK
-minimum-norm solve that also returns M_2's singular values.  The window and
-n_p are the only settings; the method name is read off the regression that
-was solved:
+x^{i} (see ``corrections``).  The rectangular window is the table of ones
+with K = 0, so L_i = D^i X_0 with nothing subtracted.  The rows form a
+matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
+remaining parameters solve theta_2 M_2 = -M_1 in the least-squares sense,
+by one LAPACK minimum-norm solve that also returns M_2's singular values.
+The window and n_p are the only settings; the method name is read off the
+regression that was solved:
 
     window                     stack depth K    n_p = 0      n_p > 0
     smooth (sin, cinf, ..)     K = n_a (n_b)    corrected    mixed
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corrections import modulate, modulated_row
-from .spectral import Signal, Spectrum, fft_spectrum
+from .corrections import modulated_row
+from .spectral import Signal, Spectrum, apply_window, fft_spectrum
 from .windows import WindowSpec, window_table
 
 # singular values of M2 at or below RANK_RTOL * s_max count as zero (the
@@ -141,9 +142,9 @@ class EstimateReport:
     per_frequency_residual: Spectrum
     wall_time: float
     regression: RegressionSystem
-    imag_norm: float = 0.0
-    poly_coeffs: np.ndarray | None = None
-    m2_singular_values: np.ndarray | None = None  # descending
+    imag_norm: float
+    poly_coeffs: np.ndarray | None
+    m2_singular_values: np.ndarray  # descending
 
     @property
     def method(self) -> str:
@@ -178,14 +179,20 @@ def _check_band(band, n_bins: int) -> np.ndarray:
     return band
 
 
+def _check_records(x_len: float, x_n: int, u_len: float, u_n: int) -> None:
+    if u_n != x_n or abs(u_len - x_len) > 1e-12 * x_len:
+        raise ValueError(f"state record (T = {x_len:.17g}, N = {x_n}) and "
+                         f"input record (T = {u_len:.17g}, N = {u_n}) differ")
+
+
 def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
                      n_p: int = 0, band=None) -> RegressionSystem:
     """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band, then
     n_p polynomial rows; M1 is the fixed highest-order block.
 
-    ``xs`` holds the stack X_0..X_K of ``modulate``d state spectra as channel
-    blocks of n_x channels each (``us`` likewise with n_u channels).  K = 0
-    is the rectangular route; otherwise the stack must reach the model
+    ``xs`` holds the stack X_0..X_K of ``apply_window``ed state spectra as
+    channel blocks of n_x channels each (``us`` likewise with n_u channels).
+    K = 0 is the rectangular route; otherwise the stack must reach the model
     order.  Each output gets its own coefficient per polynomial row, so n_p
     rows add n_p * n_x estimated nuisance parameters (order 50 on the
     benchmark adds 250).
@@ -193,9 +200,7 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
     band = _check_band(band, xs.num_bins)
-    if us.num_bins != xs.num_bins or abs(us.length - xs.length) > 1e-12 * xs.length:
-        raise ValueError(f"state record (T = {xs.length:.17g}, N = {xs.num_bins}) and "
-                         f"input record (T = {us.length:.17g}, N = {us.num_bins}) differ")
+    _check_records(xs.length, xs.num_bins, us.length, us.num_bins)
     freqs = xs.freqs[band]
     D = 2j * np.pi * freqs
 
@@ -284,20 +289,22 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
                           endpoint_average: bool = False) -> EstimateReport:
     """One-shot estimation from sampled records.
 
-    A window other than rectangular multiplies the records by its
-    derivative rows up to the model order (corrected, or mixed with
-    ``n_p`` > 0); no window or a rectangular one keeps the bare records,
-    K = 0 (naive, or ps with ``n_p`` > 0).  Times the whole per-dataset
-    pipeline (modulation, transforms, assembly, solve); the
-    window-derivative table is a design artifact built before the clock starts.
+    Both records are multiplied by the window's derivative rows up to their
+    model order, K = max(n_a, n_b) for a smooth window (corrected, or mixed
+    with ``n_p`` > 0); no window is the rectangular one, whose table holds
+    only the row of ones, K = 0 (naive, or ps with ``n_p`` > 0).  Times the
+    whole per-dataset pipeline (windowing, transforms, assembly, solve);
+    the window-derivative table is a design artifact built before the clock
+    starts.
     """
-    table = None
-    if window_spec is not None and window_spec.family != "rectangular":
-        table = window_table(window_spec, x_sig.num_samples,
-                             max(structure.n_a, structure.n_b))
-    n_a, n_b = (structure.n_a, structure.n_b) if table is not None else (0, 0)
+    _check_records(x_sig.length, x_sig.num_samples, u_sig.length, u_sig.num_samples)
+    spec = window_spec or WindowSpec("rectangular")
+    k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
+    table = window_table(spec, x_sig.num_samples, k)
     t0 = time.perf_counter()
-    xs = fft_spectrum(modulate(x_sig, table, n_a), endpoint_average=endpoint_average)
-    us = fft_spectrum(modulate(u_sig, table, n_b), endpoint_average=endpoint_average)
+    xs = fft_spectrum(apply_window(x_sig, table, min(structure.n_a, k)),
+                      endpoint_average=endpoint_average)
+    us = fft_spectrum(apply_window(u_sig, table, min(structure.n_b, k)),
+                      endpoint_average=endpoint_average)
     report = solve_ls(build_regression(xs, us, structure, n_p, band))
     return replace(report, wall_time=time.perf_counter() - t0)

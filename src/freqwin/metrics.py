@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .identify import ModelParams
 from .spectral import Spectrum
@@ -69,7 +69,7 @@ def loglog_slope(xs, ys) -> tuple[float, float]:
     s2 = float(((ly - fitted) ** 2).sum() / dof)
     sxx = float(((lx - lx.mean()) ** 2).sum())
     se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    half = float(stats.t.ppf(0.975, dof) * se)
+    half = float(stdtrit(dof, 0.975) * se)  # Student-t 97.5 % quantile
     return slope, half
 
 

@@ -128,27 +128,25 @@ def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
     return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
 
 
-def apply_window(signal: Signal, table, k: int | range = 0) -> Signal:
-    """Pointwise product of every channel with window-derivative row k,
-    times T^-k, which turns the table's d^k w/ds^k (s = t/T) into d^k w/dt^k.
-
-    A range of rows gives the products w^(k) s for every k in it, stacked
-    as consecutive channel blocks of one Signal; a terminal sample s(T) is
-    carried as s(T) w^(k)(T) in the same layout.
+def apply_window(signal: Signal, table, k_max: int = 0) -> Signal:
+    """The products w^(k) s for k = 0..k_max, stacked as consecutive channel
+    blocks of one Signal.  Row k of the table is d^k w/ds^k (s = t/T); the
+    factor T^-k makes it d^k w/dt^k.  A terminal sample s(T) is carried as
+    s(T) w^(k)(T) in the same layout.
     """
-    rows = k if isinstance(k, range) else range(k, k + 1)
     if table.num_samples != signal.num_samples:
         raise ValueError(
             f"window table has {table.num_samples} samples, signal has "
             f"{signal.num_samples}"
         )
-    if not rows or rows[0] < 0 or rows[-1] > table.max_deriv:
-        raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, not {k}")
-    scale = signal.length ** -np.array(rows, dtype=float)[:, None]
-    out = (table.samples[list(rows)] * scale)[:, None, :] * signal.values
+    if not 0 <= k_max <= table.max_deriv:
+        raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, "
+                         f"not 0 to {k_max}")
+    scale = signal.length ** -np.arange(k_max + 1, dtype=float)[:, None]
+    out = (table.samples[:k_max + 1] * scale)[:, None, :] * signal.values
     term = None
     if signal.terminal is not None:
-        term = table.terminal[list(rows), None] * scale * signal.terminal
+        term = table.terminal[:k_max + 1, None] * scale * signal.terminal
     return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples),
                   terminal=term)
 

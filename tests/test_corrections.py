@@ -5,10 +5,11 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from freqwin import (ModelStructure, Signal, WindowSpec, build_regression,
-                     correction_spectra, fft_spectrum, resample, rng_for,
-                     window_table, window_value)
-from freqwin.corrections import modulate, modulated_row
+import freqwin.corrections as corrections
+from freqwin import (ModelStructure, Signal, WindowSpec, apply_window,
+                     build_regression, correction_spectra, fft_spectrum,
+                     resample, rng_for, window_table, window_value)
+from freqwin.corrections import modulated_row
 from leibniz_oracle import correction_time_oracle
 
 T = 1.0
@@ -60,7 +61,7 @@ class TestRecurrenceCoeffs:
         sig, *_ = smooth_multisine(256, kill_derivs=0)
         table = window_table(WindowSpec("cinf", 2), 256, j_max)
         cs = correction_spectra(sig, table, j_max)
-        stack = fft_spectrum(modulate(sig, table, j_max)).coeffs
+        stack = fft_spectrum(apply_window(sig, table, j_max)).coeffs
         D = 2j * np.pi * cs[0].freqs
         assembled = (-1) ** (n + 1) * stack[n] + sum(
             (-1) ** (j + 1) * comb(n, j) * D**j * cs[n - j - 1].coeffs[0]
@@ -116,9 +117,10 @@ class TestRecurrenceCoeffs:
         with pytest.raises(ValueError):
             correction_spectra(sig, table, -1)
         with pytest.raises(ValueError):
-            modulate(sig, table, -1)
-        with pytest.raises(ValueError, match="rectangular"):
-            modulate(sig, None, 1)
+            apply_window(sig, table, -1)
+        rect = window_table(WindowSpec("rectangular"), 64, 0)
+        with pytest.raises(ValueError, match="derivatives 0 to 0"):
+            apply_window(sig, rect, 1)
 
 
 class TestModulate:
@@ -129,7 +131,7 @@ class TestModulate:
         sig = Signal(length=T, values=vals[:, :n], terminal=vals[:, n])
         spec = WindowSpec("sin", 3)
         table = window_table(spec, n, 2)
-        stacked = modulate(sig, table, 2)
+        stacked = apply_window(sig, table, 2)
         assert stacked.num_channels == 6
         for k in range(3):
             np.testing.assert_array_equal(stacked.values[2 * k:2 * k + 2],
@@ -137,7 +139,13 @@ class TestModulate:
         expect = np.concatenate([window_value(spec, k, T) * vals[:, n]
                                  for k in range(3)])
         np.testing.assert_array_equal(stacked.terminal, expect)
-        assert modulate(sig, None, 0) is sig
+        rect = apply_window(sig, window_table(WindowSpec("rectangular"), n, 0), 0)
+        np.testing.assert_array_equal(rect.values, sig.values)
+        np.testing.assert_array_equal(rect.terminal, sig.terminal)
+
+    def test_modulate_is_gone(self):
+        # spectral.apply_window is the only way a record meets a window
+        assert not hasattr(corrections, "modulate")
 
 
 class TestCorrectionSpectra:
@@ -153,7 +161,7 @@ class TestCorrectionSpectra:
         sig = Signal(length=T, values=np.ones(64))
         table = window_table(WindowSpec(family="sin", order=1), 64, 1)
         assert correction_spectra(sig, table, 0) == ()
-        stack = fft_spectrum(modulate(sig, table, 1)).coeffs[:, None, :]
+        stack = fft_spectrum(apply_window(sig, table, 1)).coeffs[:, None, :]
         np.testing.assert_array_equal(modulated_row(stack, np.ones(64), 0), stack[0])
 
     def test_first_order_constant_signal_sin1(self):
@@ -224,13 +232,13 @@ class TestCorrectionSpectra:
         sig, values, *_ = smooth_multisine(n, kill_derivs=0)
         table = window_table(WindowSpec("cinf", 2), n, 6)
         cs = correction_spectra(sig, table, 6)
-        x0 = fft_spectrum(modulate(sig, table, 0))
+        x0 = fft_spectrum(apply_window(sig, table, 0))
         D = 2j * np.pi * x0.freqs
         t = np.arange(n) * T / n
         keep = np.abs(x0.freqs) <= 32
         for order in range(1, 7):
-            wd = fft_spectrum(modulate(Signal(length=T, values=values(t, order)),
-                                       table, 0))
+            wd = fft_spectrum(apply_window(Signal(length=T, values=values(t, order)),
+                                           table, 0))
             expect = (D**order * x0.coeffs - wd.coeffs)[0, keep]
             got = cs[order - 1].coeffs[0, keep]
             assert np.abs(got - expect).max() < 1e-10 * np.abs(wd.coeffs).max(), order
@@ -250,11 +258,11 @@ class TestDerivativeCorrectionIdentity:
             cs = correction_spectra(sig, table, 2)
             keep = slice(0, n // 4 + 1)
             D = 2j * np.pi * cs[1].freqs[keep]
-            wx = fft_spectrum(modulate(sig, table, 0))
+            wx = fft_spectrum(apply_window(sig, table, 0))
             lhs = D**2 * wx.coeffs[:, keep] - cs[1].coeffs[:, keep]
             t = np.arange(n) * T / n
             wd = Signal(length=T, values=values(t, 2))
-            rhs = fft_spectrum(modulate(wd, table, 0)).coeffs[:, keep]
+            rhs = fft_spectrum(apply_window(wd, table, 0)).coeffs[:, keep]
             errs.append(np.abs(lhs - rhs).max() / np.abs(rhs).max())
         assert errs[-1] < floor
         if errs[0] > 100 * floor:
@@ -290,8 +298,8 @@ def test_rows_are_modulating_function_integrals(case, seed):
     n = 1024
     x = on_grid_multisine(seed, n)
     table = window_table(spec, n, i)
-    xs = fft_spectrum(modulate(Signal(length=T, values=x(0)), table, i))
-    us = fft_spectrum(modulate(Signal(length=T, values=np.ones(n)), table, 0))
+    xs = fft_spectrum(apply_window(Signal(length=T, values=x(0)), table, i))
+    us = fft_spectrum(apply_window(Signal(length=T, values=np.ones(n)), table, 0))
     reg = build_regression(xs, us, ModelStructure(n_x=1, n_u=1, n_a=i, n_b=0))
     keep = np.abs(reg.freqs) <= 64
     for j, row in zip(range(i, -1, -1), reg.model_rows):

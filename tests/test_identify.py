@@ -9,10 +9,9 @@ import freqwin.bench as bench
 
 from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
                      RegressionSystem, Signal, Spectrum, WindowSpec,
-                     build_regression, fft_spectrum,
+                     apply_window, build_regression, fft_spectrum,
                      identify_from_signals, param_error, residual_spectrum,
                      rng_for, solve_ls, window_table)
-from freqwin.corrections import modulate
 from freqwin.identify import METHODS
 
 T = 1.0
@@ -231,6 +230,35 @@ class TestRouteSelection:
         assert r1.residual_l2 == r2.residual_l2
 
 
+    @pytest.mark.parametrize("endpoint_average", [False, True])
+    @pytest.mark.parametrize("n_p", [0, 3])
+    def test_no_window_is_the_rect_table(self, n_p, endpoint_average, monkeypatch):
+        """No window is the rectangular window: both records go through
+        apply_window with its K = 0 table, and every report field but the
+        wall time is equal."""
+        calls = []
+
+        def counted(sig, table, k_max=0):
+            calls.append((table.spec.label, table.max_deriv, k_max))
+            return apply_window(sig, table, k_max)
+
+        monkeypatch.setattr("freqwin.identify.apply_window", counted)
+        x, u = reference_records()
+        r1, r2 = (identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=w,
+                                        n_p=n_p, endpoint_average=endpoint_average)
+                  for w in (None, WindowSpec("rectangular")))
+        assert calls == [("rect", 0, 0)] * 4
+
+        def fields(r):
+            return (r.method, r.residual_l2, r.imag_norm, *r.theta_hat.A,
+                    *r.theta_hat.B, r.per_frequency_residual.coeffs,
+                    r.m2_singular_values, r.poly_coeffs, r.regression.m1,
+                    r.regression.m2)
+
+        for f1, f2 in zip(fields(r1), fields(r2), strict=True):
+            np.testing.assert_array_equal(f1, f2)
+
+
 class TestMixed:
     def test_order_zero_identical_to_corrected(self):
         x, u, theta = exact_dataset()
@@ -378,7 +406,7 @@ class TestErrorPaths:
         table = window_table(WindowSpec("cinf", 2), x.num_samples, 2)
 
         def stack(sig, k_max):
-            return fft_spectrum(modulate(sig, table, k_max))
+            return fft_spectrum(apply_window(sig, table, k_max))
 
         build_regression(stack(x, 2), stack(u, 2), structure)
         build_regression(fft_spectrum(x), fft_spectrum(u), structure)
@@ -395,9 +423,14 @@ class TestErrorPaths:
     def test_records_of_different_length_rejected(self, windowed, poly):
         # ps and naive used to fit such a pair without complaint
         x, u, theta = exact_dataset()
+        window = WindowSpec("cinf", 2) if windowed else None
         with pytest.raises(ValueError, match=r"input record \(T = 2,"):
             identify_from_signals(x, replace(u, length=2 * T), theta.structure,
-                                  window_spec=WindowSpec("cinf", 2) if windowed else None,
+                                  window_spec=window, n_p=2 if poly else 0)
+        # a different sample count is named as such, not as a window table's
+        with pytest.raises(ValueError, match=r"input record \(T = 1, N = 64\)"):
+            identify_from_signals(x, Signal(length=T, values=u.values[:, ::2]),
+                                  theta.structure, window_spec=window,
                                   n_p=2 if poly else 0)
 
     def test_negative_polynomial_order_rejected(self):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import freqwin
 from freqwin import (ModelParams, ModelStructure, Spectrum, ensemble_stats,
                      error_norms, loglog_slope, param_error,
                      residual_probe_norm)
@@ -114,6 +120,15 @@ class TestLoglogSlope:
             loglog_slope([1.0], [1.0])
         with pytest.raises(ValueError):
             loglog_slope([1.0, -2.0], [1.0, 1.0])
+
+
+def test_no_scipy_stats_at_runtime():
+    # the CI half-width needs one Student-t quantile, which scipy.special has
+    code = ("import sys, freqwin, freqwin.bench, freqwin.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n")
+    src = str(Path(freqwin.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class _FakeReport:

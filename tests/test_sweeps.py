@@ -9,7 +9,7 @@ import freqwin.bench as bench
 import freqwin.corrections as corrections
 import freqwin.identify as identify
 import freqwin.spectral as spectral
-from freqwin import WindowSpec, loglog_slope, param_error
+from freqwin import WindowSpec, loglog_slope, param_error, residual_probe_norm
 
 T = 1.0
 
@@ -53,17 +53,24 @@ def test_halving_simulation_step_does_not_worsen_estimates():
 
 
 class TestEndpointAveraging:
+    @staticmethod
+    def probe_residual(dataset, f_s, endpoint_average):
+        """||e(2 Hz)|| of the true parameters on the sin:1 regression at f_s."""
+        x, u = dataset.decimated(f_s)
+        report = identify.identify_from_signals(
+            x, u, dataset.theta_true.structure, window_spec=WindowSpec("sin", 1),
+            endpoint_average=endpoint_average)
+        resid = identify.residual_spectrum(dataset.theta_true, report.regression)
+        return residual_probe_norm(resid, 2.0)
+
     def test_sin1_fixed_frequency_residual_improves(self, dataset):
-        window = WindowSpec("sin", 1)
         rates = [128.0, 256.0, 512.0]
-        plain = [bench.sweep_rates(dataset, [fs], window=window)[0]
-                 for fs in rates]
-        avg = [bench.sweep_rates(dataset, [fs], window=window,
-                                 endpoint_average=True)[0] for fs in rates]
+        plain = [self.probe_residual(dataset, fs, False) for fs in rates]
+        avg = [self.probe_residual(dataset, fs, True) for fs in rates]
         for p, a in zip(plain, avg):
-            assert a.residual_probe < 0.1 * p.residual_probe
-        slope_plain, _ = loglog_slope(rates, [r.residual_probe for r in plain])
-        slope_avg, _ = loglog_slope(rates, [r.residual_probe for r in avg])
+            assert a < 0.1 * p
+        slope_plain, _ = loglog_slope(rates, plain)
+        slope_avg, _ = loglog_slope(rates, avg)
         assert slope_avg < slope_plain - 0.5
 
 
