@@ -14,10 +14,12 @@ modulating-function integral, i.e. D^i X_0 minus the windowing correction
 x^{i} (see ``corrections``).  The rectangular window is the table of ones
 with K = 0, so L_i = D^i X_0 with nothing subtracted.  The rows form a
 matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
-remaining parameters solve theta_2 M_2 = -M_1 in the least-squares sense,
-by one LAPACK minimum-norm solve that also returns M_2's singular values.
-The window and n_p are the only settings; the method name is read off the
-regression that was solved:
+remaining parameters solve theta_2 M_2 = -M_1 in the least-squares sense.
+The solve projects the model rows off the QR factor of the polynomial
+rows, which depend only on the band and are factored once per (band, n_p),
+and reads M_2's singular values off a small block-triangular factor (see
+``solve_ls``).  The window and n_p are the only settings; the method name
+is read off the regression that was solved:
 
     window                     stack depth K    n_p = 0      n_p > 0
     smooth (sin, cinf, ..)     K = n_a (n_b)    corrected    mixed
@@ -33,14 +35,15 @@ an inconsistency diagnostic.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corrections import modulated_row
 from .spectral import Signal, Spectrum, apply_window, fft_spectrum
-from .windows import WindowSpec, window_table
+from .windows import WindowSpec, WindowTable, window_table
 
 # singular values of M2 at or below RANK_RTOL * s_max count as zero (the
 # rcond of the least-squares solve); a rank below M2's row count is an error
@@ -114,6 +117,10 @@ class RegressionSystem:
     with any polynomial nuisance rows last; one column per frequency bin in
     ``band``.  ``freqs`` are the band's frequency values; ``windowed`` says
     the state rows came from a window-derivative stack (K > 0).
+    ``poly_factor`` is the thin QR factor (Qp, Rp) of the polynomial rows'
+    transpose, shared read-only by every regression on the same band and
+    n_p; ``solve_ls`` factors the rows itself when it is None (set it to
+    None when replacing ``m2``'s polynomial rows).
     """
 
     m1: np.ndarray
@@ -124,6 +131,8 @@ class RegressionSystem:
     length: float
     n_poly: int = 0
     windowed: bool = False
+    poly_factor: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -160,20 +169,47 @@ def _poly_rows(freqs: np.ndarray, n_p: int) -> np.ndarray:
 
     Same span as monomials in D(f) with complex coefficients, but the
     Chebyshev parametrization stays numerically full-rank at n_p = 50 where
-    scaled monomials fall below the rank tolerance.
+    scaled monomials fall below the rank tolerance.  The rows are real.
     """
     scale = np.abs(freqs).max()
     xi = freqs / scale if scale > 0 else freqs
-    rows = np.polynomial.chebyshev.chebvander(xi, n_p - 1).T
-    return -rows.astype(complex)
+    return -np.polynomial.chebyshev.chebvander(xi, max(n_p - 1, 0))[:, :n_p].T
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _poly_block(freq_bytes: bytes, n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The polynomial rows P of a band (frequencies as float64 bytes) and
+    the thin QR factor P^T = Qp Rp, read-only: they depend on the band
+    only, never on the data."""
+    rows = _poly_rows(np.frombuffer(freq_bytes), n_p)
+    qp, rp = np.linalg.qr(rows.T)
+    _read_only(rows, qp, rp)
+    return rows, qp, rp
+
+
+# 7 rates x 6 windows of a benchmark sweep fit with room to spare
+@functools.lru_cache(maxsize=64)
+def _window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
+    """``window_table``, built once per (spec, N, K) and kept read-only."""
+    table = window_table(spec, num_samples, max_deriv)
+    _read_only(table.samples, table.terminal)
+    return table
 
 
 def _check_band(band, n_bins: int) -> np.ndarray:
     if band is None:
         return np.arange(n_bins)
-    band = np.asarray(band, dtype=int)
+    band = np.asarray(band)
     if band.size == 0:
         raise ValueError("empty frequency band")
+    if band.dtype.kind not in "iu":
+        raise ValueError(f"band must hold integer bin indices, not {band.dtype} "
+                         "values; pass a boolean mask as np.flatnonzero(mask)")
     if band.min() < 0 or band.max() >= n_bins:
         raise ValueError("band indices outside the spectrum")
     return band
@@ -217,13 +253,13 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
 
     blocks = (rows(xs, structure.n_x, structure.n_a, "state")
               + [-r for r in rows(us, structure.n_u, structure.n_b, "input")])
-    if n_p > 0:
-        blocks.append(_poly_rows(freqs, n_p))
-    M = np.vstack(blocks)
+    poly_rows, qp, rp = _poly_block(freqs.tobytes(), n_p)
+    M = np.vstack(blocks + [poly_rows])
     n_x = structure.n_x
     return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=band,
                             structure=structure, length=xs.length,
-                            n_poly=n_p, windowed=xs.num_channels > n_x)
+                            n_poly=n_p, windowed=xs.num_channels > n_x,
+                            poly_factor=(qp, rp))
 
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
@@ -245,12 +281,27 @@ def _split_theta(theta2: np.ndarray, structure: ModelStructure):
     return ModelParams(structure, A=A, B=tuple(reversed(blocks[s.n_a:])))
 
 
+def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """q @ a, or q^H @ a, for a C-contiguous complex a.  A real q
+    multiplies a's real view: one real product, no complex copy of q."""
+    if np.iscomplexobj(q):
+        return (q.T.conj() if adjoint else q) @ a
+    return ((q.T if adjoint else q) @ a.view(float)).view(complex)
+
+
 def solve_ls(reg: RegressionSystem) -> EstimateReport:
     """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
 
-    One LAPACK solve of M2^T theta_2^T = -M1^T returns the minimum-norm
-    solution and M2's singular values; a numerical rank below M2's row
-    count (see RANK_RTOL) raises RankDeficiencyError.
+    M2^T = [Mm^T | P^T] holds the model rows and the n_p polynomial rows P.
+    P^T = Qp Rp is factored once per band and n_p (``build_regression``
+    caches it; a regression without ``poly_factor`` is factored here).
+    The model rows are projected off it, Z = Qp^H Mm^T and
+    W = Mm^T - Qp Z = Qw Rw, so M2^T = [Qw Qp] S with the small
+    block-triangular S = [[Rw, 0], [Z, Rp]].  S has M2's singular values:
+    its SVD gives ``m2_singular_values``, and a numerical rank below M2's
+    row count (see RANK_RTOL) raises RankDeficiencyError.  Solving S
+    against [Qw^H; Qp^H] (-M1^T) then gives the model parameters and the
+    polynomial coefficients.  With n_p = 0, S is Rw.
     """
     rows, cols = reg.m2.shape
     if cols < rows:
@@ -259,16 +310,28 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
             "the regression is underdetermined"
         )
     t0 = time.perf_counter()
-    sol, _, rank, s = np.linalg.lstsq(reg.m2.T, -reg.m1.T, rcond=RANK_RTOL)
+    n_m = rows - reg.n_poly
+    qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
+    # [Mm^T | -M1^T] projected off Qp; R of its QR is [[Rw, Qw^H (-M1^T)], ..]
+    aug = np.vstack([reg.m2[:n_m], -reg.m1]).T.copy()
+    proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
+    aug -= _times(qp, proj)
+    r_aug = np.linalg.qr(aug, mode="r")
+    tri = np.zeros((rows, rows), dtype=complex)
+    tri[:n_m, :n_m] = r_aug[:n_m, :n_m]
+    tri[n_m:, :n_m] = proj[:, :n_m]
+    tri[n_m:, n_m:] = rp
+    s = np.linalg.svd(tri, compute_uv=False)
+    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     if rank < rows:
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0
         raise RankDeficiencyError(
             f"numerical rank {rank} below parameter row count {rows} "
             f"(smallest singular value ratio {ratio:.2e})"
         )
-    theta2 = sol.T
+    theta2 = np.linalg.solve(tri, np.vstack([r_aug[:n_m, n_m:], proj[:, n_m:]])).T
     wall = time.perf_counter() - t0
-    model = theta2[:, : rows - reg.n_poly]
+    model = theta2[:, :n_m]
     fit_resid = theta2 @ reg.m2 + reg.m1
     norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0))
     resid_l2 = float(np.sqrt((norms**2).sum() / reg.length))
@@ -278,7 +341,7 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
         per_frequency_residual=per_freq, wall_time=wall, regression=reg,
         imag_norm=float(np.linalg.norm(model.imag)),
-        poly_coeffs=theta2[:, rows - reg.n_poly:] if reg.n_poly else None,
+        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None,
         m2_singular_values=s,
     )
 
@@ -294,13 +357,13 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
     with ``n_p`` > 0); no window is the rectangular one, whose table holds
     only the row of ones, K = 0 (naive, or ps with ``n_p`` > 0).  Times the
     whole per-dataset pipeline (windowing, transforms, assembly, solve);
-    the window-derivative table is a design artifact built before the clock
-    starts.
+    the window-derivative table is a design artifact, built once per
+    (window, N, K) before the clock starts.
     """
     _check_records(x_sig.length, x_sig.num_samples, u_sig.length, u_sig.num_samples)
     spec = window_spec or WindowSpec("rectangular")
     k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
-    table = window_table(spec, x_sig.num_samples, k)
+    table = _window_table(spec, x_sig.num_samples, k)
     t0 = time.perf_counter()
     xs = fft_spectrum(apply_window(x_sig, table, min(structure.n_a, k)),
                       endpoint_average=endpoint_average)

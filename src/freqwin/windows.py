@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import isfinite, perm, prod
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial import polynomial as P
 
 from .spectral import Spectrum
@@ -236,6 +235,8 @@ def window_area(spec: WindowSpec) -> float:
 def _chirp_plan(n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp c_j = exp(-i pi (j^2 mod 2 size) / size) and the FFT of the
     kernel conj(c_{q-j}), q < m, j < n, wrapped for a circular convolution."""
+    import scipy.fft  # only f_err's diagnostic transform needs scipy
+
     j = np.arange(max(n, m), dtype=np.int64)
     chirp = np.exp(-1j * np.pi / size * ((j * j) % (2 * size)))
     pad = np.zeros(scipy.fft.next_fast_len(n + m - 1) - (n + m - 1))
@@ -261,6 +262,8 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     4.2e-9 of the peak, enough to move f_err at p = 1e-12; the bins stay
     within 5.5e-16 of a direct DFT.  The chirp cache is keyed by sizes.
     """
+    import scipy.fft
+
     n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * m_max)))))
     half = n_hi // 2
     right = window_value(spec, k, (half + np.arange(half)) * (1.0 / n_hi))

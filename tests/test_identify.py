@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freqwin.bench as bench
+import freqwin.identify as identify
 
 from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
                      RegressionSystem, Signal, Spectrum, WindowSpec,
@@ -161,6 +162,81 @@ class TestSolver:
                            match=r"rank 0 below .*\(smallest singular value ratio 0\.00e\+00\)"):
             solve_ls(replace(reg, m2=np.zeros_like(reg.m2)))
 
+    def test_duplicated_polynomial_row_is_rank_deficient(self):
+        reg = random_regression(3, 80, 5)
+        m2 = reg.m2.copy()
+        m2[-1] = m2[-2]
+        with pytest.raises(RankDeficiencyError, match=r"rank 14 below .* 15 "):
+            solve_ls(replace(reg, m2=m2))
+
+    @pytest.mark.parametrize("window", [None, "cinf:4"])
+    @pytest.mark.parametrize("n_p", [0, 10, 50])
+    @pytest.mark.parametrize("f_s", [80, 768])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_reference_regressions_match_pseudo_inverse(self, sigma, f_s, n_p, window):
+        """The projected solve on the benchmark's regressions, with the
+        cached polynomial factor and with the factor formed in place.
+        Noise-free at 80 Hz with n_p = 50 is the hard case: the model rows
+        lie close to the polynomial span, so -M1^T must be projected too."""
+        x, u = reference_records_at(f_s, sigma)
+        spec = bench.parse_window(window) if window else None
+        reg = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec,
+                                    n_p=n_p).regression
+        assert_matches_pseudo_inverse(reg)
+        own = solve_ls(replace(reg, poly_factor=None))
+        assert_matches_pseudo_inverse(own.regression)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(0, 50),
+           real_poly=st.booleans(), cached=st.booleans())
+    def test_random_regressions_match_pseudo_inverse(self, seed, n_p, real_poly,
+                                                     cached):
+        """Well-conditioned random complex regressions: Gaussian model rows,
+        n_p real or complex Gaussian polynomial rows (a real block may
+        carry its own factor, as build_regression's cache does) and a
+        random band of a frequency grid."""
+        rng = np.random.default_rng(seed)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        n_bins = int(rng.integers(2 * (10 + n_p), 6 * (10 + n_p)))
+        band = np.sort(rng.choice(4 * n_bins, size=n_bins, replace=False))
+        freqs = np.fft.fftfreq(4 * n_bins, d=1.0 / (4 * n_bins))[band]
+        poly = rng.standard_normal((n_p, n_bins)) if real_poly else gauss(n_p, n_bins)
+        factor = np.linalg.qr(poly.T) if real_poly and cached else None
+        reg = RegressionSystem(m1=gauss(5, n_bins), m2=np.vstack([gauss(10, n_bins), poly]),
+                               freqs=freqs, band=band, structure=REF,
+                               length=T, n_poly=n_p, poly_factor=factor)
+        assert_matches_pseudo_inverse(reg)
+
+
+@cache
+def reference_records_at(f_s, sigma):
+    """The reference experiment (seed 7) at f_s, with noise trial 1."""
+    return bench.reference_dataset(seed=7).decimated(float(f_s), sigma, 1)
+
+
+def assert_matches_pseudo_inverse(reg):
+    """solve_ls on a reference-structure regression against the dense
+    oracle -M1 pinv(M2), relative to the oracle's largest entry: model
+    parameters to 1e-12; polynomial coefficients and M2's condition number
+    to 1e-12 (1e-10) plus a few eps * cond(M2), which any backward-stable
+    solve or SVD may be off by (at 80 Hz with n_p = 50, cond ~ 4e7-8e7,
+    LAPACK's gelsd is 1.1e-8-2.0e-8 off pinv on the polynomial
+    coefficients, and its condition number 2.0e-9 off a 40-digit SVD)."""
+    report = solve_ls(reg)
+    oracle = -reg.m1 @ np.linalg.pinv(reg.m2)
+    scale = np.abs(oracle).max()
+    cond = np.linalg.cond(reg.m2)
+    slack = 16 * np.finfo(float).eps * cond
+    got = np.hstack([report.theta_hat.A[0], report.theta_hat.B[0]])
+    np.testing.assert_allclose(got, oracle[:, :10].real, rtol=0, atol=1e-12 * scale)
+    if reg.n_poly:
+        np.testing.assert_allclose(report.poly_coeffs, oracle[:, 10:], rtol=0,
+                                   atol=(1e-12 + slack) * scale)
+    assert report.m2_condition == pytest.approx(cond, rel=1e-10 + slack)
+
 
 def exp_integral(g, f, length):
     d = g - f
@@ -248,15 +324,66 @@ class TestRouteSelection:
                                         n_p=n_p, endpoint_average=endpoint_average)
                   for w in (None, WindowSpec("rectangular")))
         assert calls == [("rect", 0, 0)] * 4
+        assert_same_report(r1, r2)
 
-        def fields(r):
-            return (r.method, r.residual_l2, r.imag_norm, *r.theta_hat.A,
-                    *r.theta_hat.B, r.per_frequency_residual.coeffs,
-                    r.m2_singular_values, r.poly_coeffs, r.regression.m1,
-                    r.regression.m2)
 
-        for f1, f2 in zip(fields(r1), fields(r2), strict=True):
-            np.testing.assert_array_equal(f1, f2)
+class TestDesignCaches:
+    """Window tables and polynomial factors depend on the design, never on
+    the data: each is built once and shared read-only."""
+
+    def test_window_table_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec, num_samples, max_deriv):
+            calls.append((spec, num_samples, max_deriv))
+            return window_table(spec, num_samples, max_deriv)
+
+        monkeypatch.setattr("freqwin.identify.window_table", counted)
+        x, u, theta = exact_dataset()
+        spec = WindowSpec("cinf", 2.125)  # an order no other test builds
+        r1, r2 = (identify_from_signals(x, u, theta.structure, window_spec=spec)
+                  for _ in range(2))
+        assert calls == [(spec, x.num_samples, 1)]
+        assert_same_report(r1, r2)
+
+    def test_polynomial_basis_built_once(self, monkeypatch):
+        calls = []
+        chebvander = np.polynomial.chebyshev.chebvander
+
+        def counted(x, deg):
+            calls.append(deg)
+            return chebvander(x, deg)
+
+        monkeypatch.setattr(np.polynomial.chebyshev, "chebvander", counted)
+        x, u, theta = exact_dataset()
+        band = np.arange(1, 40)  # a band no other test fits polynomials on
+        r1, r2 = (identify_from_signals(x, u, theta.structure, n_p=6, band=band)
+                  for _ in range(2))
+        assert calls == [5]
+        assert r1.regression.poly_factor[0] is r2.regression.poly_factor[0]
+        assert_same_report(r1, r2)
+
+    def test_cached_arrays_refuse_writes(self):
+        x, u, theta = exact_dataset()
+        reg = identify_from_signals(x, u, theta.structure, n_p=4).regression
+        rows, qp, rp = identify._poly_block(reg.freqs.tobytes(), 4)
+        table = identify._window_table(WindowSpec("sin", 2), x.num_samples, 1)
+        assert reg.poly_factor[0] is qp and reg.poly_factor[1] is rp
+        for array in (rows, qp, rp, table.samples, table.terminal):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def assert_same_report(r1, r2):
+    """Every report field but the wall time is equal."""
+    def fields(r):
+        return (r.method, r.residual_l2, r.imag_norm, *r.theta_hat.A,
+                *r.theta_hat.B, r.per_frequency_residual.coeffs,
+                r.m2_singular_values, r.poly_coeffs, r.regression.m1,
+                r.regression.m2)
+
+    for f1, f2 in zip(fields(r1), fields(r2), strict=True):
+        np.testing.assert_array_equal(f1, f2)
 
 
 class TestMixed:
@@ -438,6 +565,14 @@ class TestErrorPaths:
         xw, uw = fft_spectrum(x), fft_spectrum(u)
         with pytest.raises(ValueError, match="polynomial order"):
             build_regression(xw, uw, theta.structure, n_p=-1)
+
+    @pytest.mark.parametrize("band", [[1.5, 2.7], np.arange(4.0),
+                                      np.arange(64) < 30])
+    def test_non_integer_band_rejected(self, band):
+        # a float band used to be truncated to bins, a boolean mask to bins 0/1
+        x, u, theta = exact_dataset()
+        with pytest.raises(ValueError, match=r"np\.flatnonzero"):
+            identify_from_signals(x, u, theta.structure, band=band)
 
     def test_empty_band(self):
         x, u, theta = exact_dataset()

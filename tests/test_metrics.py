@@ -123,9 +123,13 @@ class TestLoglogSlope:
 
 
 def test_no_scipy_stats_at_runtime():
-    # the CI half-width needs one Student-t quantile, which scipy.special has
+    # the CI half-width needs one Student-t quantile, which scipy.special has;
+    # it and f_err's transform import scipy where they run, so importing
+    # the package loads no scipy module at all
     code = ("import sys, freqwin, freqwin.bench, freqwin.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n")
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+            "assert not loaded, f'scipy modules imported: {loaded}'\n")
     src = str(Path(freqwin.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
                    env={**os.environ, "PYTHONPATH": src})
