@@ -73,6 +73,14 @@ def _abs_path(text: str) -> str:
     return str(Path(text).resolve())
 
 
+def _comma_list(text: str, flag: str) -> list[str]:
+    """The non-empty entries of a comma-separated option; none is an error."""
+    items = [v for v in text.split(",") if v]
+    if not items:
+        raise ValueError(f"{flag} needs at least one comma-separated value")
+    return items
+
+
 def _dataset_from_args(args) -> bench.Dataset:
     return bench.reference_dataset(seed=args.seed, length=args.length,
                                    fine_rate=args.fine_rate)
@@ -148,8 +156,8 @@ def cmd_window(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rates = [float(v) for v in args.fs_list.split(",") if v]
-    windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
+    rates = [float(v) for v in _comma_list(args.fs_list, "--fs-list")]
+    windows = [bench.parse_window(w) for w in _comma_list(args.windows, "--windows")]
     dataset = _dataset_from_args(args)
     results = [r for window in windows
                for r in bench.sweep_rates(dataset, rates, window=window, n_p=args.np,
@@ -165,7 +173,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    windows = [bench.parse_window(w) for w in args.windows.split(",") if w]
+    windows = [bench.parse_window(w) for w in _comma_list(args.windows, "--windows")]
     dataset = _dataset_from_args(args)
     truth = dataset.theta_true
     rows = []
@@ -185,7 +193,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    windows = [w for w in args.windows.split(",") if w]
+    windows = _comma_list(args.windows, "--windows")
     if not (args.tau_step > 0 and 0 <= args.tau_min <= args.tau_max < 1):
         raise ValueError("overlap grid needs tau-step > 0 and "
                          "0 <= tau-min <= tau-max < 1")

@@ -243,7 +243,6 @@ def _chirp_plan(n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return chirp, scipy.fft.fft(np.concatenate([chirp[:m], pad, chirp[n - 1:0:-1]]).conj())
 
 
-@functools.lru_cache(maxsize=8)
 def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
                       refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """DFT of d^k w/ds^k from n_hi samples, on the bins q / refine <= m_max.
@@ -288,34 +287,48 @@ def window_spectrum(spec: WindowSpec, k: int, f_max: int = 128) -> Spectrum:
     coefficients on this grid beyond their harmonic content; use f_err for
     leakage envelopes, which refines the grid internally.
     """
-    if f_max != int(f_max):
-        raise ValueError("f_max must be a whole number of bins")
+    if not 0 <= f_max <= F_ERR_SEARCH_BINS or f_max != int(f_max):
+        raise ValueError(f"f_max must be a whole number of bins in "
+                         f"[0, {F_ERR_SEARCH_BINS}], not {f_max}")
     freqs, coeffs = _spectrum_samples(spec, k, f_max, refine=1)
     return Spectrum(length=1.0, coeffs=coeffs[np.newaxis, :], freqs=freqs)
+
+
+@functools.lru_cache(maxsize=8)
+def _envelope(spec: WindowSpec, k: int) -> np.ndarray:
+    """sup_{|m'| >= m} |w_k(m')| / S at the bins m = 1..F_ERR_SEARCH_BINS.
+
+    The sup is taken on a 16x refined grid (leakage between the bins is what
+    aliases; even-order sine windows are exactly zero ON the bins): by parity
+    ``_spectrum_samples`` transforms only the 2^18-sample right half of the
+    2^19-sample record, one 425 920-point chirp z-transform convolution for
+    the 163 265 kept bins of its 2^23 point DFT.  Only the 10 000 envelope
+    values are kept, read-only, not the spectrum.
+    """
+    refine = 16
+    # small slack above the bound so the sup is taken over a full tail
+    _, coeffs = _spectrum_samples(spec, k, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
+    mag = np.abs(coeffs) / window_area(spec)
+    env = np.maximum.accumulate(mag[::-1])[::-1]
+    out = env[refine : F_ERR_SEARCH_BINS * refine + 1 : refine].copy()
+    out.flags.writeable = False
+    return out
 
 
 def f_err(spec: WindowSpec, k: int, p: float) -> float:
     """Smallest bin m with sup_{|m'| >= m} |w_k(m')| / S < p; f_err = m/T
     on a record of length T.
 
-    S is the base window's area for every derivative order.  The envelope is
-    taken on a 16x refined grid (leakage between the bins is what aliases;
-    even-order sine windows are exactly zero ON the bins): by parity
-    ``_spectrum_samples`` transforms only the 2^18-sample right half of the
-    2^19-sample record, one 425 920-point chirp z-transform convolution for
-    the 163 265 kept bins of its 2^23 point DFT.  Returns inf when the
-    threshold is not met at m <= F_ERR_SEARCH_BINS.
+    S is the base window's area for every derivative order.  The envelope
+    comes from ``_envelope``, built once per (spec, k) and shared by every
+    threshold p.  Returns inf when the threshold is not met at
+    m <= F_ERR_SEARCH_BINS.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")
     if spec.family == "rectangular" and k >= 1:
         raise ValueError("rectangular window has no derivative spectra")
-    refine = 16
-    # small slack above the bound so the sup is taken over a full tail
-    _, coeffs = _spectrum_samples(spec, k, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
-    mag = np.abs(coeffs) / window_area(spec)
-    env = np.maximum.accumulate(mag[::-1])[::-1]
-    below = np.flatnonzero(env[refine : F_ERR_SEARCH_BINS * refine + 1 : refine] < p)
+    below = np.flatnonzero(_envelope(spec, k) < p)
     return float(below[0] + 1) if below.size else np.inf
 
 

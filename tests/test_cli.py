@@ -569,6 +569,41 @@ class TestConfigAndExitCodes:
         assert "sigma" in capsys.readouterr().err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("f_max", ["1e9", "-4", "10001", "inf"])
+    def test_window_f_max_out_of_range_is_exit_2(self, tmp_path, f_max, capsys):
+        # 1e9 used to die allocating 128 GiB (exit 1, traceback) and -4 on
+        # numpy's "operands could not be broadcast together"
+        out = tmp_path / "w"
+        assert main(["window", "--out", str(out), "--window", "sin:1",
+                     f"--f-max={f_max}"]) == 2
+        assert "f_max must be a whole number of bins in [0, 10000]" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--fs-list", ""),
+        ("sweep", "--windows", ","),
+        ("montecarlo", "--windows", ""),
+        ("overlap", "--windows", ""),
+    ])
+    def test_empty_list_is_exit_2(self, tmp_path, monkeypatch, command, flag,
+                                  value, capsys):
+        # each used to write a header-only CSV with exit 0, and the
+        # run_config.txt of such a run replayed the same way
+        def no_simulation(**kwargs):
+            raise AssertionError("simulated before checking the list")
+
+        monkeypatch.setattr(bench, "reference_dataset", no_simulation)
+        out = tmp_path / "empty"
+        assert main([command, "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"{flag} needs at least one" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run_config.txt"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{flag} needs at least one" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_outside_band_is_exit_2(self, tmp_path, capsys):
         # the residual_probe column used to hold the band edge's residual
         out = tmp_path / "p"

@@ -6,7 +6,7 @@ import freqwin.bench as bench
 from freqwin import (ForcingSpec, ModelParams, ModelStructure, SimConfig,
                      Signal, add_noise, fft_spectrum, integrate_rk4, multisine,
                      random_system, resample, sample_forcing)
-from freqwin.simulate import COMPONENT_INIT, rng_for
+from freqwin.simulate import COMPONENT_INIT, _phase_tables, rng_for
 
 SCALAR = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
 
@@ -270,6 +270,58 @@ class TestClosedFormAgainstStepLoop:
         out = resample(integrate_rk4(theta, forcing, cfg), 256)
         assert out.num_samples == 256
         assert rel_dev(out, resample(rk4_step_loop(theta, forcing, cfg), 256)) <= 1e-12
+
+
+class TestPhaseTables:
+    """Phase tables shared by every dataset on one tone grid and step."""
+
+    def test_built_once_per_grid_and_step(self):
+        fine_rate = 2560  # a grid no other test simulates
+        before = _phase_tables.cache_info()
+        first = bench.reference_dataset(3, fine_rate=fine_rate)
+        second = bench.reference_dataset(4, fine_rate=fine_rate)
+        after = _phase_tables.cache_info()
+        # one build for the first dataset's state and input records, none
+        # for the second: multisine frequencies do not depend on the seed
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 3
+        np.testing.assert_array_equal(first.forcing.freqs, second.forcing.freqs)
+
+    def test_tables_are_read_only(self):
+        omega = 2 * np.pi * np.array([1.0, 2.5])
+        for table in _phase_tables(omega.tobytes(), 1.0 / 512, 3):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_partially_driven_after_fully_driven(self):
+        # the undriven tone leaves the key, so the second run gets tables of
+        # its own driven tones rather than the full grid's
+        theta = random_system(ModelStructure(2, 2, 1, 0), 6)
+        full = multisine(6, 1.0, 11.0, seed=6, n_channels=2)
+        amps = full.amplitudes.copy()
+        amps[:, 2] = 0.0
+        partial = ForcingSpec(amplitudes=amps, freqs=full.freqs)
+        cfg = SimConfig(structure=theta.structure, dt=1.0 / 2048, length=1.0, seed=6)
+        for forcing in (full, partial):
+            out = integrate_rk4(theta, forcing, cfg)
+            assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
+
+    @pytest.mark.parametrize("num_samples", [7680, 1000])
+    def test_sample_forcing_whole_grid(self, num_samples):
+        spec = multisine(bench.REF_NUM_TONES, bench.REF_F_MIN, bench.REF_F_MAX,
+                         seed=9, n_channels=2)
+        got = with_terminal(sample_forcing(spec, 1.0, num_samples))
+        want = spec.evaluate(np.arange(num_samples + 1) / num_samples)
+        # both round phases of up to 180 rad; observed 1.0e-14 to 1.4e-14
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-13
+
+    def test_step_count_not_a_block_multiple(self):
+        theta = random_system(ModelStructure(3, 2, 1, 0), 10)
+        forcing = multisine(7, 1.0, 13.0, seed=10, n_channels=2)
+        cfg = SimConfig(structure=theta.structure, dt=1.0 / 1000, length=1.0, seed=10)
+        out = integrate_rk4(theta, forcing, cfg)
+        assert out.num_samples == 1000
+        assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
 
 
 class TestResonance:

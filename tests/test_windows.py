@@ -13,7 +13,8 @@ from scipy import integrate
 import freqwin
 from freqwin import (Signal, WindowSpec, f_err, overlap_variance, window_area,
                      window_spectrum, window_table, window_value)
-from freqwin.windows import SIN_MAX_ORDER, _spectrum_samples
+from freqwin import windows
+from freqwin.windows import F_ERR_SEARCH_BINS, SIN_MAX_ORDER, _spectrum_samples
 
 
 def make(family, order=1.0):
@@ -263,9 +264,22 @@ class TestWindowSpectrum:
         with pytest.raises(ValueError):
             window_spectrum(make("sin", 1), 0, f_max=1.5)
 
+    @pytest.mark.parametrize("f_max", [0, F_ERR_SEARCH_BINS])
+    def test_f_max_range_ends(self, f_max):
+        sp = window_spectrum(make("sin", 1), 0, f_max=f_max)
+        np.testing.assert_array_equal(sp.freqs, np.arange(f_max + 1))
+        assert abs(sp.coeffs[0, 0]) == pytest.approx(2 / np.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("f_max", [-4, F_ERR_SEARCH_BINS + 1, 1e9, np.inf, np.nan])
+    def test_f_max_out_of_range(self, f_max):
+        # 1e9 used to ask for 128 GiB, inf to overflow int(), -4 to fail
+        # inside numpy's broadcasting
+        with pytest.raises(ValueError, match=rf"\[0, {F_ERR_SEARCH_BINS}\]"):
+            window_spectrum(make("sin", 1), 0, f_max=f_max)
+
 
 def test_spectrum_samples_own_their_memory():
-    # views into the convolution buffer would keep it alive in the cache
+    # views into the convolution buffer would keep it alive with the spectrum
     for k in (0, 1):
         freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), k, 104.0, refine=16)
         assert freqs.base is None and coeffs.base is None
@@ -352,6 +366,27 @@ class TestFErr:
         spec = make("cinf", order)
         got = tuple(tuple(f_err(spec, k, p) for p in (1e-3, 1e-6, 1e-12)) for k in (0, 1))
         assert got == expect
+
+    def test_one_transform_per_spec_and_order(self, monkeypatch):
+        # the envelope is cached, so further thresholds cost a search only
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return _spectrum_samples(*args, **kwargs)
+
+        monkeypatch.setattr(windows, "_spectrum_samples", counting)
+        spec = make("cinf", 2.71875)  # an order no other test transforms
+        for k in (0, 1):
+            for p in (1e-3, 1e-6, 1e-12):
+                f_err(spec, k, p)
+        assert calls == [(spec, 0), (spec, 1)]
+
+    def test_cached_envelope_is_read_only(self):
+        env = windows._envelope(make("cinf", 2.71875), 0)
+        assert env.shape == (F_ERR_SEARCH_BINS,)
+        with pytest.raises(ValueError):
+            env[0] = 0.0
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
