@@ -8,11 +8,11 @@ The integrator is classical fixed-step RK4 specialized to the linear system
 dz/dt = A z + c(t).  Its step recurrence z_{n+1} = phi z_n + G_n is solved
 in closed form for the multisine drive and evaluated on the whole uniform
 grid in a few vectorised products, so no rounding accumulates over ~1e5
-sequential steps.  The homogeneous part is one batched BLAS product, and the
-phase tables, which depend only on the tone grid and the step, are built
-once and shared read-only by every record on that grid (state and input,
-every dataset of one design).  ``ForcingSpec.evaluate`` serves arbitrary
-times.
+sequential steps.  The homogeneous part is one batched BLAS product.  The
+phase tables depend only on the tone grid and the step, so the state and
+input records of one dataset share one read-only build; the last grid's
+tables are kept, up to 4 MiB, for a caller that simulates several datasets
+of one design.  ``ForcingSpec.evaluate`` serves arbitrary times.
 """
 
 from __future__ import annotations
@@ -243,7 +243,13 @@ def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)  # 1.3 MB per grid at the full reference rate
+# The phase tables of the last grid are kept if they fit: 1.3 MB at the full
+# reference rate and T = 1 s, but the per-block table grows with the record
+# (98 MB at T = 100 s), so larger tables are built per call and dropped.
+_CACHED_TABLE_BYTES = 1 << 22
+
+
+@functools.lru_cache(maxsize=1)
 def _phase_tables(omega_bytes: bytes, h: float,
                   n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """In-block phases exp(i w_j m h), m < B, and per-block phases
@@ -261,10 +267,13 @@ def _grid_tone_sum(coeffs: np.ndarray, omega: np.ndarray, h: float,
     """sum_j coeffs[:, j] exp(i omega_j n h) for n < count, as one product of
     per-block phases R[j, q] (rows x blocks x tones) and in-block phases
     S[j, m] (tones x B): the tones-by-samples phase matrix is never formed.
-    R and S come from ``_phase_tables``, so datasets on one tone grid and
-    step share them."""
+    R and S come from ``_phase_tables``: calls on one tone grid and step
+    share them while they fit in ``_CACHED_TABLE_BYTES``."""
     n_blocks = -(-count // _BLOCK)
-    in_block, per_block = _phase_tables(omega.tobytes(), h, n_blocks)
+    tables = _phase_tables
+    if omega.size * (_BLOCK + n_blocks) * 16 > _CACHED_TABLE_BYTES:
+        tables = _phase_tables.__wrapped__
+    in_block, per_block = tables(omega.tobytes(), h, n_blocks)
     rows = coeffs.shape[0]
     scaled = (coeffs[:, :, None] * per_block).transpose(0, 2, 1)
     return (scaled.reshape(rows * n_blocks, omega.size) @ in_block).reshape(

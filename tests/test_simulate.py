@@ -6,6 +6,7 @@ import freqwin.bench as bench
 from freqwin import (ForcingSpec, ModelParams, ModelStructure, SimConfig,
                      Signal, add_noise, fft_spectrum, integrate_rk4, multisine,
                      random_system, resample, sample_forcing)
+from freqwin import simulate
 from freqwin.simulate import COMPONENT_INIT, _phase_tables, rng_for
 
 SCALAR = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
@@ -286,6 +287,17 @@ class TestPhaseTables:
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == 3
         np.testing.assert_array_equal(first.forcing.freqs, second.forcing.freqs)
+
+    def test_tables_above_the_bound_are_not_kept(self, monkeypatch):
+        spec = multisine(5, 1.0, 9.0, seed=8)
+        small = sample_forcing(spec, 1.0, 1024)
+        monkeypatch.setattr(simulate, "_CACHED_TABLE_BYTES", 5 * (256 + 3) * 16)
+        before = _phase_tables.cache_info()
+        large = sample_forcing(spec, 1.0, 1024)  # 5 tones x (256 + 5 blocks)
+        after = _phase_tables.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after.maxsize == 1
+        np.testing.assert_array_equal(large.values, small.values)
 
     def test_tables_are_read_only(self):
         omega = 2 * np.pi * np.array([1.0, 2.5])

@@ -382,7 +382,10 @@ class TestFErr:
                 f_err(spec, k, p)
         assert calls == [(spec, 0), (spec, 1)]
 
-    def test_cached_envelope_is_read_only(self):
+    def test_only_the_envelope_is_cached(self):
+        # the 163 265-bin refined spectra are dropped once their envelope,
+        # 10 000 values, is taken
+        assert not hasattr(_spectrum_samples, "cache_info")
         env = windows._envelope(make("cinf", 2.71875), 0)
         assert env.shape == (F_ERR_SEARCH_BINS,)
         with pytest.raises(ValueError):
