@@ -57,6 +57,8 @@ def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
                       fine_rate: int = REF_FINE_RATE,
                       structure: ModelStructure = REF_STRUCTURE) -> Dataset:
     """Simulate the reference experiment at the fine rate."""
+    if not math.isfinite(length):
+        raise ValueError(f"record length must be finite, not {length}")
     theta = random_system(structure, seed)
     forcing = multisine(REF_NUM_TONES, REF_F_MIN, REF_F_MAX, seed,
                         n_channels=structure.n_u)

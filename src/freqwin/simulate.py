@@ -8,11 +8,15 @@ The integrator is classical fixed-step RK4 specialized to the linear system
 dz/dt = A z + c(t).  Its step recurrence z_{n+1} = phi z_n + G_n is solved
 in closed form for the multisine drive and evaluated on the whole uniform
 grid in a few vectorised products, so no rounding accumulates over ~1e5
-sequential steps.  The homogeneous part is one batched BLAS product.  The
-phase tables depend only on the tone grid and the step, so the state and
-input records of one dataset share one read-only build; the last grid's
-tables are kept, up to 4 MiB, for a caller that simulates several datasets
-of one design.  ``ForcingSpec.evaluate`` serves arbitrary times.
+sequential steps.  The homogeneous part is one batched BLAS product, into
+which the tone sum is added a bounded run of blocks at a time.  The phase
+tables depend only on the tone grid and the step, so the state and input
+records of one dataset share one read-only build; the last grid's tables
+are kept, up to 4 MiB, for a caller that simulates several datasets of one
+design.  Resonance is checked exactly only for tones Weyl's inequality
+cannot clear, and the state record and its decimating slices are scanned
+for non-finite values once.  ``ForcingSpec.evaluate`` serves arbitrary
+times.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identify import ModelParams, ModelStructure
-from .spectral import Signal
+from .spectral import Signal, _finite_signal
 
 COMPONENT_SYSTEM = 1
 COMPONENT_FORCING = 2
@@ -156,8 +160,10 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
     G_n = sum_j g_j r_j^n, r_j = exp(i w_j h), so the record is the exact
     solution z_n = phi^n (z_0 - sum_j p_j) + sum_j p_j r_j^n with
     (r_j I - phi) p_j = g_j.  A tone with a numerically singular r_j I - phi
-    (resonance) raises RuntimeError, as does an overflowing state.  The
-    Signal carries x(T) so endpoint averaging stays available downstream.
+    (resonance, screened by ``_near_resonance``) raises RuntimeError, as
+    does an overflowing state; that check is the record's only finiteness
+    scan.  The Signal carries x(T) so endpoint averaging stays available
+    downstream.
     """
     s = theta.structure
     if config.structure != s:
@@ -203,31 +209,53 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
     r_minus_one = 2j * np.sin(omega * h / 2) * half
     g = (psi_start @ drive + (psi_mid @ drive) * half
          + (psi_end @ drive) * (1 + r_minus_one))
-    resolvent = r_minus_one[:, None, None] * np.eye(dim) - phi_minus_eye.astype(float)
-    cond = np.linalg.cond(resolvent)
-    if not (cond < _RESONANCE_COND).all():
-        j = np.argmax(~(cond < _RESONANCE_COND))
-        raise RuntimeError(f"tone f = {omega[j] / (2 * np.pi):.6g} Hz is resonant "
+    step_minus_eye = phi_minus_eye.astype(float)
+    resolvent = r_minus_one[:, None, None] * np.eye(dim) - step_minus_eye
+    near, cond = _near_resonance(resolvent, r_minus_one, step_minus_eye)
+    failed = ~(cond < _RESONANCE_COND)
+    if failed.any():
+        j = np.argmax(failed)
+        raise RuntimeError(f"tone f = {omega[near[j]] / (2 * np.pi):.6g} Hz is resonant "
                            f"with the RK4 step (resolvent condition {cond[j]:.3g})")
     p = np.linalg.solve(resolvent, g.T[:, :, None])[:, :, 0]
 
     # homogeneous part phi^n w at n = qB + m as phi^m (phi^(qB) w)
+    n_blocks = -(-(n_steps + 1) // _BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _orbit(eye + phi_minus_eye, eye, _BLOCK)
         w = (x0 - p.sum(axis=0)).astype(np.clongdouble)[:, None]
         starts = _orbit((eye + phi_minus_eye) @ powers[-1], w,
-                        -(-(n_steps + 1) // _BLOCK))[:, :, 0].astype(complex)
+                        n_blocks)[:, :, 0].astype(complex)
         # x[a, qB + m] = sum_i starts[q, i] powers[m, a, i]: one GEMM per
         # state row, written in place as (n_x, blocks, B)
         top = np.ascontiguousarray(powers[:, : s.n_x].astype(float).transpose(1, 2, 0))
-        x = (starts @ top).reshape(s.n_x, -1)[:, : n_steps + 1]
-        x += _grid_tone_sum(p[:, : s.n_x].T, omega, h, n_steps + 1)
+        x = (starts @ top).reshape(s.n_x, -1)
+        _grid_tone_sum(p[:, : s.n_x].T, omega, h, x, add=True)
+    x = x[:, : n_steps + 1]
     x[:, 0] = x0[: s.n_x]  # exactly x0, not (x0 - sum p) + sum p
     blown = ~np.isfinite(x).all(axis=0)
     if blown.any():
         raise RuntimeError(f"state blew up near t = {np.argmax(blown) * h:.6g}")
 
-    return Signal(length=config.length, values=x[:, :n_steps], terminal=x[:, n_steps])
+    return _finite_signal(config.length, x[:, :n_steps], x[:, n_steps])
+
+
+def _near_resonance(resolvent: np.ndarray, r_minus_one: np.ndarray,
+                    step_minus_eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the tones whose resolvent (r_j - 1) I - (phi - I) Weyl's
+    inequality cannot clear, and their exact condition numbers.
+
+    The resolvent's singular values lie within ||phi - I||_2 of |r_j - 1|,
+    so a tone with |r_j - 1| > 2 ||phi - I||_2 has condition below 3 and
+    cannot reach _RESONANCE_COND (strictly: at phi = I, r_j = 1 gives a
+    zero resolvent).  A NaN r_j takes the exact check, and so does every
+    tone when phi - I is not finite.
+    """
+    bound = np.inf
+    if np.isfinite(step_minus_eye).all():
+        bound = 2 * np.linalg.norm(step_minus_eye, 2)
+    near = np.flatnonzero(~(np.abs(r_minus_one) > bound))
+    return near, np.linalg.cond(resolvent[near])
 
 
 def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
@@ -247,6 +275,10 @@ def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
 # reference rate and T = 1 s, but the per-block table grows with the record
 # (98 MB at T = 100 s), so larger tables are built per call and dropped.
 _CACHED_TABLE_BYTES = 1 << 22
+# (row, block) pairs per tone-sum product: its temporaries (128 KiB of
+# product) are reused from the heap, where a record-sized one was mapped
+# afresh per call (about 170 page faults, 0.3-0.5 ms, at 7680 steps)
+_CHUNK_ROWS = 32
 
 
 @functools.lru_cache(maxsize=1)
@@ -263,27 +295,40 @@ def _phase_tables(omega_bytes: bytes, h: float,
 
 
 def _grid_tone_sum(coeffs: np.ndarray, omega: np.ndarray, h: float,
-                   count: int) -> np.ndarray:
-    """sum_j coeffs[:, j] exp(i omega_j n h) for n < count, as one product of
-    per-block phases R[j, q] (rows x blocks x tones) and in-block phases
-    S[j, m] (tones x B): the tones-by-samples phase matrix is never formed.
-    R and S come from ``_phase_tables``: calls on one tone grid and step
-    share them while they fit in ``_CACHED_TABLE_BYTES``."""
-    n_blocks = -(-count // _BLOCK)
+                   out: np.ndarray, add: bool = False) -> None:
+    """Write sum_j coeffs[:, j] exp(i omega_j n h) for every n of the
+    C-contiguous out (rows x whole blocks of B) into it, or add it with
+    ``add``.  Row a, block q is the product of the per-block phases
+    c_aj R[j, q] and the in-block phases S[j, m] (tones x B), taken about
+    _CHUNK_ROWS (a, q) pairs per product: neither the tones-by-samples
+    phase matrix nor a record-sized temporary is formed.  R and S come
+    from ``_phase_tables``: calls on one tone grid and step share them
+    while they fit in ``_CACHED_TABLE_BYTES``."""
+    rows, n_blocks = coeffs.shape[0], out.shape[1] // _BLOCK
     tables = _phase_tables
     if omega.size * (_BLOCK + n_blocks) * 16 > _CACHED_TABLE_BYTES:
         tables = _phase_tables.__wrapped__
     in_block, per_block = tables(omega.tobytes(), h, n_blocks)
-    rows = coeffs.shape[0]
-    scaled = (coeffs[:, :, None] * per_block).transpose(0, 2, 1)
-    return (scaled.reshape(rows * n_blocks, omega.size) @ in_block).reshape(
-        rows, -1)[:, :count]
+    out = out.reshape(rows, n_blocks, _BLOCK)
+    # whole rows per product while a row fits, else runs of one row
+    row_step, block_step = max(1, _CHUNK_ROWS // n_blocks), min(n_blocks, _CHUNK_ROWS)
+    for a in range(0, rows, row_step):
+        for q in range(0, n_blocks, block_step):
+            scaled = coeffs[a: a + row_step, None, :] * per_block.T[q: q + block_step]
+            scaled = scaled.reshape(scaled.shape[0] * scaled.shape[1], omega.size)
+            dest = out[a: a + row_step, q: q + block_step].reshape(-1, _BLOCK)
+            if add:
+                dest += scaled @ in_block
+            else:
+                np.matmul(scaled, in_block, out=dest)
 
 
 def sample_forcing(forcing: ForcingSpec, length: float, num_samples: int) -> Signal:
     """Forcing record on the uniform grid, terminal sample included."""
-    vals = _grid_tone_sum(forcing.amplitudes, 2 * np.pi * forcing.freqs,
-                          length / num_samples, num_samples + 1)
+    n_blocks = -(-(num_samples + 1) // _BLOCK)
+    vals = np.empty((forcing.num_channels, n_blocks * _BLOCK), dtype=complex)
+    _grid_tone_sum(forcing.amplitudes, 2 * np.pi * forcing.freqs,
+                   length / num_samples, vals)
     return Signal(length=length, values=vals[:, :num_samples],
                   terminal=vals[:, num_samples])
 
@@ -315,5 +360,4 @@ def resample(signal: Signal, target_num: int) -> Signal:
             f"cannot decimate {signal.num_samples} samples to {target_num}: "
             "non-integer stride"
         )
-    return Signal(length=signal.length, values=signal.values[:, ::stride],
-                  terminal=signal.terminal)
+    return _finite_signal(signal.length, signal.values[:, ::stride], signal.terminal)

@@ -28,7 +28,9 @@ class Signal:
 
     ``values`` has shape (n_channels, N) with sample times t_j = j T / N.
     ``terminal`` optionally carries the extra sample s(T) needed by the
-    endpoint-averaging option.
+    endpoint-averaging option.  The values are scanned for non-finite
+    entries once, at construction, and are treated as read-only: a slice
+    of them (a decimated record) shares their memory and is not scanned.
     """
 
     length: float
@@ -36,12 +38,15 @@ class Signal:
     terminal: np.ndarray | None = None
 
     def __post_init__(self):
+        self._set_fields(scan=True)
+
+    def _set_fields(self, scan: bool):
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim == 1:
             vals = vals[np.newaxis, :]
         if vals.shape[1] < 2:
             raise ValueError("need at least 2 samples")
-        if not np.isfinite(vals).all():
+        if scan and not np.isfinite(vals).all():
             raise ValueError("signal contains non-finite values")
         if not 0 < self.length < np.inf:
             raise ValueError("record length must be finite and positive")
@@ -69,6 +74,16 @@ class Signal:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.num_samples) * (self.length / self.num_samples)
+
+
+def _finite_signal(length: float, values, terminal=None) -> Signal:
+    """A Signal of values already known to be finite (a record checked for
+    blow-up, a slice of a Signal's values): every check but the scan."""
+    sig = object.__new__(Signal)
+    for name, value in (("length", length), ("values", values), ("terminal", terminal)):
+        object.__setattr__(sig, name, value)
+    sig._set_fields(scan=False)
+    return sig
 
 
 @dataclass(frozen=True)

@@ -558,6 +558,14 @@ class TestConfigAndExitCodes:
                      "--fine-rate", "0"]) == 2
         assert "fine rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+    def test_infinite_length_is_exit_2(self, tmp_path, command, capsys):
+        # used to overflow in reference_dataset's sample count (exit 1, traceback)
+        out = tmp_path / "l"
+        assert main([command, "--out", str(out), "--length", "inf"]) == 2
+        assert "record length must be finite, not inf" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_bad_sigma_is_exit_2(self, tmp_path, command, sigma, capsys):

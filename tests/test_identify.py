@@ -186,6 +186,30 @@ class TestSolver:
         own = solve_ls(replace(reg, poly_factor=None))
         assert_matches_pseudo_inverse(own.regression)
 
+    @pytest.mark.parametrize("window, n_p, sigma", [(None, 50, 1e-2), ("cinf:4", 0, 0.0)])
+    def test_residual_matches_direct_evaluation(self, window, n_p, sigma, monkeypatch):
+        """The residual formed from the projected columns against
+        theta2 M2 + M1 over every row, polynomial rows included, at the
+        solve's own complex theta2 (768 Hz)."""
+        solutions = []
+        solve = np.linalg.solve
+
+        def keep(a, b):
+            solutions.append(solve(a, b))
+            return solutions[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", keep)
+        x, u = reference_records_at(768, sigma)
+        spec = bench.parse_window(window) if window else None
+        report = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec, n_p=n_p)
+        reg = report.regression
+        direct = solutions[-1].T @ reg.m2 + reg.m1
+        norms = np.sqrt((np.abs(direct) ** 2).sum(axis=0))
+        tol = 1e-12 * np.linalg.norm(reg.m1)
+        got = report.per_frequency_residual.coeffs
+        assert np.abs(got - norms).max() <= tol
+        assert abs(report.residual_l2 - np.sqrt((norms**2).sum() / reg.length)) <= tol
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(0, 50),
            real_poly=st.booleans(), cached=st.booleans())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,7 +8,7 @@ import freqwin.bench as bench
 from freqwin import (ForcingSpec, ModelParams, ModelStructure, SimConfig,
                      Signal, add_noise, fft_spectrum, integrate_rk4, multisine,
                      random_system, resample, sample_forcing)
-from freqwin import simulate
+from freqwin import simulate, spectral
 from freqwin.simulate import COMPONENT_INIT, _phase_tables, rng_for
 
 SCALAR = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
@@ -359,6 +361,175 @@ class TestResonance:
         forcing = ForcingSpec(np.array([[1.0 + 0j]]), np.array([3.0]))
         out = integrate_rk4(theta, forcing, cfg)
         assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
+
+
+class _Screened(Exception):
+    """Stops integrate_rk4 once the resonance screen has run."""
+
+
+def spy_on_screen(monkeypatch, stop=False):
+    """Record (resolvent, near, cond) of every resonance screen."""
+    calls = []
+    screen = simulate._near_resonance
+
+    def spy(resolvent, r_minus_one, step_minus_eye):
+        near, cond = screen(resolvent, r_minus_one, step_minus_eye)
+        calls.append((resolvent, near, cond))
+        if stop:
+            raise _Screened
+        return near, cond
+
+    monkeypatch.setattr(simulate, "_near_resonance", spy)
+    return calls
+
+
+def assert_screen_is_exact(resolvent, near, cond):
+    """The screened per-tone decisions are those of the exact condition
+    number of every resolvent, and the values it computed are exact."""
+    full = np.linalg.cond(resolvent)
+    passed = np.ones(full.size, dtype=bool)
+    passed[near] = cond < simulate._RESONANCE_COND
+    np.testing.assert_array_equal(passed, full < simulate._RESONANCE_COND)
+    np.testing.assert_array_equal(cond, full[near])
+
+
+class TestResonanceScreen:
+    """Only tones Weyl's bound cannot clear get an exact condition number."""
+
+    @pytest.mark.parametrize("n_steps", [7680, 184320])
+    @pytest.mark.parametrize("dims", [(5, 5, 1, 0), (3, 3, 2, 1)])
+    def test_screen_matches_exact_condition(self, dims, n_steps, monkeypatch):
+        s = ModelStructure(*dims)
+        calls = spy_on_screen(monkeypatch, stop=True)
+        for seed in range(20):
+            forcing = multisine(bench.REF_NUM_TONES, bench.REF_F_MIN, bench.REF_F_MAX,
+                                seed, n_channels=s.n_u)
+            cfg = SimConfig(structure=s, dt=1.0 / n_steps, length=1.0, seed=seed)
+            with pytest.raises(_Screened):
+                integrate_rk4(random_system(s, seed), forcing, cfg)
+        for resolvent, near, cond in calls:
+            assert_screen_is_exact(resolvent, near, cond)
+        # the bound clears most tones: the screen is not a no-op
+        assert sum(near.size for _, near, _ in calls) < sum(r.shape[0] for r, _, _ in calls) / 2
+
+    @staticmethod
+    def rotation():
+        # x' = R x + u with R a rotation generator at 2 pi rad/s: normal
+        # dynamics, so |r_j - 1| of the +-1 Hz tones is within 1e-7 of
+        # ||phi - I||_2 while their resolvents are near-singular
+        s = ModelStructure(n_x=2, n_u=2, n_a=1, n_b=0)
+        w = 2 * np.pi
+        return ModelParams(s, A=(np.array([[0.0, -w], [w, 0.0]]), np.eye(2)),
+                           B=(np.eye(2),))
+
+    @pytest.mark.parametrize("system, freqs, steps", [
+        # the 1 Hz tone's condition grows like n^4 and crosses
+        # _RESONANCE_COND near n = 73 (oscillator) and n = 131 (rotation);
+        # the 20 Hz tone is cleared by the bound at every n here
+        ("undamped_oscillator", [1.0, 3.0, 20.0], range(60, 90, 2)),
+        ("rotation", [-1.0, 1.0, 20.0], range(110, 160, 4)),
+    ])
+    def test_decisions_straddling_the_threshold(self, system, freqs, steps, monkeypatch):
+        theta = (TestResonance.undamped_oscillator() if system == "undamped_oscillator"
+                 else self.rotation())
+        freqs = np.array(freqs)
+        forcing = ForcingSpec(np.ones((theta.structure.n_u, 3), dtype=complex), freqs)
+        calls = spy_on_screen(monkeypatch)
+        outcomes = set()
+        for n in steps:
+            cfg = SimConfig(structure=theta.structure, dt=1.0 / n, length=1.0,
+                            x0=np.array([1.0, 0.0]))
+            try:
+                integrate_rk4(theta, forcing, cfg)
+                message = None
+            except RuntimeError as exc:
+                message = str(exc)
+            resolvent, near, cond = calls[-1]
+            assert_screen_is_exact(resolvent, near, cond)
+            assert 2 not in near
+            full = np.linalg.cond(resolvent)
+            failed = ~(full < simulate._RESONANCE_COND)
+            want = None
+            if failed.any():
+                j = np.argmax(failed)
+                want = (f"tone f = {freqs[j]:.6g} Hz is resonant with the RK4 step "
+                        f"(resolvent condition {full[j]:.3g})")
+            assert message == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_zero_drift_dc_tone_is_not_cleared(self):
+        # phi = I and r = 1 make the resolvent 0; |r - 1| = 2 ||phi - I|| = 0
+        # must go to the exact check, not pass the bound
+        theta = scalar_system(0.0, 1.0)
+        forcing = ForcingSpec(np.ones((1, 1), dtype=complex), np.array([0.0]))
+        cfg = SimConfig(structure=SCALAR, dt=1.0 / 64, length=1.0, x0=np.array([1.0]))
+        with pytest.raises(RuntimeError, match="tone f = 0 Hz is resonant.*condition inf"):
+            integrate_rk4(theta, forcing, cfg)
+
+
+class TestRecordBuffers:
+    """One record-sized buffer per record, each scanned for blow-up once."""
+
+    def test_full_rate_peak_memory(self):
+        theta = random_system(bench.REF_STRUCTURE, 7)
+        forcing = multisine(bench.REF_NUM_TONES, bench.REF_F_MIN, bench.REF_F_MAX, 7,
+                            n_channels=bench.REF_STRUCTURE.n_u)
+        cfg = SimConfig(structure=bench.REF_STRUCTURE, dt=1.0 / bench.REF_FINE_RATE,
+                        length=1.0, seed=7)
+        _phase_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            out = integrate_rk4(theta, forcing, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # observed 1.19 with the phase tables built inside; 2.44 with a
+        # record-sized tone sum added into the state record
+        assert peak <= 1.5 * out.values.nbytes
+
+    @pytest.mark.parametrize("chunk", [50, 400])
+    def test_chunked_tone_sum_matches_one_product(self, chunk, monkeypatch):
+        # 40 001 samples are 157 blocks: chunk 50 takes runs of one row,
+        # chunk 400 two whole rows per product
+        theta = random_system(ModelStructure(3, 2, 1, 0), 12)
+        forcing = multisine(11, 1.0, 17.0, seed=12, n_channels=2)
+        cfg = SimConfig(structure=theta.structure, dt=1.0 / 40000, length=1.0, seed=12)
+
+        def records():
+            return [with_terminal(integrate_rk4(theta, forcing, cfg)),
+                    with_terminal(sample_forcing(forcing, 1.0, 40000))]
+
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk)
+        chunked = records()
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 1 << 20)
+        for got, want in zip(chunked, records()):
+            assert got.shape[1] == 40001
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_state_record_and_slices_not_rescanned(self, monkeypatch):
+        scans = []
+        post_init = Signal.__post_init__
+        monkeypatch.setattr(Signal, "__post_init__",
+                            lambda sig: scans.append(sig) or post_init(sig))
+        ds = bench.reference_dataset(3, fine_rate=bench.REF_FINE_RATE // 24)
+        assert [sig.values is ds.u.values for sig in scans] == [True]
+        x, u = ds.decimated(80)
+        assert scans[1:] == []
+        np.testing.assert_array_equal(x.values, ds.x.values[:, ::96])
+        np.testing.assert_array_equal(u.terminal, ds.u.terminal)
+
+    def test_unscanned_records_keep_the_other_checks(self):
+        finite = spectral._finite_signal(2.0, np.arange(4.0), np.array([4.0]))
+        scanned = Signal(2.0, np.arange(4.0), np.array([4.0]))
+        assert finite.length == scanned.length
+        for got, want in ((finite.values, scanned.values), (finite.terminal, scanned.terminal)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="2 samples"):
+            spectral._finite_signal(1.0, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="finite and positive"):
+            spectral._finite_signal(np.inf, np.ones(4))
 
 
 def test_reference_dataset_matches_exact_ode():
