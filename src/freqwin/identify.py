@@ -301,8 +301,8 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     its SVD gives ``m2_singular_values``, and a numerical rank below M2's
     row count (see RANK_RTOL) raises RankDeficiencyError.  Solving S
     against [Qw^H; Qp^H] (-M1^T) then gives the model parameters and the
-    polynomial coefficients.  With n_p = 0, S is Rw and nothing is
-    projected.  The fit residual is W model^T plus the projected M1^T.
+    polynomial coefficients.  With n_p = 0, S is Rw.  The fit residual is
+    W model^T plus the projected M1^T.
     """
     rows, cols = reg.m2.shape
     if cols < rows:
@@ -312,20 +312,16 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         )
     t0 = time.perf_counter()
     n_m = rows - reg.n_poly
+    qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
     # [Mm^T | -M1^T] projected off Qp; R of its QR is [[Rw, Qw^H (-M1^T)], ..]
     aug = np.vstack([reg.m2[:n_m], -reg.m1]).T.copy()
-    if reg.n_poly:
-        qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
-        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
-        aug -= _times(qp, proj)
+    proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
+    aug -= _times(qp, proj)
     r_aug = np.linalg.qr(aug, mode="r")
-    tri, rhs = r_aug[:n_m, :n_m], r_aug[:n_m, n_m:]
-    if reg.n_poly:
-        tri = np.zeros((rows, rows), dtype=complex)
-        tri[:n_m, :n_m] = r_aug[:n_m, :n_m]
-        tri[n_m:, :n_m] = proj[:, :n_m]
-        tri[n_m:, n_m:] = rp
-        rhs = np.vstack([rhs, proj[:, n_m:]])
+    tri = np.zeros((rows, rows), dtype=complex)
+    tri[:n_m, :n_m] = r_aug[:n_m, :n_m]
+    tri[n_m:, :n_m] = proj[:, :n_m]
+    tri[n_m:, n_m:] = rp
     s = np.linalg.svd(tri, compute_uv=False)
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     if rank < rows:
@@ -334,13 +330,13 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
             f"numerical rank {rank} below parameter row count {rows} "
             f"(smallest singular value ratio {ratio:.2e})"
         )
-    theta2 = np.linalg.solve(tri, rhs).T
+    theta2 = np.linalg.solve(tri, np.vstack([r_aug[:n_m, n_m:], proj[:, n_m:]])).T
     wall = time.perf_counter() - t0
     model = theta2[:, :n_m]
     # the polynomial part of the fit is the projection onto Qp, so the
-    # residual (theta2 M2 + M1)^T is W model^T minus the projected -M1^T
-    fit_resid = aug[:, :n_m] @ model.T - aug[:, n_m:]
-    norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=1))
+    # residual theta2 M2 + M1 is model W^T minus the projected -M1
+    fit_resid = model @ aug[:, :n_m].T - aug[:, n_m:].T
+    norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0))
     resid_l2 = float(np.sqrt((norms**2).sum() / reg.length))
     per_freq = Spectrum(length=reg.length, coeffs=norms.astype(complex),
                         freqs=reg.freqs)

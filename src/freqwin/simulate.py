@@ -8,15 +8,15 @@ The integrator is classical fixed-step RK4 specialized to the linear system
 dz/dt = A z + c(t).  Its step recurrence z_{n+1} = phi z_n + G_n is solved
 in closed form for the multisine drive and evaluated on the whole uniform
 grid in a few vectorised products, so no rounding accumulates over ~1e5
-sequential steps.  The homogeneous part is one batched BLAS product, into
-which the tone sum is added a bounded run of blocks at a time.  The phase
-tables depend only on the tone grid and the step, so the state and input
-records of one dataset share one read-only build; the last grid's tables
-are kept, up to 4 MiB, for a caller that simulates several datasets of one
-design.  Resonance is checked exactly only for tones Weyl's inequality
-cannot clear, and the state record and its decimating slices are scanned
-for non-finite values once.  ``ForcingSpec.evaluate`` serves arbitrary
-times.
+sequential steps.  The tone sum is one BLAS product that becomes the state
+record, and the homogeneous part is added to it one GEMM per state row, so
+no second record-sized array is formed.  The phase tables depend only on
+the tone grid and the step, so the state and input records of one dataset
+share one read-only build; the last grid's tables are kept, up to 4 MiB,
+for a caller that simulates several datasets of one design.  Resonance is
+checked exactly only for tones Weyl's inequality cannot clear, and the
+state record and its decimating slices are scanned for non-finite values
+once.  ``ForcingSpec.evaluate`` serves arbitrary times.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
         raise ValueError("config structure differs from the model's")
     if forcing.num_channels != s.n_u:
         raise ValueError("forcing channel count must match the input dimension")
-    if not np.allclose(theta.A[s.n_a], np.eye(s.n_x)):
+    top_coeff, eye_x = theta.A[s.n_a], np.eye(s.n_x)  # exact I skips allclose's cost
+    if not (np.array_equal(top_coeff, eye_x) or np.allclose(top_coeff, eye_x)):
         raise ValueError("integration assumes the normalization A_{n_a} = I")
     n_steps = config.num_steps
     h = config.length / n_steps
@@ -219,22 +220,24 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
                            f"with the RK4 step (resolvent condition {cond[j]:.3g})")
     p = np.linalg.solve(resolvent, g.T[:, :, None])[:, :, 0]
 
-    # homogeneous part phi^n w at n = qB + m as phi^m (phi^(qB) w)
+    # tone sum in a fresh (n_x, blocks, B) record, then the homogeneous part
+    # phi^n w at n = qB + m as phi^m (phi^(qB) w) added in place
     n_blocks = -(-(n_steps + 1) // _BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
+        x = _grid_tone_sum(p[:, : s.n_x].T, omega, h, n_blocks)
         powers = _orbit(eye + phi_minus_eye, eye, _BLOCK)
         w = (x0 - p.sum(axis=0)).astype(np.clongdouble)[:, None]
         starts = _orbit((eye + phi_minus_eye) @ powers[-1], w,
                         n_blocks)[:, :, 0].astype(complex)
-        # x[a, qB + m] = sum_i starts[q, i] powers[m, a, i]: one GEMM per
-        # state row, written in place as (n_x, blocks, B)
+        # x[a, qB + m] += sum_i starts[q, i] powers[m, a, i]: one GEMM per
+        # state row, so no second record-sized array is formed
         top = np.ascontiguousarray(powers[:, : s.n_x].astype(float).transpose(1, 2, 0))
-        x = (starts @ top).reshape(s.n_x, -1)
-        _grid_tone_sum(p[:, : s.n_x].T, omega, h, x, add=True)
-    x = x[:, : n_steps + 1]
+        for a in range(s.n_x):
+            x[a] += starts @ top[a]
+    x = x.reshape(s.n_x, -1)[:, : n_steps + 1]
     x[:, 0] = x0[: s.n_x]  # exactly x0, not (x0 - sum p) + sum p
-    blown = ~np.isfinite(x).all(axis=0)
-    if blown.any():
+    if not np.isfinite(x.view(float)).all():
+        blown = ~np.isfinite(x).all(axis=0)
         raise RuntimeError(f"state blew up near t = {np.argmax(blown) * h:.6g}")
 
     return _finite_signal(config.length, x[:, :n_steps], x[:, n_steps])
@@ -275,10 +278,6 @@ def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
 # reference rate and T = 1 s, but the per-block table grows with the record
 # (98 MB at T = 100 s), so larger tables are built per call and dropped.
 _CACHED_TABLE_BYTES = 1 << 22
-# (row, block) pairs per tone-sum product: its temporaries (128 KiB of
-# product) are reused from the heap, where a record-sized one was mapped
-# afresh per call (about 170 page faults, 0.3-0.5 ms, at 7680 steps)
-_CHUNK_ROWS = 32
 
 
 @functools.lru_cache(maxsize=1)
@@ -295,40 +294,27 @@ def _phase_tables(omega_bytes: bytes, h: float,
 
 
 def _grid_tone_sum(coeffs: np.ndarray, omega: np.ndarray, h: float,
-                   out: np.ndarray, add: bool = False) -> None:
-    """Write sum_j coeffs[:, j] exp(i omega_j n h) for every n of the
-    C-contiguous out (rows x whole blocks of B) into it, or add it with
-    ``add``.  Row a, block q is the product of the per-block phases
-    c_aj R[j, q] and the in-block phases S[j, m] (tones x B), taken about
-    _CHUNK_ROWS (a, q) pairs per product: neither the tones-by-samples
-    phase matrix nor a record-sized temporary is formed.  R and S come
-    from ``_phase_tables``: calls on one tone grid and step share them
-    while they fit in ``_CACHED_TABLE_BYTES``."""
-    rows, n_blocks = coeffs.shape[0], out.shape[1] // _BLOCK
+                   n_blocks: int) -> np.ndarray:
+    """sum_j coeffs[:, j] exp(i omega_j n h) for n < n_blocks B, as (rows,
+    n_blocks, B): one product of the per-block phases c_aj R[j, q] ((row,
+    block) pairs x tones) and the in-block phases S[j, m] (tones x B), so
+    the tones-by-samples phase matrix is never formed.  R and S come from
+    ``_phase_tables``: calls on one tone grid and step share them while
+    they fit in ``_CACHED_TABLE_BYTES``."""
     tables = _phase_tables
     if omega.size * (_BLOCK + n_blocks) * 16 > _CACHED_TABLE_BYTES:
         tables = _phase_tables.__wrapped__
     in_block, per_block = tables(omega.tobytes(), h, n_blocks)
-    out = out.reshape(rows, n_blocks, _BLOCK)
-    # whole rows per product while a row fits, else runs of one row
-    row_step, block_step = max(1, _CHUNK_ROWS // n_blocks), min(n_blocks, _CHUNK_ROWS)
-    for a in range(0, rows, row_step):
-        for q in range(0, n_blocks, block_step):
-            scaled = coeffs[a: a + row_step, None, :] * per_block.T[q: q + block_step]
-            scaled = scaled.reshape(scaled.shape[0] * scaled.shape[1], omega.size)
-            dest = out[a: a + row_step, q: q + block_step].reshape(-1, _BLOCK)
-            if add:
-                dest += scaled @ in_block
-            else:
-                np.matmul(scaled, in_block, out=dest)
+    rows = coeffs.shape[0]
+    scaled = (coeffs[:, None, :] * per_block.T).reshape(rows * n_blocks, omega.size)
+    return (scaled @ in_block).reshape(rows, n_blocks, _BLOCK)
 
 
 def sample_forcing(forcing: ForcingSpec, length: float, num_samples: int) -> Signal:
     """Forcing record on the uniform grid, terminal sample included."""
-    n_blocks = -(-(num_samples + 1) // _BLOCK)
-    vals = np.empty((forcing.num_channels, n_blocks * _BLOCK), dtype=complex)
-    _grid_tone_sum(forcing.amplitudes, 2 * np.pi * forcing.freqs,
-                   length / num_samples, vals)
+    vals = _grid_tone_sum(forcing.amplitudes, 2 * np.pi * forcing.freqs,
+                          length / num_samples, -(-(num_samples + 1) // _BLOCK))
+    vals = vals.reshape(forcing.num_channels, -1)
     return Signal(length=length, values=vals[:, :num_samples],
                   terminal=vals[:, num_samples])
 

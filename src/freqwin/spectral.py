@@ -37,16 +37,15 @@ class Signal:
     values: np.ndarray
     terminal: np.ndarray | None = None
 
-    def __post_init__(self):
-        self._set_fields(scan=True)
+    _scan = True  # cleared per instance by _finite_signal; not a field
 
-    def _set_fields(self, scan: bool):
+    def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim == 1:
             vals = vals[np.newaxis, :]
         if vals.shape[1] < 2:
             raise ValueError("need at least 2 samples")
-        if scan and not np.isfinite(vals).all():
+        if self._scan and not np.isfinite(vals).all():
             raise ValueError("signal contains non-finite values")
         if not 0 < self.length < np.inf:
             raise ValueError("record length must be finite and positive")
@@ -76,13 +75,14 @@ class Signal:
         return np.arange(self.num_samples) * (self.length / self.num_samples)
 
 
-def _finite_signal(length: float, values, terminal=None) -> Signal:
-    """A Signal of values already known to be finite (a record checked for
-    blow-up, a slice of a Signal's values): every check but the scan."""
+def _finite_signal(*args, **kwargs) -> Signal:
+    """Signal(*args, **kwargs) for values already known to be finite (a
+    record checked for blow-up, a slice of a Signal's values): the same
+    constructor and checks, less the non-finite scan."""
     sig = object.__new__(Signal)
-    for name, value in (("length", length), ("values", values), ("terminal", terminal)):
-        object.__setattr__(sig, name, value)
-    sig._set_fields(scan=False)
+    object.__setattr__(sig, "_scan", False)
+    sig.__init__(*args, **kwargs)
+    object.__delattr__(sig, "_scan")
     return sig
 
 
