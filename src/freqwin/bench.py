@@ -9,6 +9,7 @@ length T = 1 s is a benchmark convention that makes the bin spacing 1 Hz.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .identify import (EstimateReport, ModelParams, ModelStructure,
@@ -62,13 +63,22 @@ def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
     theta = random_system(structure, seed)
     forcing = multisine(REF_NUM_TONES, REF_F_MIN, REF_F_MAX, seed,
                         n_channels=structure.n_u)
-    n_fine = int(round(fine_rate * length))
+    steps = fine_rate * length
+    record_bytes = 16.0 * (structure.n_x + structure.n_u) * (steps + 1)  # complex x, u
+    too_big = (f"record length {length} needs {steps:.6g} steps at fine rate {fine_rate} "
+               f"and {record_bytes:.3g} bytes of records, more than memory holds")
+    if record_bytes > sys.maxsize:  # beyond numpy's index range
+        raise ValueError(too_big)
+    n_fine = int(round(steps))
     if n_fine < 1:
         raise ValueError(f"fine rate {fine_rate} gives no samples over length {length}")
     config = SimConfig(structure=structure, dt=length / n_fine, length=length,
                        seed=seed)
-    x = integrate_rk4(theta, forcing, config)
-    u = sample_forcing(forcing, length, n_fine)
+    try:
+        x = integrate_rk4(theta, forcing, config)
+        u = sample_forcing(forcing, length, n_fine)
+    except MemoryError:
+        raise ValueError(too_big) from None
     return Dataset(x=x, u=u, theta_true=theta, forcing=forcing, seed=seed)
 
 

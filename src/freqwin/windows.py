@@ -17,6 +17,10 @@ Derivatives are exact: a sine-window derivative is a sum of sin^a cos^b
 terms with integer coefficients, a bump-family derivative the window times a
 rational prefactor built once per (order, k) in exact fractions.  Every
 window is even about 1/2: w^(k)(1 - s) = (-1)^k w^(k)(s).
+
+The spectral diagnostics (``window_spectrum``, ``f_err``) need numpy only.
+They transform the derivative rows in even/odd pairs (k, k + 1), both rows
+in one chirp z-transform, so a row's partner costs nothing extra.
 """
 
 from __future__ import annotations
@@ -231,21 +235,39 @@ def window_area(spec: WindowSpec) -> float:
     return float(0.5 * np.sum(weights * window_value(spec, 0, sq)))
 
 
-@functools.lru_cache(maxsize=4)
-def _chirp_plan(n: int, m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp c_j = exp(-i pi (j^2 mod 2 size) / size) and the FFT of the
-    kernel conj(c_{q-j}), q < m, j < n, wrapped for a circular convolution."""
-    import scipy.fft  # only f_err's diagnostic transform needs scipy
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b >= n: a length numpy's FFT runs at full speed."""
+    best, p3 = 1 << (n - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
-    j = np.arange(max(n, m), dtype=np.int64)
+
+@functools.lru_cache(maxsize=4)
+def _chirp_plan(n: int, keep: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp c_j = exp(-i pi (j^2 mod 2 size) / size) for j < max(n, keep + 1),
+    and the FFT of the kernel h_e = conj(c_|e - keep|), e in [-(n - 1), 2 keep],
+    wrapped for a circular convolution of _fast_len(n + 2 keep) points.  The
+    output r in [0, 2 keep] of inputs j < n then takes no wrapped term and
+    is sum_j x_j conj(c_(q - j)) for the bin q = r - keep.  The kernel is
+    built and transformed in its own buffer."""
+    j = np.arange(max(n, keep + 1), dtype=np.int64)
     chirp = np.exp(-1j * np.pi / size * ((j * j) % (2 * size)))
-    pad = np.zeros(scipy.fft.next_fast_len(n + m - 1) - (n + m - 1))
-    return chirp, scipy.fft.fft(np.concatenate([chirp[:m], pad, chirp[n - 1:0:-1]]).conj())
+    kernel = np.zeros(_fast_len(n + 2 * keep), dtype=complex)
+    d = np.arange(kernel.size, dtype=np.int64) - keep
+    d[2 * keep + 1:] -= kernel.size  # e < 0 wraps to the end
+    kernel.imag[:] = (d * d % (2 * size)) * (np.pi / size)
+    np.exp(kernel, out=kernel)
+    kernel[2 * keep + 1: kernel.size - n + 1] = 0.0
+    return chirp, np.fft.fft(kernel, out=kernel)
 
 
 def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
                       refine: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """DFT of d^k w/ds^k from n_hi samples, on the bins q / refine <= m_max.
+    """DFTs of d^k w/ds^k and d^(k+1) w/ds^(k+1), k even, from n_hi samples
+    each, on the bins q / refine <= m_max: rows 0 and 1 of the result.  The
+    rectangular window packs a zero row, so its row 1 holds rounding only.
 
     n_hi >= 32 m_max keeps the diagnostic's own aliasing below 1e-14 of
     the peak for smooth windows, 1e-11 for 1/m^2 tails at f_err's bound.
@@ -253,30 +275,56 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     only the right half enters Y_q = sum_{i<c} v_{c+i} omega^(qi), where
     omega = exp(-2 pi i / M), M = refine n_hi, and X_q = v_0 + omega^(qc) B_q
     with omega^(qc) = exp(-i pi (q mod 2 refine) / refine) and B_q equal to
-    2 Re Y_q - v_c for even k, 2i Im Y_q for odd k (v_c = 0).  Only bins
-    q <= keep are formed, by the chirp z-transform: iq = (i^2 + q^2 -
-    (q - i)^2) / 2 makes Y_q = c_q sum_i v_{c+i} c_i conj(c_{q-i}), one FFT
-    convolution of next_fast_len(c + keep) points.  Its chirp phase comes
-    from the integer i^2 mod 2M, as scipy.signal.czt's float power is off by
+    2 Re Y_q - v_c for even k, 2i Im Y_q for odd k (v_c = 0).  Both rows go
+    through one complex transform Z_q = sum_i z_i omega^(qi) of the packed
+    right halves z = 2^-e_a a + i 2^-e_b b.  The exact power-of-two scales
+    put each row's rounding relative to its own peak, and since a and b are
+    real, 2^-e_a Re Y_a(q) = (Re Z_q + Re Z_-q) / 2 and
+    2^-e_b Im Y_b(q) = (Re Z_-q - Re Z_q) / 2.  Only the bins |q| <= keep
+    are formed, by the chirp z-transform: iq = (i^2 + q^2 - (q - i)^2) / 2
+    makes Z_q = c_q sum_i z_i c_i conj(c_{q-i}), one FFT convolution of
+    _fast_len(c + 2 keep) points in one buffer.  Its chirp phase comes from
+    the integer i^2 mod 2M, as scipy.signal.czt's float power is off by
     4.2e-9 of the peak, enough to move f_err at p = 1e-12; the bins stay
-    within 5.5e-16 of a direct DFT.  The chirp cache is keyed by sizes.
+    within 8.2e-16 of each row's peak from a direct DFT of that row alone
+    (1.4e-15 for sin_64, whose samples peak 12-14x above its transform).
+    The chirp cache is keyed by sizes.
     """
-    import scipy.fft
-
     n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * m_max)))))
     half = n_hi // 2
-    right = window_value(spec, k, (half + np.arange(half)) * (1.0 / n_hi))
+    s = np.arange(half, n_hi + 2) * (1.0 / n_hi)
+    s[-2:] = 0.0, 1.0  # the edges, for the wrap sample
+    rows = np.zeros((2, s.size))
+    for j in range(1 if spec.family == "rectangular" else 2):
+        rows[j] = window_value(spec, k + j, s)
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
-    wrap = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, 1.0))
+    wrap = 0.5 * (rows[:, -2] + rows[:, -1])
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=1))[1])
     keep = int(round(m_max * refine))
-    chirp, kernel = _chirp_plan(half, keep + 1, refine * n_hi)
-    conv = scipy.fft.ifft(scipy.fft.fft(right * chirp[:half], n=kernel.size) * kernel)
-    y = conv[: keep + 1] * chirp[: keep + 1]
-    fold = 2.0 * y.real - right[0] if k % 2 == 0 else 2j * y.imag
-    q = np.arange(keep + 1)
-    shift = np.exp(-1j * np.pi / refine * np.arange(2 * refine))[q % (2 * refine)]
-    return q / refine, (1.0 / n_hi) * (wrap + shift * fold)
+    chirp, kernel = _chirp_plan(half, keep, refine * n_hi)
+    buf = np.empty(kernel.size, dtype=complex)
+    np.multiply(rows[0, :half], scale[0], out=buf.real[:half])
+    np.multiply(rows[1, :half], scale[1], out=buf.imag[:half])
+    buf[:half] *= chirp[:half]
+    buf[half:] = 0.0
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    np.fft.ifft(buf, out=buf)
+    buf[keep: 2 * keep + 1] *= chirp[: keep + 1]  # bin q at keep + q, c_-q = c_q
+    buf[:keep] *= chirp[keep: 0: -1]
+    pos, neg = buf.real[keep: 2 * keep + 1], buf.real[keep:: -1]
+    # B_q: 2 Re Y_a - v_c, real, and 2i Im Y_b, imaginary
+    out = np.zeros((2, keep + 1), dtype=complex)
+    np.add(pos, neg, out=out.real[0])
+    out.real[0] /= scale[0]
+    out.real[0] -= rows[0, 0]
+    np.subtract(neg, pos, out=out.imag[1])
+    out.imag[1] /= scale[1]
+    out *= np.resize(np.exp(-1j * np.pi / refine * np.arange(2 * refine)), keep + 1)
+    out += wrap[:, None]
+    out *= 1.0 / n_hi
+    return np.arange(keep + 1) / refine, out
 
 
 def window_spectrum(spec: WindowSpec, k: int, f_max: int = 128) -> Spectrum:
@@ -290,27 +338,30 @@ def window_spectrum(spec: WindowSpec, k: int, f_max: int = 128) -> Spectrum:
     if not 0 <= f_max <= F_ERR_SEARCH_BINS or f_max != int(f_max):
         raise ValueError(f"f_max must be a whole number of bins in "
                          f"[0, {F_ERR_SEARCH_BINS}], not {f_max}")
-    freqs, coeffs = _spectrum_samples(spec, k, f_max, refine=1)
-    return Spectrum(length=1.0, coeffs=coeffs[np.newaxis, :], freqs=freqs)
+    if spec.family == "rectangular" and k >= 1:
+        raise ValueError("rectangular window has no derivative spectra")
+    freqs, coeffs = _spectrum_samples(spec, k - k % 2, f_max, refine=1)
+    return Spectrum(length=1.0, coeffs=coeffs[np.newaxis, k % 2], freqs=freqs)
 
 
 @functools.lru_cache(maxsize=8)
-def _envelope(spec: WindowSpec, k: int) -> np.ndarray:
-    """sup_{|m'| >= m} |w_k(m')| / S at the bins m = 1..F_ERR_SEARCH_BINS.
+def _envelope(spec: WindowSpec, pair: int) -> np.ndarray:
+    """sup_{|m'| >= m} |w_k(m')| / S at the bins m = 1..F_ERR_SEARCH_BINS,
+    as rows for k = 2 pair and 2 pair + 1.
 
     The sup is taken on a 16x refined grid (leakage between the bins is what
     aliases; even-order sine windows are exactly zero ON the bins): by parity
-    ``_spectrum_samples`` transforms only the 2^18-sample right half of the
-    2^19-sample record, one 425 920-point chirp z-transform convolution for
-    the 163 265 kept bins of its 2^23 point DFT.  Only the 10 000 envelope
-    values are kept, read-only, not the spectrum.
+    ``_spectrum_samples`` transforms only the 2^18-sample right halves of the
+    2^19-sample records, both rows in one 589 824-point chirp z-transform
+    convolution for the 163 265 kept bins of their 2^23 point DFTs.  Only
+    the 2 x 10 000 envelope values are kept, read-only, not the spectra.
     """
     refine = 16
     # small slack above the bound so the sup is taken over a full tail
-    _, coeffs = _spectrum_samples(spec, k, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
+    _, coeffs = _spectrum_samples(spec, 2 * pair, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
     mag = np.abs(coeffs) / window_area(spec)
-    env = np.maximum.accumulate(mag[::-1])[::-1]
-    out = env[refine : F_ERR_SEARCH_BINS * refine + 1 : refine].copy()
+    env = np.maximum.accumulate(mag[:, ::-1], axis=1)[:, ::-1]
+    out = env[:, refine : F_ERR_SEARCH_BINS * refine + 1 : refine].copy()
     out.flags.writeable = False
     return out
 
@@ -320,15 +371,18 @@ def f_err(spec: WindowSpec, k: int, p: float) -> float:
     on a record of length T.
 
     S is the base window's area for every derivative order.  The envelope
-    comes from ``_envelope``, built once per (spec, k) and shared by every
-    threshold p.  Returns inf when the threshold is not met at
-    m <= F_ERR_SEARCH_BINS.
+    comes from ``_envelope``, built once per (spec, k // 2) for k and its
+    even/odd partner and shared by every threshold p.  Returns inf when the
+    threshold is not met at m <= F_ERR_SEARCH_BINS.  The transform's
+    rounding is about 1e-16 of its peak, so a value whose p S lies below
+    about 1e-14 of the peak of |w_k| is rounding noise: last-bit changes in
+    the samples can move it.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")
     if spec.family == "rectangular" and k >= 1:
         raise ValueError("rectangular window has no derivative spectra")
-    below = np.flatnonzero(_envelope(spec, k) < p)
+    below = np.flatnonzero(_envelope(spec, k // 2)[k % 2] < p)
     return float(below[0] + 1) if below.size else np.inf
 
 

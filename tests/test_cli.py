@@ -566,6 +566,30 @@ class TestConfigAndExitCodes:
         assert "record length must be finite, not inf" in capsys.readouterr().err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("length", ["1e12", "1e300"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+    def test_huge_length_is_exit_2(self, tmp_path, command, length, capsys):
+        # 1e12 used to exit 1 with numpy's MemoryError traceback, 1e300 to
+        # exit 2 with its bare "Maximum allowed size exceeded"; neither
+        # record is addressable, so nothing is allocated
+        out = tmp_path / "l"
+        assert main([command, "--out", str(out), "--length", length]) == 2
+        err = capsys.readouterr().err
+        assert f"record length {float(length)} needs 1.8432e+" in err
+        assert "bytes of records, more than memory holds" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_out_of_memory_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an addressable record the machine cannot hold: the allocation's
+        # MemoryError names the length, the steps and the bytes
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(bench, "integrate_rk4", no_memory)
+        assert main(["simulate", "--out", str(tmp_path / "m"), "--length", "1e4"]) == 2
+        assert ("record length 10000.0 needs 1.8432e+09 steps at fine rate 184320 "
+                "and 2.95e+11 bytes") in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_bad_sigma_is_exit_2(self, tmp_path, command, sigma, capsys):

@@ -279,57 +279,89 @@ class TestWindowSpectrum:
 
 
 def test_spectrum_samples_own_their_memory():
-    # views into the convolution buffer would keep it alive with the spectrum
-    for k in (0, 1):
+    # views into the convolution buffer would keep it alive with the spectra
+    for k in (0, 2):
         freqs, coeffs = _spectrum_samples(make("cinf", 0.4375), k, 104.0, refine=16)
         assert freqs.base is None and coeffs.base is None
-        assert freqs.size == coeffs.size == 104 * 16 + 1
+        assert freqs.shape == (104 * 16 + 1,) and coeffs.shape == (2, 104 * 16 + 1)
 
 
 # sin_2 at k = 2 has a nonzero wrap sample (2 pi^2); rect (k = 0) and
-# poly_ref_6 (k = 1) are nonzero at the record's edges
-DFT_CASES = [(k, make("sin", 2)) for k in (0, 1, 2)] + [
+# poly_ref_6 (k = 1) are nonzero at the record's edges.  The samples of
+# sin_64's pair (2, 3) peak at 632 and 2.2e4, those of poly_ref_6's pair
+# (0, 1) at 1 and 0.19: each row must keep its rounding relative to its
+# own peak.
+DFT_CASES = [(k, make("sin", 2)) for k in (0, 1, 2, 3)] + [
     (k, make("cinf", 0.3125)) for k in (0, 1)] + [
-    (1, make("poly_ref", 6)), (0, make("rectangular"))]
+    (k, make("poly_ref", 6)) for k in (0, 1)] + [
+    (k, make("sin", 64)) for k in (2, 3)] + [(0, make("rectangular"))]
 
 
 @pytest.mark.parametrize("k,spec", DFT_CASES, ids=[f"{k}-{s.label}" for k, s in DFT_CASES])
 def test_refined_transform_matches_direct_dft(spec, k):
-    """The half-record chirp z-transform bins of f_err's default range
-    against the direct DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of all n
-    samples, which uses no symmetry.  With j = 1024 a + b the phase splits
-    into two integer-reduced factors, so the sum over b runs as one matrix
-    product for all bins at once."""
-    freqs, coeffs = _spectrum_samples(spec, k, 10000.0 * 1.02 + 4.0, refine=16)
+    """Row k of the pair transform on f_err's default range against the
+    direct DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of all n samples of
+    d^k w/ds^k alone, which uses no symmetry and no partner row.  With
+    j = 1024 a + b the phase splits into two integer-reduced factors, so
+    the sum over b runs as one matrix product for all bins at once."""
+    freqs, pair = _spectrum_samples(spec, k - k % 2, 10000.0 * 1.02 + 4.0, refine=16)
+    coeffs = pair[k % 2]
     n, size, block = 1 << 19, 16 << 19, 1024
     keep = coeffs.size - 1
     assert keep == 163264
     v = window_value(spec, k, np.arange(n) / n)
     v[0] = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, 1.0))
     rng = np.random.default_rng(11)
-    q = np.unique(np.concatenate([[0, 1, 15, 16, 17, 161], rng.integers(2, keep - 16, 18),
+    q = np.unique(np.concatenate([np.arange(200), rng.integers(200, keep - 16, 18),
                                   np.arange(keep - 15, keep + 1)]))[:, None]
     inner = np.exp(-2j * np.pi * ((q * np.arange(block)) % size) / size)
     outer = np.exp(-2j * np.pi * ((q * np.arange(0, n, block)) % size) / size)
     # each row is summed pairwise: a running sum over a would add 1.5e-15
     direct = ((inner @ v.reshape(-1, block).T) * outer).sum(axis=1) / n
     np.testing.assert_array_equal(freqs[q[:, 0]], q[:, 0] / 16)
-    # Scale: the transform's peak.  Observed at most 5.5e-16.  A chirp phase
-    # formed in floats, pi j^2 / M, gives 6e-15 to 1e-14; scipy.signal.czt's
-    # complex power 1e-9.
+    # Scale: the row's own peak.  Observed at most 8.2e-16, and 1.4e-15 for
+    # sin_64, whose samples peak 12-14x above its transform (as for a
+    # transform of the row alone).  Packing the rows unscaled puts
+    # poly_ref_6's k = 1 row 5.0e-15 and sin_64's k = 2 row 7.3e-15 off, in
+    # the bins below 200 where the partner row's transform is large; a chirp
+    # phase formed in floats, pi j^2 / M, gives 6e-15 to 1e-14;
+    # scipy.signal.czt's complex power 1e-9.
     err = np.abs(coeffs[q[:, 0]] - direct).max() / np.abs(coeffs).max()
     assert err <= 2e-15
 
 
 def test_no_sympy_at_runtime():
+    # nor scipy: the window layer needs numpy only
     code = ("import sys, freqwin\n"
             "spec = freqwin.WindowSpec(family='cinf', order=0.25)\n"
             "freqwin.window_table(spec, 64, 4)\n"
+            "freqwin.window_spectrum(spec, 1, 64)\n"
             "freqwin.f_err(spec, 1, 1e-6)\n"
-            "assert 'sympy' not in sys.modules, 'sympy imported'\n")
+            "assert 'sympy' not in sys.modules, 'sympy imported'\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
     src = str(Path(freqwin.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+# f_err at p = 1e-3, 1e-6, 1e-12 (columns) for k = 0..3 (rows).  None marks
+# p S below 1e-14 of the k-th transform's peak (2.0e-16 to 9.4e-15 here),
+# where f_err is rounding noise and last-bit changes in the samples move it.
+PINNED_F_ERR = {
+    ("cinf", 0.25): ((11, 45, 191), (34, 99, 320), (92, 198, 507), (202, 354, None)),
+    ("cinf", 1): ((7, 19, 64), (14, 33, 94), (28, 55, 136), (50, 88, None)),
+    ("cinf", 2): ((7, 14, 41), (11, 22, 57), (19, 34, 77), (30, 50, None)),
+    ("cinf", 4): ((7, 13, 30), (10, 17, 39), (14, 24, None), (21, 33, None)),
+    ("cinf", 8): ((9, 14, 25), (12, 17, 31), (15, 21, None), (19, 27, None)),
+    ("sin", 1): ((16, 501, np.inf), (1571, np.inf, np.inf), (50, 1571, np.inf),
+                 (np.inf, np.inf, np.inf)),
+    ("sin", 2): ((7, 68, 6828), (45, 1414, np.inf), (np.inf, np.inf, np.inf),
+                 (281, 8890, None)),
+    ("sin", 3): ((5, 28, 867), (16, 153, np.inf), (150, 4714, np.inf),
+                 (np.inf, np.inf, None)),
+    ("sin", 4): ((4, 17, 264), (10, 53, 1682), (37, 369, np.inf), (562, np.inf, None)),
+}
 
 
 class TestFErr:
@@ -368,7 +400,8 @@ class TestFErr:
         assert got == expect
 
     def test_one_transform_per_spec_and_order(self, monkeypatch):
-        # the envelope is cached, so further thresholds cost a search only
+        # the envelopes are cached, so further thresholds cost a search
+        # only, and k = 1 shares the transform of k = 0, k = 3 that of k = 2
         calls = []
 
         def counting(*args, **kwargs):
@@ -380,16 +413,28 @@ class TestFErr:
         for k in (0, 1):
             for p in (1e-3, 1e-6, 1e-12):
                 f_err(spec, k, p)
-        assert calls == [(spec, 0), (spec, 1)]
+        assert calls == [(spec, 0)]
+        for k in (2, 3):
+            for p in (1e-3, 1e-6, 1e-12):
+                f_err(spec, k, p)
+        assert calls == [(spec, 0), (spec, 2)]
 
     def test_only_the_envelope_is_cached(self):
-        # the 163 265-bin refined spectra are dropped once their envelope,
-        # 10 000 values, is taken
+        # the 2 x 163 265-bin refined spectra are dropped once their
+        # envelopes, 2 x 10 000 values, are taken
         assert not hasattr(_spectrum_samples, "cache_info")
         env = windows._envelope(make("cinf", 2.71875), 0)
-        assert env.shape == (F_ERR_SEARCH_BINS,)
+        assert env.shape == (2, F_ERR_SEARCH_BINS)
         with pytest.raises(ValueError):
-            env[0] = 0.0
+            env[0, 0] = 0.0
+
+    @pytest.mark.parametrize("family,order", list(PINNED_F_ERR))
+    def test_pinned_table(self, family, order):
+        spec = make(family, order)
+        for k, row in enumerate(PINNED_F_ERR[family, order]):
+            for p, want in zip((1e-3, 1e-6, 1e-12), row):
+                if want is not None:
+                    assert f_err(spec, k, p) == want, (k, p)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
@@ -405,7 +450,7 @@ class TestSpectralDecay:
 
         for n in (1, 2, 3, 4):
             freqs, coeffs = _spectrum_samples(make("sin", n), 0, 110.0, refine=16)
-            mag = np.abs(coeffs)
+            mag = np.abs(coeffs[0])
             env = np.maximum.accumulate(mag[::-1])[::-1]
             pick = np.arange(10, 101) * 16
             slope = np.polyfit(np.log(np.arange(10, 101)), np.log(env[pick]), 1)[0]
@@ -416,7 +461,7 @@ class TestSpectralDecay:
 
         def env_at_100(spec):
             freqs, coeffs = _spectrum_samples(spec, 0, 110.0, refine=16)
-            mag = np.abs(coeffs) / abs(coeffs[0])
+            mag = np.abs(coeffs[0]) / abs(coeffs[0, 0])
             env = np.maximum.accumulate(mag[::-1])[::-1]
             return env[100 * 16]
 
