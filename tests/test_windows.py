@@ -277,6 +277,14 @@ class TestWindowSpectrum:
         with pytest.raises(ValueError, match=rf"\[0, {F_ERR_SEARCH_BINS}\]"):
             window_spectrum(make("sin", 1), 0, f_max=f_max)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rectangular_derivative_rejected(self, k):
+        # the pair transform packs a zero partner row for the rectangular
+        # window, so this check alone keeps its rounding from passing as a
+        # derivative spectrum
+        with pytest.raises(ValueError, match="no derivative spectra"):
+            window_spectrum(make("rectangular"), k)
+
 
 def test_spectrum_samples_own_their_memory():
     # views into the convolution buffer would keep it alive with the spectra
@@ -435,6 +443,12 @@ class TestFErr:
             for p, want in zip((1e-3, 1e-6, 1e-12), row):
                 if want is not None:
                     assert f_err(spec, k, p) == want, (k, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rectangular_derivative_rejected(self, k):
+        # as for window_spectrum: row 1 of the rectangular pair is rounding
+        with pytest.raises(ValueError, match="no derivative spectra"):
+            f_err(make("rectangular"), k, 1e-6)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
