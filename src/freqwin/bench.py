@@ -63,7 +63,10 @@ def reference_dataset(seed: int = REF_SEED, length: float = REF_LENGTH,
     theta = random_system(structure, seed)
     forcing = multisine(REF_NUM_TONES, REF_F_MIN, REF_F_MAX, seed,
                         n_channels=structure.n_u)
-    steps = fine_rate * length
+    try:
+        steps = fine_rate * length
+    except OverflowError:  # an integer rate beyond float range
+        raise ValueError(f"fine rate {fine_rate} is too large for a float step count") from None
     record_bytes = 16.0 * (structure.n_x + structure.n_u) * (steps + 1)  # complex x, u
     too_big = (f"record length {length} needs {steps:.6g} steps at fine rate {fine_rate} "
                f"and {record_bytes:.3g} bytes of records, more than memory holds")

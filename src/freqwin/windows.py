@@ -20,9 +20,10 @@ window is even about 1/2: w^(k)(1 - s) = (-1)^k w^(k)(s).
 
 The spectral diagnostics (``window_spectrum``, ``f_err``) need numpy only.
 They transform the derivative rows in even/odd pairs (k, k + 1), both rows
-in one chirp z-transform.  That pays off for callers that ask for both
+in one chirp z-transform, whose convolution runs as row and column FFT
+passes over one buffer.  That pays off for callers that ask for both
 orders of a pair (a window design takes k = 0 and 1): a cold pair costs
-about 0.75x two one-row transforms.  A caller that asks for one order
+about 0.85x two one-row transforms.  A caller that asks for one order
 alone pays for the partner row too: its cold ``f_err`` takes about 1.8x as
 long as a one-row transform would.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, perm, prod
+from math import isfinite, isqrt, perm, prod
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -130,23 +131,34 @@ def _cinf_poly(order: float, k: int) -> np.ndarray:
                      P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * (k - 1) * _Q)))
 
 
-def _cinf_values(order: float, k: int, s: np.ndarray) -> np.ndarray:
-    out = np.zeros(s.shape, dtype=float)
-    inside = (s > 0.0) & (s < 1.0)
-    expo = np.full(s.shape, -np.inf)
+def _cinf_values(order: float, ks: range, s: np.ndarray) -> np.ndarray:
+    """Rows d^k w/ds^k at the points s, one for each k in ks: the support
+    mask, the exponent and its exp are evaluated once for all of them."""
+    out = np.zeros((len(ks), s.size))
+    live = (s > 0.0) & (s < 1.0)
+    x = s[live]
+    # the denominator from s, not c, so nothing cancels at the edges
+    q = 1.0 - x
+    q *= x
     with np.errstate(over="ignore"):  # subnormal s: the exponent is -inf
-        expo[inside] = 4.0 * order - order / (s[inside] * (1.0 - s[inside]))
-    live = inside & (expo > _EXP_FLOOR)
-    if not live.any():
-        return out
-    if k == 0:
-        pref = 1.0
-    else:
-        # the denominator from s, not c, so nothing cancels at the edges
-        sl = s[live]
-        num = P.polyval(sl - 0.5, _cinf_poly(float(order), k).astype(float))
-        pref = num / (sl * (1.0 - sl)) ** (2 * k)
-    out[live] = pref * np.exp(expo[live])
+        base = order / q
+    np.subtract(4.0 * order, base, out=base)
+    above = base > _EXP_FLOOR
+    if not above.all():
+        live[live] = above
+        x = x[above]
+        q = q[above]
+        base = base[above]
+    np.exp(base, out=base)
+    x -= 0.5  # c = s - 1/2
+    for row, k in zip(out, ks):
+        if k == 0:
+            row[live] = base
+        else:
+            pref = P.polyval(x, _cinf_poly(float(order), k).astype(float))
+            pref /= q ** (2 * k)
+            pref *= base
+            row[live] = pref
     return out
 
 
@@ -180,6 +192,26 @@ def _poly_ref_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_rows(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
+    """Rows d^k w/ds^k at the 1-D points s, one for each k in ks, 0 outside
+    [0, 1]."""
+    if spec.family == "cinf":
+        return _cinf_values(spec.order, ks, s)
+    out = np.zeros((len(ks), s.size))
+    for row, k in zip(out, ks):
+        if spec.family == "rectangular":
+            if k >= 1:
+                raise ValueError("rectangular window has no pointwise derivatives; it "
+                                 "participates only in the polynomial-transient baseline")
+            vals = 1.0
+        elif spec.family == "sin":
+            vals = _sin_values(int(spec.order), k, s)
+        else:  # poly_ref
+            vals = _poly_ref_values(int(spec.order), k, s)
+        row[:] = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
+    return out
+
+
 def window_value(spec: WindowSpec, k: int, s) -> np.ndarray | float:
     """Evaluate d^k w/ds^k at s.
 
@@ -190,22 +222,8 @@ def window_value(spec: WindowSpec, k: int, s) -> np.ndarray | float:
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    if spec.family == "cinf":
-        out = _cinf_values(spec.order, k, s)
-    else:
-        if spec.family == "rectangular":
-            if k >= 1:
-                raise ValueError("rectangular window has no pointwise derivatives; it "
-                                 "participates only in the polynomial-transient baseline")
-            vals = 1.0
-        elif spec.family == "sin":
-            vals = _sin_values(int(spec.order), k, s)
-        else:  # poly_ref
-            vals = _poly_ref_values(int(spec.order), k, s)
-        out = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
-    return float(out[0]) if scalar else out
+    out = _window_rows(spec, range(k, k + 1), s.ravel())[0]
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
@@ -215,7 +233,7 @@ def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTa
     if max_deriv < 0:
         raise ValueError("max_deriv must be >= 0")
     s = np.append(np.arange(num_samples) * (1.0 / num_samples), 1.0)
-    rows = np.array([window_value(spec, k, s) for k in range(max_deriv + 1)])
+    rows = _window_rows(spec, range(max_deriv + 1), s)
     return WindowTable(spec=spec, samples=np.ascontiguousarray(rows[:, :-1]),
                        terminal=rows[:, -1].copy())
 
@@ -248,23 +266,74 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _dft_passes(grid: np.ndarray, twiddle: np.ndarray, reverse: bool = False) -> None:
+    """In place, the L = n1 n2 point DFT of the buffer behind the (n1, n2)
+    view ``grid``, in Bailey's four steps without the transpose: FFTs of
+    length n1 down the columns, the twiddles exp(-2 pi i k1 j2 / L), FFTs of
+    length n2 along the rows.  x_(n2 j1 + j2) = grid[j1, j2] goes in, and
+    X_(k1 + n1 k2) comes out at grid[k1, k2].  ``reverse`` runs the passes
+    in the opposite order, from that layout back to the natural one, and so
+    leaves at grid[j1, j2] the sum over k of X_k exp(-2 pi i j k / L): L
+    times the inverse DFT at -j mod L, with j = n2 j1 + j2.  numpy's FFT
+    needs scratch for one line at a time here, where a 1-D transform of L
+    points allocates two buffers of L points."""
+    first, second = (1, 0) if reverse else (0, 1)
+    np.fft.fft(grid, axis=first, out=grid)
+    grid *= twiddle
+    np.fft.fft(grid, axis=second, out=grid)
+
+
+def _roots(m: np.ndarray, length: int) -> np.ndarray:
+    """exp(-2 pi i m / length) for the integers m >= 0, which it overwrites.
+    Each phase is measured from the nearest quarter turn t, whose factor
+    (-i)^t is exact, so no angle above pi / 4 is rounded: the roots come
+    out within about 2e-16, where a phase up to 2 pi puts them 8e-16 off."""
+    m *= 4
+    m += length // 2
+    turns = np.empty_like(m)
+    np.divmod(m, length, out=(turns, m))
+    m -= length // 2  # 4 m - t length, in [-length / 2, length / 2]
+    out = np.zeros(m.shape, dtype=complex)
+    np.multiply(m, -0.5 * np.pi / length, out=out.imag)
+    np.exp(out, out=out)
+    turns %= 4
+    for t, factor in ((1, -1j), (2, -1.0), (3, 1j)):
+        np.multiply(out, factor, out=out, where=turns == t)
+    return out
+
+
 @functools.lru_cache(maxsize=4)
-def _chirp_plan(n: int, keep: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp c_j = exp(-i pi (j^2 mod 2 size) / size) for j < max(n, keep + 1),
-    and the FFT of the kernel h_e = conj(c_|e - keep|), e in [-(n - 1), 2 keep],
-    wrapped for a circular convolution of _fast_len(n + 2 keep) points.  The
-    output r in [0, 2 keep] of inputs j < n then takes no wrapped term and
-    is sum_j x_j conj(c_(q - j)) for the bin q = r - keep.  The kernel is
-    built and transformed in its own buffer."""
-    j = np.arange(max(n, keep + 1), dtype=np.int64)
-    chirp = np.exp(-1j * np.pi / size * ((j * j) % (2 * size)))
-    kernel = np.zeros(_fast_len(n + 2 * keep), dtype=complex)
-    d = np.arange(kernel.size, dtype=np.int64) - keep
-    d[2 * keep + 1:] -= kernel.size  # e < 0 wraps to the end
-    kernel.imag[:] = (d * d % (2 * size)) * (np.pi / size)
-    np.exp(kernel, out=kernel)
-    kernel[2 * keep + 1: kernel.size - n + 1] = 0.0
-    return chirp, np.fft.fft(kernel, out=kernel)
+def _chirp_plan(n: int, keep: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chirp c_j = exp(-i pi j^2 / size) for j < max(n, keep + 1); the
+    transform of the kernel h_(-e) = conj(c_(keep - e)) / L, e in
+    [0, n - 1 + 2 keep], indices taken mod L = _fast_len(n + 2 keep); and the
+    twiddles exp(-2 pi i k1 j2 / L) of L's (n1, n2) split, n1 the largest
+    divisor of L not above sqrt(L).  A circular convolution with h, run as
+    ``_dft_passes`` forward, times the kernel, and reversed, leaves at
+    e in [0, 2 keep] of inputs j < n no wrapped term: the sum over j of
+    x_j conj(c_(q - j)) for the bin q = keep - e.  The kernel's transform
+    sits in the passes' permuted layout, so nothing is transposed.  All
+    three arrays are read-only, as every call shares them.
+    """
+    length = _fast_len(n + 2 * keep)
+    n1 = next(d for d in range(isqrt(length), 0, -1) if length % d == 0)
+    n2 = length // n1
+    j = np.arange(n + keep, dtype=np.int64)  # every |q - j| the kernel takes
+    chirp = _roots(j * j, 2 * size)
+    twiddle = _roots(np.multiply.outer(np.arange(n1, dtype=np.int64), np.arange(n2)), length)
+    kernel = np.zeros(length, dtype=complex)
+    # e = 0 at index 0, e = n - 1 + 2 keep .. 1 at the top
+    kernel[0] = chirp[keep].conjugate()
+    top = length - (n - 1 + 2 * keep)
+    np.conjugate(chirp[n + keep - 1: 0: -1], out=kernel[top: length - keep])
+    np.conjugate(chirp[:keep], out=kernel[length - keep:])
+    kernel *= 1.0 / length
+    kernel = kernel.reshape(n1, n2)
+    _dft_passes(kernel, twiddle)
+    chirp = chirp[:max(n, keep + 1)].copy()
+    for a in (chirp, kernel, twiddle):
+        a.flags.writeable = False
+    return chirp, kernel, twiddle
 
 
 def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
@@ -286,43 +355,50 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     real, 2^-e_a Re Y_a(q) = (Re Z_q + Re Z_-q) / 2 and
     2^-e_b Im Y_b(q) = (Re Z_-q - Re Z_q) / 2.  Only the bins |q| <= keep
     are formed, by the chirp z-transform: iq = (i^2 + q^2 - (q - i)^2) / 2
-    makes Z_q = c_q sum_i z_i c_i conj(c_{q-i}), one FFT convolution of
-    _fast_len(c + 2 keep) points in one buffer.  Its chirp phase comes from
-    the integer i^2 mod 2M, as scipy.signal.czt's float power is off by
-    4.2e-9 of the peak, enough to move f_err at p = 1e-12; the bins stay
-    within 8.2e-16 of each row's peak from a direct DFT of that row alone
-    (1.4e-15 for sin_64, whose samples peak 12-14x above its transform).
-    The chirp cache is keyed by sizes.
+    makes Z_q = c_q sum_i z_i c_i conj(c_{q-i}), one circular convolution
+    of L = _fast_len(c + 2 keep) points: column FFTs, twiddles and row
+    FFTs on the (n1, n2) view of one buffer, times the kernel's transform
+    in that layout, and the same passes reversed (``_chirp_plan``).  Its
+    chirp, kernel and twiddle phases come from integers (``_roots``), as
+    scipy.signal.czt's float power is off by 4.2e-9 of the peak, enough to
+    move f_err at p = 1e-12; the bins stay within 7.6e-16 of each row's
+    peak from a direct DFT of that row alone (1.4e-15 for sin_64, whose
+    samples peak 12-14x above its transform).  The plan cache is keyed by
+    sizes.
     """
     n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * m_max)))))
     half = n_hi // 2
-    s = np.arange(half, n_hi + 2) * (1.0 / n_hi)
-    s[-2:] = 0.0, 1.0  # the edges, for the wrap sample
-    rows = np.zeros((2, s.size))
-    for j in range(1 if spec.family == "rectangular" else 2):
-        rows[j] = window_value(spec, k + j, s)
+    # the edges last, for the wrap sample
+    s = np.append(np.arange(half, n_hi) * (1.0 / n_hi), (0.0, 1.0))
+    if spec.family == "rectangular":  # a zero partner row
+        rows = np.vstack([_window_rows(spec, range(k, k + 1), s), np.zeros(s.size)])
+    else:
+        rows = _window_rows(spec, range(k, k + 2), s)
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
     wrap = 0.5 * (rows[:, -2] + rows[:, -1])
-    scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=1))[1])
+    v_c = rows[0, 0]
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))[1])
     keep = int(round(m_max * refine))
-    chirp, kernel = _chirp_plan(half, keep, refine * n_hi)
+    chirp, kernel, twiddle = _chirp_plan(half, keep, refine * n_hi)
     buf = np.empty(kernel.size, dtype=complex)
+    grid = buf.reshape(kernel.shape)
     np.multiply(rows[0, :half], scale[0], out=buf.real[:half])
     np.multiply(rows[1, :half], scale[1], out=buf.imag[:half])
+    del s, rows  # 6 MB the transform does not need
     buf[:half] *= chirp[:half]
     buf[half:] = 0.0
-    np.fft.fft(buf, out=buf)
-    buf *= kernel
-    np.fft.ifft(buf, out=buf)
-    buf[keep: 2 * keep + 1] *= chirp[: keep + 1]  # bin q at keep + q, c_-q = c_q
-    buf[:keep] *= chirp[keep: 0: -1]
-    pos, neg = buf.real[keep: 2 * keep + 1], buf.real[keep:: -1]
+    _dft_passes(grid, twiddle)
+    grid *= kernel
+    _dft_passes(grid, twiddle, reverse=True)
+    buf[:keep + 1] *= chirp[keep::-1]  # bin q at keep - q, c_-q = c_q
+    buf[keep + 1: 2 * keep + 1] *= chirp[1: keep + 1]
+    pos, neg = buf.real[keep::-1], buf.real[keep: 2 * keep + 1]
     # B_q: 2 Re Y_a - v_c, real, and 2i Im Y_b, imaginary
     out = np.zeros((2, keep + 1), dtype=complex)
     np.add(pos, neg, out=out.real[0])
     out.real[0] /= scale[0]
-    out.real[0] -= rows[0, 0]
+    out.real[0] -= v_c
     np.subtract(neg, pos, out=out.imag[1])
     out.imag[1] /= scale[1]
     out *= np.resize(np.exp(-1j * np.pi / refine * np.arange(2 * refine)), keep + 1)
@@ -356,9 +432,11 @@ def _envelope(spec: WindowSpec, pair: int) -> np.ndarray:
     The sup is taken on a 16x refined grid (leakage between the bins is what
     aliases; even-order sine windows are exactly zero ON the bins): by parity
     ``_spectrum_samples`` transforms only the 2^18-sample right halves of the
-    2^19-sample records, both rows in one 589 824-point chirp z-transform
-    convolution for the 163 265 kept bins of their 2^23 point DFTs.  Only
-    the 2 x 10 000 envelope values are kept, read-only, not the spectra.
+    2^19-sample records, both rows in one chirp z-transform convolution,
+    run as 768-point FFTs down the columns and along the rows of a
+    768 x 768 buffer, for the 163 265 kept bins of their 2^23 point DFTs.
+    Only the 2 x 10 000 envelope values are kept, read-only, not the
+    spectra.
     """
     refine = 16
     # small slack above the bound so the sup is taken over a full tail

@@ -559,6 +559,16 @@ class TestConfigAndExitCodes:
         assert "fine rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+    def test_huge_integer_fine_rate_is_exit_2(self, tmp_path, command, capsys):
+        # a rate beyond float range used to raise OverflowError in
+        # reference_dataset's step count (exit 1, traceback)
+        rate = "1" + "0" * 400
+        out = tmp_path / "r"
+        assert main([command, "--out", str(out), "--fine-rate", rate]) == 2
+        assert f"fine rate {rate} is too large" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
     def test_infinite_length_is_exit_2(self, tmp_path, command, capsys):
         # used to overflow in reference_dataset's sample count (exit 1, traceback)
         out = tmp_path / "l"

@@ -226,6 +226,23 @@ class TestWindowTable:
         with pytest.raises(ValueError):
             window_table(make("sin", 1), 1, 0)
 
+    @pytest.mark.parametrize("order", [0.25, 0.4375, 1, 3.3125, 8])
+    def test_cinf_rows_together_equal_one_order_at_a_time(self, order):
+        # a table and a transform pair share one support mask, exponent and
+        # exp across their rows; not a bit of any row may move for it.  The
+        # points include the edges, a subnormal s, both sides of the exp
+        # floor (s = 0.01105 for order 8) and points outside the support.
+        spec = make("cinf", order)
+        s = np.concatenate([[-0.5, 0.0, 5e-324, 1e-300, 1e-3, 0.011, 0.0111],
+                            np.arange(1, 1000) * (1.0 / 1000), [1.0 - 1e-16, 1.0, 1.5]])
+        together = windows._window_rows(spec, range(5), s)
+        table = window_table(spec, 1000, 4)
+        grid = np.arange(1000) * (1.0 / 1000)
+        for k in range(5):
+            np.testing.assert_array_equal(together[k], window_value(spec, k, s))
+            np.testing.assert_array_equal(table.samples[k], window_value(spec, k, grid))
+            assert table.terminal[k] == window_value(spec, k, 1.0)
+
 
 def hann_transform(freq, length):
     """Closed-form transform of sin^2(pi t/T) over [0, T]."""
@@ -305,37 +322,115 @@ DFT_CASES = [(k, make("sin", 2)) for k in (0, 1, 2, 3)] + [
     (k, make("sin", 64)) for k in (2, 3)] + [(0, make("rectangular"))]
 
 
-@pytest.mark.parametrize("k,spec", DFT_CASES, ids=[f"{k}-{s.label}" for k, s in DFT_CASES])
-def test_refined_transform_matches_direct_dft(spec, k):
-    """Row k of the pair transform on f_err's default range against the
-    direct DFT sum_j v_j exp(-2 pi i (j q mod M) / M) of all n samples of
-    d^k w/ds^k alone, which uses no symmetry and no partner row.  With
+def direct_dft(spec, k, n, size, q):
+    """sum_j v_j exp(-2 pi i (j q mod size) / size) / n over all n samples
+    of d^k w/ds^k alone, which uses no symmetry and no partner row.  With
     j = 1024 a + b the phase splits into two integer-reduced factors, so
     the sum over b runs as one matrix product for all bins at once."""
-    freqs, pair = _spectrum_samples(spec, k - k % 2, 10000.0 * 1.02 + 4.0, refine=16)
-    coeffs = pair[k % 2]
-    n, size, block = 1 << 19, 16 << 19, 1024
-    keep = coeffs.size - 1
-    assert keep == 163264
+    block = 1024
     v = window_value(spec, k, np.arange(n) / n)
     v[0] = 0.5 * (window_value(spec, k, 0.0) + window_value(spec, k, 1.0))
-    rng = np.random.default_rng(11)
-    q = np.unique(np.concatenate([np.arange(200), rng.integers(200, keep - 16, 18),
-                                  np.arange(keep - 15, keep + 1)]))[:, None]
+    q = q[:, None]
     inner = np.exp(-2j * np.pi * ((q * np.arange(block)) % size) / size)
     outer = np.exp(-2j * np.pi * ((q * np.arange(0, n, block)) % size) / size)
     # each row is summed pairwise: a running sum over a would add 1.5e-15
-    direct = ((inner @ v.reshape(-1, block).T) * outer).sum(axis=1) / n
-    np.testing.assert_array_equal(freqs[q[:, 0]], q[:, 0] / 16)
-    # Scale: the row's own peak.  Observed at most 8.2e-16, and 1.4e-15 for
+    return ((inner @ v.reshape(-1, block).T) * outer).sum(axis=1) / n
+
+
+@pytest.mark.parametrize("k,spec", DFT_CASES, ids=[f"{k}-{s.label}" for k, s in DFT_CASES])
+def test_refined_transform_matches_direct_dft(spec, k):
+    """Row k of the pair transform on f_err's default range, whose
+    convolution runs on a 768 x 768 view, against the direct DFT."""
+    freqs, pair = _spectrum_samples(spec, k - k % 2, 10000.0 * 1.02 + 4.0, refine=16)
+    coeffs = pair[k % 2]
+    keep = coeffs.size - 1
+    assert keep == 163264
+    rng = np.random.default_rng(11)
+    q = np.unique(np.concatenate([np.arange(200), rng.integers(200, keep - 16, 18),
+                                  np.arange(keep - 15, keep + 1)]))
+    direct = direct_dft(spec, k, 1 << 19, 16 << 19, q)
+    np.testing.assert_array_equal(freqs[q], q / 16)
+    # Scale: the row's own peak.  Observed at most 7.6e-16, and 1.4e-15 for
     # sin_64, whose samples peak 12-14x above its transform (as for a
     # transform of the row alone).  Packing the rows unscaled puts
     # poly_ref_6's k = 1 row 5.0e-15 and sin_64's k = 2 row 7.3e-15 off, in
     # the bins below 200 where the partner row's transform is large; a chirp
     # phase formed in floats, pi j^2 / M, gives 6e-15 to 1e-14;
     # scipy.signal.czt's complex power 1e-9.
-    err = np.abs(coeffs[q[:, 0]] - direct).max() / np.abs(coeffs).max()
+    err = np.abs(coeffs[q] - direct).max() / np.abs(coeffs).max()
     assert err <= 2e-15
+
+
+# window_spectrum's plans: f_max <= 128 transforms 2^13-sample halves,
+# 10 000 the 2^18-sample halves of f_err, without refinement; the
+# convolution lengths 8192, 8748 and 294 912 split unevenly
+SPECTRUM_SPLITS = {0: (64, 128), 1: (81, 108), 16: (81, 108), 128: (81, 108),
+                   10000: (512, 576)}
+SPECTRUM_CASES = [(f_max, k, spec) for f_max in SPECTRUM_SPLITS for k, spec in (
+    (0, make("sin", 2)), (3, make("sin", 2)), (1, make("cinf", 0.3125)),
+    (1, make("poly_ref", 6)), (3, make("sin", 64)), (0, make("rectangular")))]
+
+
+@pytest.mark.parametrize("f_max,k,spec", SPECTRUM_CASES,
+                         ids=[f"{f}-{k}-{s.label}" for f, k, s in SPECTRUM_CASES])
+def test_window_spectrum_matches_direct_dft(f_max, k, spec):
+    n = 1 << 14 if f_max <= 128 else 1 << 19
+    n1, n2 = SPECTRUM_SPLITS[f_max]
+    assert windows._chirp_plan(n // 2, f_max, n)[2].shape == (n1, n2)
+    coeffs = window_spectrum(spec, k, f_max).coeffs[0]
+    q = np.arange(f_max + 1)
+    if f_max > 128:  # a sample of the bins
+        rng = np.random.default_rng(f_max)
+        q = np.unique(np.concatenate([np.arange(129), rng.integers(129, f_max - 15, 18),
+                                      np.arange(f_max - 15, f_max + 1)]))
+    # Scale: the row's peak, which lies below bin 128 in every case; the few
+    # bins up to a small f_max may all be rounding-sized (bin 0 of an odd k).
+    # Observed at most 1.2e-15, and 1.9e-15 for poly_ref_6's k = 1 row on
+    # the 81 x 108 split, whose samples peak 11x above its transform: its
+    # error is 1.7e-16 of that sample peak, one rounding.
+    bins = np.union1d(q, np.arange(129))
+    direct = direct_dft(spec, k, n, n, bins)
+    err = np.abs(coeffs[q] - direct[np.searchsorted(bins, q)]).max() / np.abs(direct[:129]).max()
+    assert err <= 2e-15
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (3, 4), (4, 3), (8, 8), (81, 108)])
+def test_dft_passes_match_numpy_fft(n1, n2):
+    # forward: X_(k1 + n1 k2) at [k1, k2]; reversed: L x at -j mod L in
+    # natural order.  n1 = 1 leaves the column FFTs and twiddles trivial.
+    length = n1 * n2
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    twiddle = windows._roots(np.multiply.outer(np.arange(n1), np.arange(n2)), length)
+    grid = x.reshape(n1, n2).copy()
+    windows._dft_passes(grid, twiddle)
+    want = np.fft.fft(x)
+    assert np.abs(grid.T.ravel() - want).max() <= 1e-14 * np.abs(want).max()
+    windows._dft_passes(grid, twiddle, reverse=True)
+    back = length * x[-np.arange(length) % length]
+    assert np.abs(grid.ravel() - back).max() <= 1e-14 * np.abs(back).max()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 8748, 589824, 16 << 20])
+def test_roots_within_two_roundings(length):
+    # every phase is rounded below pi / 4; phases up to 2 pi in floats put
+    # the roots up to 8e-16 off
+    rng = np.random.default_rng(length)
+    m = np.concatenate([np.arange(min(length, 40)), rng.integers(0, 8 * length, 40)])
+    got = windows._roots(m.copy(), length)
+    with mpmath.workdps(30):
+        err = max(abs(mpmath.mpc(g) - mpmath.expjpi(-2 * mpmath.mpf(int(v)) / length))
+                  for g, v in zip(got, m))
+    assert err <= 2.5e-16
+
+
+def test_chirp_plan_is_read_only():
+    # every transform of these sizes shares the plan: a caller's *= would
+    # corrupt each later window_spectrum and f_err
+    for a in windows._chirp_plan(8192, 16, 16384):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
 
 
 def test_no_sympy_at_runtime():
