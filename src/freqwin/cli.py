@@ -42,8 +42,8 @@ class _CheckParser(argparse.ArgumentParser):
 def _config_flags(args) -> list[str]:
     """The config file's entries for ``args.command`` as ``--key=value`` flags.
 
-    Store-true options take True/False.  A key that is not an option of the
-    subcommand, or a bad value, raises ValueError naming the file and the key.
+    A key that is not an option of the subcommand, or a bad value, raises
+    ValueError naming the file and the key.
     """
     check = build_parser(_CheckParser)
     flags = []
@@ -55,14 +55,8 @@ def _config_flags(args) -> list[str]:
                 continue
             if key == "func" or not hasattr(args, key):
                 raise ValueError(f"not an option of {args.command}")
-            flag = "--" + key.replace("_", "-")
-            if isinstance(getattr(args, key), bool):
-                if value not in ("True", "False"):
-                    raise ValueError("must be True or False")
-                flags += [flag] if value == "True" else []
-            else:
-                flags.append(f"{flag}={value}")
-                check.parse_args([args.command, flags[-1]])
+            flags.append(f"--{key.replace('_', '-')}={value}")
+            check.parse_args([args.command, flags[-1]])
         except ValueError as exc:
             raise ValueError(f"{args.config}: {key} = {value}: {exc}") from None
     return flags
@@ -112,9 +106,8 @@ def cmd_identify(args) -> int:
         lo = args.f_min if args.f_min is not None else -np.inf
         hi = args.f_max if args.f_max is not None else np.inf
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
-    report = identify_from_signals(
-        x, u, structure, window_spec=window, n_p=args.np, band=band,
-        endpoint_average=args.endpoint_average)
+    report = identify_from_signals(x, u, structure, window_spec=window, n_p=args.np,
+                                   band=band)
     err = None
     if args.truth:
         err = metrics.param_error(io.read_truth_json(args.truth), report.theta_hat)
@@ -254,7 +247,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                    help="highest input-derivative order")
     p.add_argument("--f-min", type=float)
     p.add_argument("--f-max", type=float)
-    p.add_argument("--endpoint-average", action="store_true")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("window", help="window samples, spectrum, f_err table")

@@ -197,7 +197,7 @@ def _poly_block(freq_bytes: bytes, n_p: int) -> tuple[np.ndarray, np.ndarray, np
 def _window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
     """``window_table``, built once per (spec, N, K) and kept read-only."""
     table = window_table(spec, num_samples, max_deriv)
-    _read_only(table.samples, table.terminal)
+    _read_only(table.samples)
     return table
 
 
@@ -351,14 +351,16 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                           window_spec: WindowSpec | None = None,
-                          n_p: int = 0, band=None,
-                          endpoint_average: bool = False) -> EstimateReport:
+                          n_p: int = 0, band=None) -> EstimateReport:
     """One-shot estimation from sampled records.
 
     Both records are multiplied by the window's derivative rows up to their
     model order, K = max(n_a, n_b) for a smooth window (corrected, or mixed
     with ``n_p`` > 0); no window is the rectangular one, whose table holds
-    only the row of ones, K = 0 (naive, or ps with ``n_p`` > 0).  Times the
+    only the row of ones, K = 0 (naive, or ps with ``n_p`` > 0).  The
+    modulating-function integral needs rows 0..K-1 to vanish at both edges;
+    a window too rough for that raises ValueError (every window is
+    symmetric about s = 1/2, so the s = 0 sample decides).  Times the
     whole per-dataset pipeline (windowing, transforms, assembly, solve);
     the window-derivative table is a design artifact, built once per
     (window, N, K) before the clock starts.
@@ -367,10 +369,11 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
     spec = window_spec or WindowSpec("rectangular")
     k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
     table = _window_table(spec, x_sig.num_samples, k)
+    if table.samples[:k, 0].any():
+        raise ValueError(f"window {spec.label} is too rough for model order {k}: "
+                         f"its derivatives below order {k} do not vanish at the edges")
     t0 = time.perf_counter()
-    xs = fft_spectrum(apply_window(x_sig, table, min(structure.n_a, k)),
-                      endpoint_average=endpoint_average)
-    us = fft_spectrum(apply_window(u_sig, table, min(structure.n_b, k)),
-                      endpoint_average=endpoint_average)
+    xs = fft_spectrum(apply_window(x_sig, table, min(structure.n_a, k)))
+    us = fft_spectrum(apply_window(u_sig, table, min(structure.n_b, k)))
     report = solve_ls(build_regression(xs, us, structure, n_p, band))
     return replace(report, wall_time=time.perf_counter() - t0)

@@ -162,8 +162,8 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
     (r_j I - phi) p_j = g_j.  A tone with a numerically singular r_j I - phi
     (resonance, screened by ``_near_resonance``) raises RuntimeError, as
     does an overflowing state; that check is the record's only finiteness
-    scan.  The Signal carries x(T) so endpoint averaging stays available
-    downstream.
+    scan.  The Signal carries x(T) as its terminal sample, for checks
+    against the closed form and for the CSV's exact T; no estimate reads it.
     """
     s = theta.structure
     if config.structure != s:

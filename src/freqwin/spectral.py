@@ -27,10 +27,11 @@ class Signal:
     """Uniformly sampled multichannel complex time record on [0, T).
 
     ``values`` has shape (n_channels, N) with sample times t_j = j T / N.
-    ``terminal`` optionally carries the extra sample s(T) needed by the
-    endpoint-averaging option.  The values are scanned for non-finite
-    entries once, at construction, and are treated as read-only: a slice
-    of them (a decimated record) shares their memory and is not scanned.
+    ``terminal`` optionally carries the extra sample s(T), record data for
+    checks against x(T) and for the CSV's exact T; no estimate reads it.
+    The values are scanned for non-finite entries once, at construction,
+    and are treated as read-only: a slice of them (a decimated record)
+    shares their memory and is not scanned.
     """
 
     length: float
@@ -120,25 +121,17 @@ class Spectrum:
         return self.coeffs.shape[1]
 
 
-def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
+def fft_spectrum(signal: Signal) -> Spectrum:
     """Transform estimates on the full two-sided DFT grid (fftfreq order).
 
     Bins above N/2 represent negative frequencies; for complex records these
     carry information independent of the non-negative bins, and the
     identification pipeline fits over all of them.  coeff_k =
     (T/N) sum_j s_j exp(-2 pi i k j / N), the trapezoid/DFT estimate of the
-    transform; with ``endpoint_average`` the first sample is replaced by
-    (s(0) + s(T))/2, the exact trapezoid rule for records whose endpoint
-    values differ.
+    transform.
     """
     N = signal.num_samples
-    vals = signal.values
-    if endpoint_average:
-        if signal.terminal is None:
-            raise ValueError("endpoint averaging needs the terminal sample s(T)")
-        vals = vals.copy()
-        vals[:, 0] = 0.5 * (vals[:, 0] + signal.terminal)
-    coeffs = np.fft.fft(vals, axis=-1) * (signal.length / N)
+    coeffs = np.fft.fft(signal.values, axis=-1) * (signal.length / N)
     freqs = np.fft.fftfreq(N, d=signal.length / N)
     return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
 
@@ -146,8 +139,7 @@ def fft_spectrum(signal: Signal, endpoint_average: bool = False) -> Spectrum:
 def apply_window(signal: Signal, table, k_max: int = 0) -> Signal:
     """The products w^(k) s for k = 0..k_max, stacked as consecutive channel
     blocks of one Signal.  Row k of the table is d^k w/ds^k (s = t/T); the
-    factor T^-k makes it d^k w/dt^k.  A terminal sample s(T) is carried as
-    s(T) w^(k)(T) in the same layout.
+    factor T^-k makes it d^k w/dt^k.  The output carries no terminal sample.
     """
     if table.num_samples != signal.num_samples:
         raise ValueError(
@@ -159,11 +151,7 @@ def apply_window(signal: Signal, table, k_max: int = 0) -> Signal:
                          f"not 0 to {k_max}")
     scale = signal.length ** -np.arange(k_max + 1, dtype=float)[:, None]
     out = (table.samples[:k_max + 1] * scale)[:, None, :] * signal.values
-    term = None
-    if signal.terminal is not None:
-        term = table.terminal[:k_max + 1, None] * scale * signal.terminal
-    return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples),
-                  terminal=term)
+    return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples))
 
 
 def lowpass_filter(signal: Signal, cutoff: float) -> Signal:

@@ -92,13 +92,11 @@ class WindowTable:
     """Sampled window derivative rows d^k w/ds^k on s_j = j / N.
 
     Row k holds the k-th derivative.  Endpoint samples store the one-sided
-    limits from inside the support (0 for both proposed families at k = 0);
-    ``terminal`` holds every row's value at s = 1.
+    limits from inside the support (0 for both proposed families at k = 0).
     """
 
     spec: WindowSpec
     samples: np.ndarray  # (max_deriv + 1, N), float64
-    terminal: np.ndarray  # (max_deriv + 1,), float64
 
     @property
     def max_deriv(self) -> int:
@@ -227,15 +225,13 @@ def window_value(spec: WindowSpec, k: int, s) -> np.ndarray | float:
 
 
 def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTable:
-    """Sample the window and its derivatives on the grid s_j = j / N and at 1."""
+    """Sample the window and its derivatives on the grid s_j = j / N."""
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     if max_deriv < 0:
         raise ValueError("max_deriv must be >= 0")
-    s = np.append(np.arange(num_samples) * (1.0 / num_samples), 1.0)
-    rows = _window_rows(spec, range(max_deriv + 1), s)
-    return WindowTable(spec=spec, samples=np.ascontiguousarray(rows[:, :-1]),
-                       terminal=rows[:, -1].copy())
+    s = np.arange(num_samples) * (1.0 / num_samples)
+    return WindowTable(spec=spec, samples=_window_rows(spec, range(max_deriv + 1), s))
 
 
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # nodes, weights

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import freqwin.bench as bench
-from freqwin import (Signal, identify_from_signals, io, overlap_variance,
-                     param_error)
+from freqwin import Signal, io, overlap_variance, param_error
 from freqwin.cli import build_parser, main
 
 FAST_SIM = ["--fine-rate", "23040", "--seed", "3"]
@@ -94,23 +93,21 @@ class TestIdentify:
         report = json.loads((out / "report.json").read_text())
         assert len(report["band"]) < 80
 
-    def test_endpoint_average_round_trip(self, sim_dir, tmp_path):
-        out = tmp_path / "ea"
+    def test_window_too_rough_for_the_order_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # poly:6 never vanishes at the edges; its estimate used to miss by 49
+        # and exit 0, labelled corrected
+        out = tmp_path / "rough"
         rc = main(["identify", "--out", str(out),
                    "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
-                   "--window", "cinf:4", "--endpoint-average"])
-        assert rc == 0
-        report = json.loads((out / "report.json").read_text())
-        x, u = bench.reference_dataset(seed=3, fine_rate=23040).decimated(80.0)
-        want = identify_from_signals(x, u, bench.REF_STRUCTURE,
-                                     window_spec=bench.parse_window("cinf:4"),
-                                     endpoint_average=True)
-        got = report["theta_hat"]
-        for m, entry in zip(want.theta_hat.A + want.theta_hat.B,
-                            got["A"] + got["B"]):
-            np.testing.assert_array_equal(
-                np.array(entry["data"]).reshape(entry["shape"]), m)
-        assert report["residual_l2"] == want.residual_l2
+                   "--window", "poly:6"])
+        assert rc == 2
+        assert "poly_ref_6 is too rough for model order 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_endpoint_average_flag_is_gone(self, sim_dir, tmp_path):
+        assert exit_code(["identify", "--out", str(tmp_path / "ea"),
+                          "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
+                          "--endpoint-average"]) == 2
 
     def test_naive_records_rect_window(self, sim_dir, tmp_path):
         out = tmp_path / "nv"
@@ -432,7 +429,7 @@ class TestConfigAndExitCodes:
         ("identify", [*IDENTIFY_INPUTS, "--window", "rect", "--np", "3",
                       "--f-max", "20"]),
         ("identify", [*IDENTIFY_INPUTS, "--window", "cinf:2", "--f-min", "1",
-                      "--endpoint-average", "--truth", "{sim}/truth.json"]),
+                      "--truth", "{sim}/truth.json"]),
         ("window", ["--window", "sin:2", "--samples", "64", "--max-deriv", "1",
                     "--f-max", "8"]),
         ("sweep", [*FAST_SIM, "--fs-list", "96", "--windows", "sin:2"]),
@@ -442,8 +439,8 @@ class TestConfigAndExitCodes:
                      "--tau-max", "0.5", "--num-windows", "8"]),
     ])
     def test_run_config_alone_replays_run(self, sim_dir, tmp_path, command, flags):
-        # the saved file used to drop --f-min/--f-max/--truth, replay
-        # endpoint_average = False as True and need --x/--u/--window again
+        # the saved file used to drop --f-min/--f-max/--truth and need
+        # --x/--u/--window again
         first, again = tmp_path / "first", tmp_path / "again"
         flags = [f.format(sim=sim_dir) for f in flags]
         assert main([command, "--out", str(first), *flags]) == 0
@@ -457,6 +454,7 @@ class TestConfigAndExitCodes:
     @pytest.mark.parametrize("command,line,key", [
         ("simulate", "seed = abc", "seed"),
         ("simulate", "seed 4", "seed"),
+        # a key of older run_config.txt files: the option is gone
         ("identify", "endpoint_average = yes", "endpoint_average"),
         ("identify", "command = simulate", "command"),
         # argparse checks choices on flags only; a config value used to

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import freqwin.corrections as corrections
 from freqwin import (ModelStructure, Signal, WindowSpec, apply_window,
                      build_regression, correction_spectra, fft_spectrum,
-                     resample, rng_for, window_table, window_value)
+                     resample, rng_for, window_table)
 from freqwin.corrections import modulated_row
 from leibniz_oracle import correction_time_oracle
 
@@ -136,12 +136,11 @@ class TestModulate:
         for k in range(3):
             np.testing.assert_array_equal(stacked.values[2 * k:2 * k + 2],
                                           table.samples[k] * sig.values)
-        expect = np.concatenate([window_value(spec, k, T) * vals[:, n]
-                                 for k in range(3)])
-        np.testing.assert_array_equal(stacked.terminal, expect)
+        # the terminal sample s(T) is record data; no windowed product carries it
+        assert stacked.terminal is None
         rect = apply_window(sig, window_table(WindowSpec("rectangular"), n, 0), 0)
         np.testing.assert_array_equal(rect.values, sig.values)
-        np.testing.assert_array_equal(rect.terminal, sig.terminal)
+        assert rect.terminal is None
 
     def test_modulate_is_gone(self):
         # spectral.apply_window is the only way a record meets a window

@@ -330,9 +330,8 @@ class TestRouteSelection:
         assert r1.residual_l2 == r2.residual_l2
 
 
-    @pytest.mark.parametrize("endpoint_average", [False, True])
     @pytest.mark.parametrize("n_p", [0, 3])
-    def test_no_window_is_the_rect_table(self, n_p, endpoint_average, monkeypatch):
+    def test_no_window_is_the_rect_table(self, n_p, monkeypatch):
         """No window is the rectangular window: both records go through
         apply_window with its K = 0 table, and every report field but the
         wall time is equal."""
@@ -344,8 +343,7 @@ class TestRouteSelection:
 
         monkeypatch.setattr("freqwin.identify.apply_window", counted)
         x, u = reference_records()
-        r1, r2 = (identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=w,
-                                        n_p=n_p, endpoint_average=endpoint_average)
+        r1, r2 = (identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=w, n_p=n_p)
                   for w in (None, WindowSpec("rectangular")))
         assert calls == [("rect", 0, 0)] * 4
         assert_same_report(r1, r2)
@@ -393,7 +391,7 @@ class TestDesignCaches:
         rows, qp, rp = identify._poly_block(reg.freqs.tobytes(), 4)
         table = identify._window_table(WindowSpec("sin", 2), x.num_samples, 1)
         assert reg.poly_factor[0] is qp and reg.poly_factor[1] is rp
-        for array in (rows, qp, rp, table.samples, table.terminal):
+        for array in (rows, qp, rp, table.samples):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -505,6 +503,23 @@ class TestInvariances:
         assert_relative(b0, want_b0 / c)
 
 
+class TestTerminalSample:
+    @pytest.mark.parametrize("windowed, poly", list(METHODS),
+                             ids=list(METHODS.values()))
+    def test_terminal_sample_never_reaches_an_estimate(self, windowed, poly):
+        # s(T) is record data (checks against x(T), the CSV's T); the
+        # estimate of every method is the same without it
+        x, u = bench.reference_dataset(seed=bench.REF_SEED).decimated(80.0)
+        assert x.terminal is not None and u.terminal is not None
+        window = WindowSpec("cinf", 4) if windowed else None
+        with_term, without = (
+            identify_from_signals(xs, us, bench.REF_STRUCTURE, window_spec=window,
+                                  n_p=3 if poly else 0)
+            for xs, us in ((x, u), (replace(x, terminal=None),
+                                    replace(u, terminal=None))))
+        assert_same_report(with_term, without)
+
+
 class TestSecondOrderSystem:
     def test_full_pipeline_with_input_derivatives(self):
         # n_a = 2, n_b = 1: companion integration, corrections of both the
@@ -583,6 +598,25 @@ class TestErrorPaths:
             identify_from_signals(x, Signal(length=T, values=u.values[:, ::2]),
                                   theta.structure, window_spec=window,
                                   n_p=2 if poly else 0)
+
+    def test_window_too_rough_for_the_order_rejected(self):
+        # the modulating-function integral needs w^(k) = 0 at both edges for
+        # every k < max(n_a, n_b); sin:n meets that for n >= max(n_a, n_b)
+        x, u = reference_records()
+
+        def order(n_a, n_b):
+            return ModelStructure(n_x=x.num_channels, n_u=u.num_channels, n_a=n_a, n_b=n_b)
+
+        for structure, window, k in ((order(2, 0), WindowSpec("sin", 1), 2),
+                                     (order(1, 2), WindowSpec("sin", 1), 2),
+                                     (order(1, 0), WindowSpec("poly_ref", 6), 1)):
+            with pytest.raises(ValueError,
+                               match=f"{window.label} is too rough for model order {k}"):
+                identify_from_signals(x, u, structure, window_spec=window)
+        for structure, window in ((order(2, 0), WindowSpec("sin", 2)),
+                                  (order(1, 0), WindowSpec("sin", 1))):
+            report = identify_from_signals(x, u, structure, window_spec=window)
+            assert report.method == "corrected"
 
     def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()

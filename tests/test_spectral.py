@@ -62,21 +62,6 @@ class TestFourierCoeffs:
         rhs = 2.0 * fft_spectrum(a).coeffs - 1.5j * fft_spectrum(b).coeffs
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
-    def test_endpoint_average_uses_terminal(self):
-        n = 64
-        t = np.arange(n + 1) * T / n
-        vals = np.exp(2j * np.pi * 2.7 * t)  # off-grid: s(0) != s(T)
-        sig = Signal(length=T, values=vals[:n], terminal=vals[n:])
-        plain = fft_spectrum(sig).coeffs
-        avg = fft_spectrum(sig, endpoint_average=True).coeffs
-        assert not np.allclose(plain, avg)
-        # averaging moves every bin by the same (T/N)(s(T) - s(0))/2
-        np.testing.assert_allclose(avg - plain, (T / n) * 0.5 * (vals[n] - vals[0]),
-                                   atol=1e-15)
-        sig_bare = Signal(length=T, values=vals[:n])
-        with pytest.raises(ValueError):
-            fft_spectrum(sig_bare, endpoint_average=True)
-
 
 class TestParseval:
     def test_band_limited_energy(self):
@@ -191,29 +176,18 @@ class TestApplyWindow:
         with pytest.raises(ValueError):
             apply_window(sig, table, 0)
 
-    def test_terminal_sample_weighted_by_terminal_rows(self):
-        # sin_1'(T) = -pi/T, so the derivative row keeps a nonzero s(T)
-        length = 2.5
-        sig = Signal(length=length, values=np.ones((2, 64)), terminal=[2.0, 3.0j])
-        table = window_table(WindowSpec(family="sin", order=1), 64, 1)
-        out = apply_window(sig, table, 1)
-        np.testing.assert_allclose(
-            out.terminal, [0.0, 0.0, -2 * np.pi / length, -3j * np.pi / length],
-            atol=1e-15)
-
     def test_stack_holds_rows_zero_to_k_max(self):
-        # row k is scaled by T^-k; the terminal sample follows the same blocks
+        # row k is scaled by T^-k; the terminal sample is not carried
         length, n = 2.0, 64
         sig = Signal(length=length, values=np.arange(1.0, 2 * n + 1).reshape(2, n),
                      terminal=[5.0, -1.0j])
         table = window_table(WindowSpec(family="poly_ref", order=4), n, 3)
         out = apply_window(sig, table, 2)
         assert out.num_channels == 6 and out.length == length
+        assert out.terminal is None
         for k in range(3):
             np.testing.assert_array_equal(out.values[2 * k:2 * k + 2],
                                           table.samples[k] * length**-k * sig.values)
-            np.testing.assert_array_equal(out.terminal[2 * k:2 * k + 2],
-                                          table.terminal[k] * length**-k * sig.terminal)
 
     def test_row_outside_table_rejected(self):
         # a negative row used to index the table from the end

@@ -1,7 +1,6 @@
 """Sweep-level properties of the identification pipeline on the benchmark
-system (slopes of the parameter error, the mixed-method envelope, endpoint
-averaging).  These share one simulated dataset per seed and are slower than
-the unit tests."""
+system (slopes of the parameter error, the mixed-method envelope).  These
+share one simulated dataset per seed and are slower than the unit tests."""
 
 import pytest
 
@@ -9,7 +8,7 @@ import freqwin.bench as bench
 import freqwin.corrections as corrections
 import freqwin.identify as identify
 import freqwin.spectral as spectral
-from freqwin import WindowSpec, loglog_slope, param_error, residual_probe_norm
+from freqwin import WindowSpec, loglog_slope, param_error
 
 T = 1.0
 
@@ -50,28 +49,6 @@ def test_halving_simulation_step_does_not_worsen_estimates():
                          bench.estimate(fine, 80.0, window=w).theta_hat)
     # integrator refinement may shuffle the sub-1e-10 floor but not degrade
     assert e_fine <= e_coarse + 1e-10
-
-
-class TestEndpointAveraging:
-    @staticmethod
-    def probe_residual(dataset, f_s, endpoint_average):
-        """||e(2 Hz)|| of the true parameters on the sin:1 regression at f_s."""
-        x, u = dataset.decimated(f_s)
-        report = identify.identify_from_signals(
-            x, u, dataset.theta_true.structure, window_spec=WindowSpec("sin", 1),
-            endpoint_average=endpoint_average)
-        resid = identify.residual_spectrum(dataset.theta_true, report.regression)
-        return residual_probe_norm(resid, 2.0)
-
-    def test_sin1_fixed_frequency_residual_improves(self, dataset):
-        rates = [128.0, 256.0, 512.0]
-        plain = [self.probe_residual(dataset, fs, False) for fs in rates]
-        avg = [self.probe_residual(dataset, fs, True) for fs in rates]
-        for p, a in zip(plain, avg):
-            assert a < 0.1 * p
-        slope_plain, _ = loglog_slope(rates, plain)
-        slope_avg, _ = loglog_slope(rates, avg)
-        assert slope_avg < slope_plain - 0.5
 
 
 def test_lowpass_filtering_mitigates_out_of_band_content():
