@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .identify import (EstimateReport, ModelParams, ModelStructure,
                        identify_from_signals, residual_spectrum)
-from .metrics import SweepResult, error_norms, param_error, residual_probe_norm
+from .metrics import SweepResult, _probe_bin, error_norms, param_error
 from .simulate import (INPUT_NOISE_OFFSET, ForcingSpec, SimConfig, add_noise, integrate_rk4,
                        multisine, random_system, resample, sample_forcing)
 from .spectral import Signal
@@ -46,6 +46,8 @@ class Dataset:
         state record draws noise trial ``trial``, the input record
         ``trial + INPUT_NOISE_OFFSET``."""
         n = f_s * self.x.length
+        if not 0 < n <= self.x.num_samples:  # NaN included
+            raise ValueError(f"f_s = {f_s:g} must be in (0, fine rate {self.x.sample_rate:g}]")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("f_s * T must be an integer sample count")
         n = int(round(n))
@@ -127,10 +129,10 @@ def sweep_rates(dataset: Dataset, rates, method: str | None = None,
     for f_s in rates:
         report = estimate(dataset, f_s, method, window, n_p=n_p)
         resid = residual_spectrum(dataset.theta_true, report.regression)
-        _, l2 = error_norms(resid)
+        norms, l2 = error_norms(resid)
         out.append(SweepResult(
             swept_value=f_s, method=report.method, window=window.label,
-            residual_probe=residual_probe_norm(resid, probe_freq),
+            residual_probe=float(norms[_probe_bin(resid, probe_freq)]),
             residual_l2=l2,
             param_error=param_error(dataset.theta_true, report.theta_hat),
             wall_time=report.wall_time,

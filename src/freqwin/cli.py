@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RankDeficiencyError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RankDeficiencyError, RuntimeError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

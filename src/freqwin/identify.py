@@ -1,10 +1,10 @@
 """Frequency-domain least-squares identification of the ODE coefficients.
 
 Every estimator runs one pipeline: records -> stacked modulated spectra ->
-regression -> solve.  The records are multiplied by the window-derivative
-rows w^(k), k = 0..K (``spectral.apply_window``), and transformed
-together, giving X_k = F(w^(k) x) and U_k = F(w^(k) u).  Per frequency
-bin f the regression stacks
+regression -> solve.  Both records are multiplied by the window-derivative
+rows w^(k), k = 0..K, into one buffer (``spectral.apply_window``), which
+one transform turns into X_k = F(w^(k) x) and U_k = F(w^(k) u).  Per
+frequency bin f the regression stacks
 
     L_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) X_k(f)   (state rows)
     R_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) U_k(f)   (input rows, negated)
@@ -18,8 +18,9 @@ remaining parameters solve theta_2 M_2 = -M_1 in the least-squares sense.
 The solve projects the model rows off the QR factor of the polynomial
 rows, which depend only on the band and are factored once per (band, n_p),
 and reads M_2's singular values off a small block-triangular factor (see
-``solve_ls``).  The window and n_p are the only settings; the method name
-is read off the regression that was solved:
+``solve_ls``); with n_p = 0 nothing is projected and the factor is the R
+of the model rows' QR.  The window and n_p are the only settings; the
+method name is read off the regression that was solved:
 
     window                     stack depth K    n_p = 0      n_p > 0
     smooth (sin, cinf, ..)     K = n_a (n_b)    corrected    mixed
@@ -103,10 +104,7 @@ class ModelParams:
 
     def free_stack(self) -> np.ndarray:
         """Free parameters (A_{n_a} excluded) as one flat vector."""
-        return np.concatenate(
-            [m.ravel() for m in self.A[: self.structure.n_a]]
-            + [m.ravel() for m in self.B]
-        )
+        return np.concatenate([m.ravel() for m in self.A[: self.structure.n_a] + self.B])
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ class RegressionSystem:
     @property
     def model_rows(self) -> np.ndarray:
         rows = self.m2.shape[0] - self.n_poly
-        return np.vstack([self.m1, self.m2[:rows]])
+        return np.concatenate((self.m1, self.m2[:rows]))
 
 
 @dataclass(frozen=True)
@@ -235,7 +233,8 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
     """
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
-    band = _check_band(band, xs.num_bins)
+    index = _check_band(band, xs.num_bins)
+    band = slice(None) if band is None else index  # all bins: views, not copies
     _check_records(xs.length, xs.num_bins, us.length, us.num_bins)
     freqs = xs.freqs[band]
     D = 2j * np.pi * freqs
@@ -245,7 +244,7 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
         if spec.num_channels % n_ch:
             raise ValueError(f"{source} spectra hold {spec.num_channels} channels, "
                              f"not a stack of {n_ch}-channel blocks")
-        stack = spec.coeffs[:, band].reshape(-1, n_ch, band.size)
+        stack = spec.coeffs[:, band].reshape(-1, n_ch, freqs.size)
         k_max = len(stack) - 1
         if 0 < k_max < order:
             raise ValueError(f"missing {source} correction of order {k_max + 1}")
@@ -256,7 +255,7 @@ def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
     poly_rows, qp, rp = _poly_block(freqs.tobytes(), n_p)
     M = np.vstack(blocks + [poly_rows])
     n_x = structure.n_x
-    return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=band,
+    return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=index,
                             structure=structure, length=xs.length,
                             n_poly=n_p, windowed=xs.num_channels > n_x,
                             poly_factor=(qp, rp))
@@ -275,10 +274,10 @@ def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
 
 def _split_theta(theta2: np.ndarray, structure: ModelStructure):
     s = structure
-    # column blocks A_{n_a-1} .. A_0, then B_{n_b} .. B_0
-    blocks = np.split(theta2, np.cumsum([s.n_x] * s.n_a + [s.n_u] * s.n_b), axis=1)
-    A = tuple(reversed(blocks[: s.n_a])) + (np.eye(s.n_x),)
-    return ModelParams(structure, A=A, B=tuple(reversed(blocks[s.n_a:])))
+    a = s.n_x * s.n_a  # column blocks A_{n_a-1} .. A_0, then B_{n_b} .. B_0
+    A = [theta2[:, j:j + s.n_x] for j in range(0, a, s.n_x)][::-1] + [np.eye(s.n_x)]
+    B = [theta2[:, j:j + s.n_u] for j in range(a, theta2.shape[1], s.n_u)][::-1]
+    return ModelParams(s, A=tuple(A), B=tuple(B))
 
 
 def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -301,36 +300,35 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     its SVD gives ``m2_singular_values``, and a numerical rank below M2's
     row count (see RANK_RTOL) raises RankDeficiencyError.  Solving S
     against [Qw^H; Qp^H] (-M1^T) then gives the model parameters and the
-    polynomial coefficients.  With n_p = 0, S is Rw.  The fit residual is
-    W model^T plus the projected M1^T.
+    polynomial coefficients.  With n_p = 0 nothing is projected: S is Rw,
+    read with its right-hand side off the QR factor of [Mm^T | -M1^T].
+    The fit residual is W model^T plus the projected M1^T.
     """
     rows, cols = reg.m2.shape
     if cols < rows:
-        raise ValueError(
-            f"M2 has {cols} frequency columns for {rows} parameter rows; "
-            "the regression is underdetermined"
-        )
+        raise ValueError(f"M2 has {cols} frequency columns for {rows} parameter rows; "
+                         "the regression is underdetermined")
     t0 = time.perf_counter()
     n_m = rows - reg.n_poly
-    qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
-    # [Mm^T | -M1^T] projected off Qp; R of its QR is [[Rw, Qw^H (-M1^T)], ..]
-    aug = np.vstack([reg.m2[:n_m], -reg.m1]).T.copy()
-    proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
-    aug -= _times(qp, proj)
-    r_aug = np.linalg.qr(aug, mode="r")
-    tri = np.zeros((rows, rows), dtype=complex)
-    tri[:n_m, :n_m] = r_aug[:n_m, :n_m]
-    tri[n_m:, :n_m] = proj[:, :n_m]
-    tri[n_m:, n_m:] = rp
+    # [Mm^T | -M1^T] in the (Fortran) order the QR takes, projected off Qp
+    aug = np.concatenate((reg.m2[:n_m], -reg.m1)).T
+    if reg.n_poly:
+        qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
+        aug = np.ascontiguousarray(aug)  # _times multiplies its real view
+        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
+        aug -= _times(qp, proj)
+    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
+    if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
+        r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
+                          [proj[:, :n_m], rp, proj[:, n_m:]]])
+    tri, rhs = r_aug[:, :rows], r_aug[:, rows:]
     s = np.linalg.svd(tri, compute_uv=False)
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     if rank < rows:
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0
-        raise RankDeficiencyError(
-            f"numerical rank {rank} below parameter row count {rows} "
-            f"(smallest singular value ratio {ratio:.2e})"
-        )
-    theta2 = np.linalg.solve(tri, np.vstack([r_aug[:n_m, n_m:], proj[:, n_m:]])).T
+        raise RankDeficiencyError(f"numerical rank {rank} below parameter row count {rows} "
+                                  f"(smallest singular value ratio {ratio:.2e})")
+    theta2 = np.linalg.solve(tri, rhs).T
     wall = time.perf_counter() - t0
     model = theta2[:, :n_m]
     # the polynomial part of the fit is the projection onto Qp, so the
@@ -338,14 +336,11 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     fit_resid = model @ aug[:, :n_m].T - aug[:, n_m:].T
     norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0))
     resid_l2 = float(np.sqrt((norms**2).sum() / reg.length))
-    per_freq = Spectrum(length=reg.length, coeffs=norms.astype(complex),
-                        freqs=reg.freqs)
     return EstimateReport(
         theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
-        per_frequency_residual=per_freq, wall_time=wall, regression=reg,
-        imag_norm=float(np.linalg.norm(model.imag)),
-        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None,
-        m2_singular_values=s,
+        per_frequency_residual=Spectrum(reg.length, norms, reg.freqs), wall_time=wall,
+        regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
+        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None, m2_singular_values=s,
     )
 
 
@@ -361,7 +356,7 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
     modulating-function integral needs rows 0..K-1 to vanish at both edges;
     a window too rough for that raises ValueError (every window is
     symmetric about s = 1/2, so the s = 0 sample decides).  Times the
-    whole per-dataset pipeline (windowing, transforms, assembly, solve);
+    whole per-dataset pipeline (windowing, transform, assembly, solve);
     the window-derivative table is a design artifact, built once per
     (window, N, K) before the clock starts.
     """
@@ -373,7 +368,10 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
         raise ValueError(f"window {spec.label} is too rough for model order {k}: "
                          f"its derivatives below order {k} do not vanish at the edges")
     t0 = time.perf_counter()
-    xs = fft_spectrum(apply_window(x_sig, table, min(structure.n_a, k)))
-    us = fft_spectrum(apply_window(u_sig, table, min(structure.n_b, k)))
+    k_x = min(structure.n_a, k)
+    stack = fft_spectrum(apply_window((x_sig, u_sig), table, (k_x, min(structure.n_b, k))))
+    split = (k_x + 1) * x_sig.num_channels
+    xs = Spectrum(stack.length, stack.coeffs[:split], stack.freqs)
+    us = Spectrum(stack.length, stack.coeffs[split:], stack.freqs)
     report = solve_ls(build_regression(xs, us, structure, n_p, band))
     return replace(report, wall_time=time.perf_counter() - t0)

@@ -31,14 +31,18 @@ def error_norms(residual: Spectrum) -> tuple[np.ndarray, float]:
     return norms, l2
 
 
+def _probe_bin(residual: Spectrum, freq: float) -> int:
+    dist = np.abs(residual.freqs - freq)
+    if not dist.min() <= 0.5 / residual.length:
+        raise ValueError(f"probe frequency {freq} is outside the residual's band")
+    return int(np.argmin(dist))
+
+
 def residual_probe_norm(residual: Spectrum, freq: float) -> float:
     """||e(f)|| at the bin closest to the probe frequency, which must lie
     within half a bin (0.5 / T) of it."""
     norms, _ = error_norms(residual)
-    dist = np.abs(residual.freqs - freq)
-    if not dist.min() <= 0.5 / residual.length:
-        raise ValueError(f"probe frequency {freq} is outside the residual's band")
-    return float(norms[np.argmin(dist)])
+    return float(norms[_probe_bin(residual, freq)])
 
 
 def param_error(theta_true: ModelParams, theta_hat: ModelParams) -> float:

@@ -136,22 +136,31 @@ def fft_spectrum(signal: Signal) -> Spectrum:
     return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
 
 
-def apply_window(signal: Signal, table, k_max: int = 0) -> Signal:
+def apply_window(signal, table, k_max=0) -> Signal:
     """The products w^(k) s for k = 0..k_max, stacked as consecutive channel
     blocks of one Signal.  Row k of the table is d^k w/ds^k (s = t/T); the
     factor T^-k makes it d^k w/dt^k.  The output carries no terminal sample.
+    Records on one grid and their k_max, as two sequences, stack in turn
+    into one buffer of the first record's T: one finiteness scan, one FFT.
     """
-    if table.num_samples != signal.num_samples:
-        raise ValueError(
-            f"window table has {table.num_samples} samples, signal has "
-            f"{signal.num_samples}"
-        )
-    if not 0 <= k_max <= table.max_deriv:
-        raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, "
-                         f"not 0 to {k_max}")
-    scale = signal.length ** -np.arange(k_max + 1, dtype=float)[:, None]
-    out = (table.samples[:k_max + 1] * scale)[:, None, :] * signal.values
-    return Signal(length=signal.length, values=out.reshape(-1, signal.num_samples))
+    if isinstance(signal, Signal):
+        signal, k_max = (signal,), (k_max,)
+    pairs = list(zip(signal, k_max, strict=True))
+    n = table.num_samples
+    for rec, k in pairs:
+        if rec.num_samples != n:
+            raise ValueError(f"window table has {n} samples, signal has {rec.num_samples}")
+        if not 0 <= k <= table.max_deriv:
+            raise ValueError(f"table holds derivatives 0 to {table.max_deriv}, not 0 to {k}")
+    out = np.empty((sum((k + 1) * rec.num_channels for rec, k in pairs), n), dtype=complex)
+    start = 0
+    for rec, k in pairs:
+        scale = rec.length ** -np.arange(k + 1, dtype=float)[:, None]
+        block = out[start:start + (k + 1) * rec.num_channels]
+        np.multiply((table.samples[:k + 1] * scale)[:, None, :], rec.values,
+                    out=block.reshape(k + 1, rec.num_channels, -1))
+        start += len(block)
+    return Signal(length=pairs[0][0].length, values=out)
 
 
 def lowpass_filter(signal: Signal, cutoff: float) -> Signal:

@@ -598,6 +598,32 @@ class TestConfigAndExitCodes:
         assert ("record length 10000.0 needs 1.8432e+09 steps at fine rate 184320 "
                 "and 2.95e+11 bytes") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("f_s", ["inf", "nan", "0", "-80", "1e300"])
+    @pytest.mark.parametrize("command,flag", [("simulate", "--fs"), ("montecarlo", "--fs"),
+                                              ("sweep", "--fs-list")])
+    def test_rate_outside_the_fine_rate_is_exit_2(self, tmp_path, command, flag, f_s,
+                                                  capsys):
+        # inf used to exit 1 with round(inf)'s OverflowError traceback, and
+        # 1e300 to print its 301-digit sample count
+        out = tmp_path / "f"
+        trials = ["--trials", "1"] if command == "montecarlo" else []
+        assert main([command, "--out", str(out), "--fine-rate", "7680",
+                     f"{flag}={f_s}", *trials]) == 2
+        err = capsys.readouterr().err
+        assert f"f_s = {float(f_s):g} must be in (0, fine rate 7680]\n" in err
+        assert len(err) < 120
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window,max_deriv", [("sin:2", "1500"), ("cinf:1", "1200")])
+    def test_derivative_overflow_is_exit_3(self, tmp_path, window, max_deriv, capsys):
+        # sin's pi ** k and cinf's prefactor coefficients overflow a float;
+        # both used to exit 1 with an OverflowError traceback
+        out = tmp_path / "w"
+        assert main(["window", "--out", str(out), "--window", window,
+                     "--max-deriv", max_deriv]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_bad_sigma_is_exit_2(self, tmp_path, command, sigma, capsys):

@@ -333,8 +333,8 @@ class TestRouteSelection:
     @pytest.mark.parametrize("n_p", [0, 3])
     def test_no_window_is_the_rect_table(self, n_p, monkeypatch):
         """No window is the rectangular window: both records go through
-        apply_window with its K = 0 table, and every report field but the
-        wall time is equal."""
+        one apply_window call with its K = 0 table, and every report field
+        but the wall time is equal."""
         calls = []
 
         def counted(sig, table, k_max=0):
@@ -345,8 +345,65 @@ class TestRouteSelection:
         x, u = reference_records()
         r1, r2 = (identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=w, n_p=n_p)
                   for w in (None, WindowSpec("rectangular")))
-        assert calls == [("rect", 0, 0)] * 4
+        assert calls == [("rect", 0, (0, 0))] * 2
         assert_same_report(r1, r2)
+
+
+@cache
+def reference_dataset_42():
+    return bench.reference_dataset(seed=bench.REF_SEED)
+
+
+class TestOneTransformPerEstimate:
+    """identify_from_signals windows both records into one buffer and
+    transforms it once.  Its regression is the one the per-record route
+    builds, bit for bit, and its solve without polynomial rows (nothing
+    projected, S = Rw) matches dense oracles that share no code with it."""
+
+    RECORDS = [(f_s, sigma) for f_s in (80.0, 768.0) for sigma in (0.0, 1e-2)]
+
+    @staticmethod
+    def records(f_s, sigma):
+        ds = reference_dataset_42()
+        return (*ds.decimated(f_s, sigma, 1), ds.theta_true.structure)
+
+    @pytest.mark.parametrize("f_s, sigma", RECORDS)
+    @pytest.mark.parametrize("window, n_p", [("cinf:4", 0), ("cinf:4", 10),
+                                             (None, 0), (None, 50)])
+    def test_regression_is_the_per_record_one(self, window, n_p, f_s, sigma):
+        x, u, structure = self.records(f_s, sigma)
+        spec = bench.parse_window(window) if window else WindowSpec("rectangular")
+        k = max(structure.n_a, structure.n_b) if window else 0
+        table = window_table(spec, x.num_samples, k)
+        per_record = build_regression(
+            fft_spectrum(apply_window(x, table, min(structure.n_a, k))),
+            fft_spectrum(apply_window(u, table, min(structure.n_b, k))),
+            structure, n_p)
+        reg = identify_from_signals(x, u, structure, window_spec=spec,
+                                    n_p=n_p).regression
+        np.testing.assert_array_equal(reg.m1, per_record.m1)
+        np.testing.assert_array_equal(reg.m2, per_record.m2)
+
+    @pytest.mark.parametrize("f_s, sigma", RECORDS)
+    @pytest.mark.parametrize("window", ["cinf:4", None])
+    def test_unprojected_solve_matches_dense_oracles(self, window, f_s, sigma):
+        x, u, structure = self.records(f_s, sigma)
+        spec = bench.parse_window(window) if window else None
+        report = identify_from_signals(x, u, structure, window_spec=spec)
+        m1, m2 = report.regression.m1, report.regression.m2
+        theta2 = np.linalg.lstsq(m2.T, -m1.T, rcond=None)[0].T
+        got = np.hstack(report.theta_hat.A[:1] + report.theta_hat.B)
+        np.testing.assert_allclose(got, theta2.real, rtol=0,
+                                   atol=1e-12 * np.abs(theta2).max())
+        np.testing.assert_allclose(report.m2_singular_values,
+                                   np.linalg.svd(m2, compute_uv=False), rtol=1e-13)
+        # the residual cancels the terms theta2 M2 and M1 bin by bin
+        fit = theta2 @ m2
+        norms = np.sqrt((np.abs(fit + m1) ** 2).sum(axis=0))
+        terms = np.linalg.norm(fit, axis=0) + np.linalg.norm(m1, axis=0)
+        got = report.per_frequency_residual.coeffs
+        assert not got.imag.any()
+        assert (np.abs(got.real - norms) <= 1e-12 * terms).all()
 
 
 class TestDesignCaches:

@@ -107,8 +107,8 @@ def test_mixed_method_does_not_beat_the_best_pure_route():
 
 
 def test_sweep_transforms_each_record_once(dataset, monkeypatch):
-    """A corrected cinf:4 rate (n_a = 1, n_b = 0) costs two FFTs: the state
-    stack (w x and w' x in one transform) and the windowed input.  The
+    """A corrected cinf:4 rate (n_a = 1, n_b = 0) costs one FFT: the state
+    stack (w x and w' x) and the windowed input in one transform.  The
     true-parameter residual reuses the regression the estimate solved."""
     calls = []
     fft = spectral.fft_spectrum
@@ -121,7 +121,7 @@ def test_sweep_transforms_each_record_once(dataset, monkeypatch):
         monkeypatch.setattr(module, "fft_spectrum", counted)
     rows = bench.sweep_rates(dataset, [80.0, 128.0], window=WindowSpec("cinf", 4))
     assert len(rows) == 2
-    assert len(calls) == 2 * 2
+    assert len(calls) == 2
 
 
 class TestRouteLabels:
