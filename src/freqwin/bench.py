@@ -30,6 +30,12 @@ REF_SEED = 42
 REF_FS = 80.0
 
 
+def check_rate(f_s: float, fine_rate: float) -> None:
+    """ValueError unless f_s is a rate a record sampled at fine_rate decimates to."""
+    if not 0 < f_s <= fine_rate:  # NaN included
+        raise ValueError(f"f_s = {f_s:g} must be in (0, fine rate {fine_rate:g}]")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A simulated record pair with its ground truth."""
@@ -45,9 +51,8 @@ class Dataset:
         """The records at f_s plus noise of standard deviation sigma: the
         state record draws noise trial ``trial``, the input record
         ``trial + INPUT_NOISE_OFFSET``."""
+        check_rate(f_s, self.x.sample_rate)
         n = f_s * self.x.length
-        if not 0 < n <= self.x.num_samples:  # NaN included
-            raise ValueError(f"f_s = {f_s:g} must be in (0, fine rate {self.x.sample_rate:g}]")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("f_s * T must be an integer sample count")
         n = int(round(n))

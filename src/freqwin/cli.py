@@ -75,13 +75,15 @@ def _comma_list(text: str, flag: str) -> list[str]:
     return items
 
 
-def _dataset_from_args(args) -> bench.Dataset:
+def _dataset_from_args(args, rates) -> bench.Dataset:
+    for f_s in rates:  # before the simulation, which a bad rate would waste
+        bench.check_rate(f_s, args.fine_rate)
     return bench.reference_dataset(seed=args.seed, length=args.length,
                                    fine_rate=args.fine_rate)
 
 
 def cmd_simulate(args) -> int:
-    dataset = _dataset_from_args(args)
+    dataset = _dataset_from_args(args, [args.fs])
     x, u = dataset.decimated(args.fs, args.sigma)
     out = _out_dir(args)
     io.write_signal_csv(out / "x.csv", x)
@@ -130,8 +132,12 @@ def cmd_window(args) -> int:
     spec = bench.parse_window(args.window)
     n = args.samples
     max_deriv = 0 if spec.family == "rectangular" else args.max_deriv
-    table = window_table(spec, n, max_deriv)
-    s = np.arange(n) / n
+    try:
+        table = window_table(spec, n, max_deriv)
+        s = np.arange(n) / n
+    except MemoryError:
+        raise ValueError(f"--samples {n} needs {8.0 * (max_deriv + 2) * n:.3g} bytes "
+                         "of window samples, more than memory holds") from None
     spectrum = window_spectrum(spec, 0, f_max=args.f_max)
     rows = []
     for k in range(max_deriv + 1):
@@ -151,7 +157,7 @@ def cmd_window(args) -> int:
 def cmd_sweep(args) -> int:
     rates = [float(v) for v in _comma_list(args.fs_list, "--fs-list")]
     windows = [bench.parse_window(w) for w in _comma_list(args.windows, "--windows")]
-    dataset = _dataset_from_args(args)
+    dataset = _dataset_from_args(args, rates)
     results = [r for window in windows
                for r in bench.sweep_rates(dataset, rates, window=window, n_p=args.np,
                                           probe_freq=args.probe_freq)]
@@ -167,7 +173,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     windows = [bench.parse_window(w) for w in _comma_list(args.windows, "--windows")]
-    dataset = _dataset_from_args(args)
+    dataset = _dataset_from_args(args, [args.fs])
     truth = dataset.theta_true
     rows = []
     for window in windows:

@@ -1,10 +1,11 @@
 """Frequency-domain least-squares identification of the ODE coefficients.
 
 Every estimator runs one pipeline: records -> stacked modulated spectra ->
-regression -> solve.  Both records are multiplied by the window-derivative
-rows w^(k), k = 0..K, into one buffer (``spectral.apply_window``), which
-one transform turns into X_k = F(w^(k) x) and U_k = F(w^(k) u).  Per
-frequency bin f the regression stacks
+regression -> solve; ``build_regression`` alone forms and reads the stack.
+It multiplies both records by the window-derivative rows w^(k), k = 0..K,
+into one buffer (``spectral.apply_window``), which one transform turns into
+X_k = F(w^(k) x) and U_k = F(w^(k) u).  Per frequency bin f the regression
+stacks
 
     L_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) X_k(f)   (state rows)
     R_i(f) = sum_{k=0..min(i,K)} (-1)^k C(i,k) D(f)^(i-k) U_k(f)   (input rows, negated)
@@ -213,52 +214,54 @@ def _check_band(band, n_bins: int) -> np.ndarray:
     return band
 
 
-def _check_records(x_len: float, x_n: int, u_len: float, u_n: int) -> None:
-    if u_n != x_n or abs(u_len - x_len) > 1e-12 * x_len:
-        raise ValueError(f"state record (T = {x_len:.17g}, N = {x_n}) and "
-                         f"input record (T = {u_len:.17g}, N = {u_n}) differ")
-
-
-def build_regression(xs: Spectrum, us: Spectrum, structure: ModelStructure,
-                     n_p: int = 0, band=None) -> RegressionSystem:
+def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
+                     window_spec: WindowSpec | None = None, n_p: int = 0,
+                     band=None) -> RegressionSystem:
     """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band, then
     n_p polynomial rows; M1 is the fixed highest-order block.
 
-    ``xs`` holds the stack X_0..X_K of ``apply_window``ed state spectra as
-    channel blocks of n_x channels each (``us`` likewise with n_u channels).
-    K = 0 is the rectangular route; otherwise the stack must reach the model
-    order.  Each output gets its own coefficient per polynomial row, so n_p
-    rows add n_p * n_x estimated nuisance parameters (order 50 on the
-    benchmark adds 250).
+    Both records are multiplied by the window's derivative rows up to their
+    model order, K = max(n_a, n_b) for a smooth window; no window is the
+    rectangular one, whose table holds only the row of ones, K = 0.  The
+    modulating-function integral needs rows 0..K-1 to vanish at both edges;
+    a window too rough for that raises ValueError (every window is
+    symmetric about s = 1/2, so the s = 0 sample decides); the table is
+    cached per (window, N, K).  Each output gets its own coefficient per
+    polynomial row, so n_p rows add n_p * n_x estimated nuisance parameters
+    (order 50 on the benchmark adds 250).
     """
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
-    index = _check_band(band, xs.num_bins)
+    n, length = x_sig.num_samples, x_sig.length
+    if u_sig.num_samples != n or abs(u_sig.length - length) > 1e-12 * length:
+        raise ValueError(f"state record (T = {length:.17g}, N = {n}) and input record "
+                         f"(T = {u_sig.length:.17g}, N = {u_sig.num_samples}) differ")
+    n_x, n_u = structure.n_x, structure.n_u
+    if (x_sig.num_channels, u_sig.num_channels) != (n_x, n_u):
+        raise ValueError(f"records of {x_sig.num_channels} state and {u_sig.num_channels} "
+                         f"input channels for a model with n_x = {n_x}, n_u = {n_u}")
+    index = _check_band(band, n)
     band = slice(None) if band is None else index  # all bins: views, not copies
-    _check_records(xs.length, xs.num_bins, us.length, us.num_bins)
-    freqs = xs.freqs[band]
+    spec = window_spec or WindowSpec("rectangular")
+    k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
+    table = _window_table(spec, n, k)
+    if table.samples[:k, 0].any():
+        raise ValueError(f"window {spec.label} is too rough for model order {k}: "
+                         f"its derivatives below order {k} do not vanish at the edges")
+    k_x, k_u = min(structure.n_a, k), min(structure.n_b, k)
+    spectra = fft_spectrum(apply_window((x_sig, u_sig), table, (k_x, k_u)))
+    freqs = spectra.freqs[band]
     D = 2j * np.pi * freqs
-
-    def rows(spec: Spectrum, n_ch: int, order: int, source: str) -> list[np.ndarray]:
-        """L_i (or R_i) for i = order..0 from the stack X_0..X_K."""
-        if spec.num_channels % n_ch:
-            raise ValueError(f"{source} spectra hold {spec.num_channels} channels, "
-                             f"not a stack of {n_ch}-channel blocks")
-        stack = spec.coeffs[:, band].reshape(-1, n_ch, freqs.size)
-        k_max = len(stack) - 1
-        if 0 < k_max < order:
-            raise ValueError(f"missing {source} correction of order {k_max + 1}")
-        return [modulated_row(stack, D, i) for i in range(order, -1, -1)]
-
-    blocks = (rows(xs, structure.n_x, structure.n_a, "state")
-              + [-r for r in rows(us, structure.n_u, structure.n_b, "input")])
+    coeffs = spectra.coeffs[:, band]
+    xs = coeffs[:(k_x + 1) * n_x].reshape(k_x + 1, n_x, -1)  # X_0..X_{k_x}
+    us = coeffs[(k_x + 1) * n_x:].reshape(k_u + 1, n_u, -1)  # U_0..U_{k_u}
+    blocks = ([modulated_row(xs, D, i) for i in range(structure.n_a, -1, -1)]
+              + [-modulated_row(us, D, i) for i in range(structure.n_b, -1, -1)])
     poly_rows, qp, rp = _poly_block(freqs.tobytes(), n_p)
     M = np.vstack(blocks + [poly_rows])
-    n_x = structure.n_x
     return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=index,
-                            structure=structure, length=xs.length,
-                            n_poly=n_p, windowed=xs.num_channels > n_x,
-                            poly_factor=(qp, rp))
+                            structure=structure, length=length, n_poly=n_p,
+                            windowed=k > 0, poly_factor=(qp, rp))
 
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
@@ -347,31 +350,13 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                           window_spec: WindowSpec | None = None,
                           n_p: int = 0, band=None) -> EstimateReport:
-    """One-shot estimation from sampled records.
-
-    Both records are multiplied by the window's derivative rows up to their
-    model order, K = max(n_a, n_b) for a smooth window (corrected, or mixed
-    with ``n_p`` > 0); no window is the rectangular one, whose table holds
-    only the row of ones, K = 0 (naive, or ps with ``n_p`` > 0).  The
-    modulating-function integral needs rows 0..K-1 to vanish at both edges;
-    a window too rough for that raises ValueError (every window is
-    symmetric about s = 1/2, so the s = 0 sample decides).  Times the
-    whole per-dataset pipeline (windowing, transform, assembly, solve);
-    the window-derivative table is a design artifact, built once per
-    (window, N, K) before the clock starts.
+    """One-shot estimation from sampled records: ``solve_ls`` of
+    ``build_regression`` on the same arguments.  A smooth window is the
+    corrected method, or mixed with ``n_p`` > 0; no window is naive, or ps
+    with ``n_p`` > 0.  Times the whole per-dataset pipeline (table lookup,
+    windowing, transform, assembly, solve), so the first estimate for a new
+    (window, N, K) includes the cold build of the window table.
     """
-    _check_records(x_sig.length, x_sig.num_samples, u_sig.length, u_sig.num_samples)
-    spec = window_spec or WindowSpec("rectangular")
-    k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
-    table = _window_table(spec, x_sig.num_samples, k)
-    if table.samples[:k, 0].any():
-        raise ValueError(f"window {spec.label} is too rough for model order {k}: "
-                         f"its derivatives below order {k} do not vanish at the edges")
     t0 = time.perf_counter()
-    k_x = min(structure.n_a, k)
-    stack = fft_spectrum(apply_window((x_sig, u_sig), table, (k_x, min(structure.n_b, k))))
-    split = (k_x + 1) * x_sig.num_channels
-    xs = Spectrum(stack.length, stack.coeffs[:split], stack.freqs)
-    us = Spectrum(stack.length, stack.coeffs[split:], stack.freqs)
-    report = solve_ls(build_regression(xs, us, structure, n_p, band))
+    report = solve_ls(build_regression(x_sig, u_sig, structure, window_spec, n_p, band))
     return replace(report, wall_time=time.perf_counter() - t0)

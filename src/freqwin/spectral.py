@@ -112,14 +112,6 @@ class Spectrum:
                 raise ValueError("freqs must match the coefficient bins")
         object.__setattr__(self, "freqs", freqs)
 
-    @property
-    def num_channels(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.coeffs.shape[1]
-
 
 def fft_spectrum(signal: Signal) -> Spectrum:
     """Transform estimates on the full two-sided DFT grid (fftfreq order).

@@ -129,17 +129,17 @@ def _cinf_poly(order: float, k: int) -> np.ndarray:
                      P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * (k - 1) * _Q)))
 
 
-def _cinf_values(order: float, ks: range, s: np.ndarray) -> np.ndarray:
+def _cinf_values(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
     """Rows d^k w/ds^k at the points s, one for each k in ks: the support
     mask, the exponent and its exp are evaluated once for all of them."""
+    order = spec.order
     out = np.zeros((len(ks), s.size))
     live = (s > 0.0) & (s < 1.0)
     x = s[live]
     # the denominator from s, not c, so nothing cancels at the edges
     q = 1.0 - x
     q *= x
-    with np.errstate(over="ignore"):  # subnormal s: the exponent is -inf
-        base = order / q
+    base = order / q  # inf for subnormal s (_window_rows ignores it): exponent -inf
     np.subtract(4.0 * order, base, out=base)
     above = base > _EXP_FLOOR
     if not above.all():
@@ -156,8 +156,15 @@ def _cinf_values(order: float, ks: range, s: np.ndarray) -> np.ndarray:
             pref = P.polyval(x, _cinf_poly(float(order), k).astype(float))
             pref /= q ** (2 * k)
             pref *= base
-            row[live] = pref
+            row[live] = _finite(pref, spec, k)
     return out
+
+
+def _finite(row: np.ndarray, spec: WindowSpec, k: int) -> np.ndarray:
+    """``row``, or OverflowError naming the order if float64 overflowed in it."""
+    if not np.isfinite(row).all():
+        raise OverflowError(f"derivative {k} of window {spec.label} overflows float64")
+    return row
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,21 +199,23 @@ def _poly_ref_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
 
 def _window_rows(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
     """Rows d^k w/ds^k at the 1-D points s, one for each k in ks, 0 outside
-    [0, 1]."""
-    if spec.family == "cinf":
-        return _cinf_values(spec.order, ks, s)
-    out = np.zeros((len(ks), s.size))
-    for row, k in zip(out, ks):
-        if spec.family == "rectangular":
-            if k >= 1:
-                raise ValueError("rectangular window has no pointwise derivatives; it "
-                                 "participates only in the polynomial-transient baseline")
-            vals = 1.0
-        elif spec.family == "sin":
-            vals = _sin_values(int(spec.order), k, s)
-        else:  # poly_ref
-            vals = _poly_ref_values(int(spec.order), k, s)
-        row[:] = np.where((s >= 0.0) & (s <= 1.0), vals, 0.0)
+    [0, 1].  Each row is checked as it is formed, so a row that overflows
+    float64 raises OverflowError before any later order is built."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.family == "cinf":
+            return _cinf_values(spec, ks, s)
+        out = np.zeros((len(ks), s.size))
+        for row, k in zip(out, ks):
+            if spec.family == "rectangular":
+                if k >= 1:
+                    raise ValueError("rectangular window has no pointwise derivatives; it "
+                                     "participates only in the polynomial-transient baseline")
+                vals = 1.0
+            elif spec.family == "sin":
+                vals = _sin_values(int(spec.order), k, s)
+            else:  # poly_ref
+                vals = _poly_ref_values(int(spec.order), k, s)
+            row[:] = _finite(np.where((s >= 0.0) & (s <= 1.0), vals, 0.0), spec, k)
     return out
 
 

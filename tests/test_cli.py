@@ -614,14 +614,47 @@ class TestConfigAndExitCodes:
         assert len(err) < 120
         assert not out.exists()
 
-    @pytest.mark.parametrize("window,max_deriv", [("sin:2", "1500"), ("cinf:1", "1200")])
+    @pytest.mark.parametrize("window,max_deriv", [("sin:2", "1500"), ("cinf:1", "1200"),
+                                                  ("sin:2", "400"), ("cinf:1", "60")])
     def test_derivative_overflow_is_exit_3(self, tmp_path, window, max_deriv, capsys):
-        # sin's pi ** k and cinf's prefactor coefficients overflow a float;
-        # both used to exit 1 with an OverflowError traceback
+        # the first row that overflows float64 stops the table (order 387 of
+        # sin:2, 50 of cinf:1); 1500 and 1200 used to exit 1 with an
+        # OverflowError traceback, 400 and 60 to exit 0 with inf rows
         out = tmp_path / "w"
         assert main(["window", "--out", str(out), "--window", window,
                      "--max-deriv", max_deriv]) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        label, order = {"sin:2": ("sin_2", 387), "cinf:1": ("cinf_1", 50)}[window]
+        assert (capsys.readouterr().err
+                == f"numeric failure: derivative {order} of window {label} overflows float64\n")
+        assert not out.exists()
+
+    def test_window_samples_beyond_memory_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # used to exit 1 with numpy's _ArrayMemoryError traceback; the
+        # allocation fails here without being attempted
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("freqwin.cli.window_table", no_memory)
+        out = tmp_path / "w"
+        assert main(["window", "--out", str(out), "--window", "cinf:1",
+                     "--samples", "100000000000"]) == 2
+        assert ("--samples 100000000000 needs 4e+12 bytes of window samples"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sweep", ["--fs-list", "80,inf"]), ("simulate", ["--fs", "0"]),
+        ("montecarlo", ["--fs", "1e9", "--trials", "1"])])
+    def test_rate_checked_before_simulating(self, tmp_path, monkeypatch, command, flags,
+                                            capsys):
+        # a bad rate used to be found only after the full-rate simulation
+        def no_simulation(*args):
+            raise AssertionError("simulated before checking the rate")
+
+        monkeypatch.setattr(bench, "integrate_rk4", no_simulation)
+        out = tmp_path / "f"
+        assert main([command, "--out", str(out), *flags]) == 2
+        assert "must be in (0, fine rate 184320]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])

@@ -9,10 +9,11 @@ import freqwin.bench as bench
 import freqwin.identify as identify
 
 from freqwin import (ModelParams, ModelStructure, RankDeficiencyError,
-                     RegressionSystem, Signal, Spectrum, WindowSpec,
-                     apply_window, build_regression, fft_spectrum,
-                     identify_from_signals, param_error, residual_spectrum,
-                     rng_for, solve_ls, window_table)
+                     RegressionSystem, Signal, WindowSpec, apply_window,
+                     build_regression, fft_spectrum, identify_from_signals,
+                     param_error, residual_spectrum, rng_for, solve_ls,
+                     window_table)
+from freqwin.corrections import modulated_row
 from freqwin.identify import METHODS
 
 T = 1.0
@@ -83,10 +84,9 @@ class TestExactRecovery:
 
     def test_duplicated_band_leaves_estimate_unchanged(self):
         x, u, theta = exact_dataset()
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
         band = np.arange(x.num_samples)
-        reg1 = build_regression(xw, uw, theta.structure, band=band)
-        reg2 = build_regression(xw, uw, theta.structure,
+        reg1 = build_regression(x, u, theta.structure, band=band)
+        reg2 = build_regression(x, u, theta.structure,
                                 band=np.concatenate([band, band]))
         t1 = solve_ls(reg1).theta_hat
         t2 = solve_ls(reg2).theta_hat
@@ -277,23 +277,25 @@ def decay_integral(a, f, length):
 
 class TestPsBaseline:
     def test_scalar_closed_form_transient_absorbed(self):
-        # first-order scalar system driven off-grid; exact rectangular-window
-        # spectra from the closed-form solution, x(0) free
+        # first-order scalar system driven off-grid; records whose
+        # rectangular-window spectra are the closed-form solution's exact
+        # transforms on every bin, x(0) free; fitted on bins 0..32
         a, b, f0, x0 = 2.0, 1.3, 4.6, 0.7 + 0.2j
         gain = b / (a + 2j * np.pi * f0)
         c0 = x0 - gain
-        freqs = np.arange(33) / T
+        n = 128
+        freqs = np.fft.fftfreq(n, d=T / n)
         xw = np.array([gain * exp_integral(f0, f, T) + c0 * decay_integral(a, f, T)
                        for f in freqs])
         uw = np.array([exp_integral(f0, f, T) for f in freqs])
+        x, u = (Signal(length=T, values=np.fft.ifft(w) * (n / T)) for w in (xw, uw))
         structure = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
-        x_spec = Spectrum(length=T, coeffs=xw[None, :], freqs=freqs)
-        u_spec = Spectrum(length=T, coeffs=uw[None, :], freqs=freqs)
-        report = solve_ls(build_regression(x_spec, u_spec, structure, n_p=1))
+        band = np.arange(33)
+        report = solve_ls(build_regression(x, u, structure, n_p=1, band=band))
         assert abs(report.theta_hat.A[0][0, 0] - a) < 1e-6
         assert abs(report.theta_hat.B[0][0, 0] - b) < 1e-6
         # without the transient term the estimate is far off
-        naive = solve_ls(build_regression(x_spec, u_spec, structure))
+        naive = solve_ls(build_regression(x, u, structure, band=band))
         assert abs(naive.theta_hat.A[0][0, 0] - a) > 1e-2
 
     def test_polynomial_row_count(self):
@@ -355,10 +357,10 @@ def reference_dataset_42():
 
 
 class TestOneTransformPerEstimate:
-    """identify_from_signals windows both records into one buffer and
-    transforms it once.  Its regression is the one the per-record route
-    builds, bit for bit, and its solve without polynomial rows (nothing
-    projected, S = Rw) matches dense oracles that share no code with it."""
+    """build_regression windows both records into one buffer and transforms
+    it once.  Its regression is the one built record by record, bit for
+    bit, and its solve without polynomial rows (nothing projected, S = Rw)
+    matches dense oracles that share no code with it."""
 
     RECORDS = [(f_s, sigma) for f_s in (80.0, 768.0) for sigma in (0.0, 1e-2)]
 
@@ -375,14 +377,22 @@ class TestOneTransformPerEstimate:
         spec = bench.parse_window(window) if window else WindowSpec("rectangular")
         k = max(structure.n_a, structure.n_b) if window else 0
         table = window_table(spec, x.num_samples, k)
-        per_record = build_regression(
-            fft_spectrum(apply_window(x, table, min(structure.n_a, k))),
-            fft_spectrum(apply_window(u, table, min(structure.n_b, k))),
-            structure, n_p)
+
+        def stack(sig, order):
+            """X_0..X_K of one record, K = min(order, k), by its own transform."""
+            coeffs = fft_spectrum(apply_window(sig, table, min(order, k))).coeffs
+            return coeffs.reshape(-1, sig.num_channels, sig.num_samples)
+
+        D = 2j * np.pi * np.fft.fftfreq(x.num_samples, d=x.length / x.num_samples)
+        xs, us = stack(x, structure.n_a), stack(u, structure.n_b)
+        per_record = np.vstack(
+            [modulated_row(xs, D, i) for i in range(structure.n_a, -1, -1)]
+            + [-modulated_row(us, D, i) for i in range(structure.n_b, -1, -1)])
         reg = identify_from_signals(x, u, structure, window_spec=spec,
                                     n_p=n_p).regression
-        np.testing.assert_array_equal(reg.m1, per_record.m1)
-        np.testing.assert_array_equal(reg.m2, per_record.m2)
+        np.testing.assert_array_equal(reg.model_rows, per_record)
+        np.testing.assert_array_equal(reg.m2[len(per_record) - structure.n_x:],
+                                      identify._poly_rows(reg.freqs, n_p))
 
     @pytest.mark.parametrize("f_s, sigma", RECORDS)
     @pytest.mark.parametrize("window", ["cinf:4", None])
@@ -480,20 +490,18 @@ class TestMixed:
 class TestResidualSpectrum:
     def test_true_parameters_give_small_residual_on_exact_data(self):
         x, u, theta = exact_dataset()
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
-        reg = build_regression(xw, uw, theta.structure)
+        reg = build_regression(x, u, theta.structure)
         resid = residual_spectrum(theta, reg)
         assert np.abs(resid.coeffs).max() < 1e-10
         # polynomial rows are nuisance terms, not part of the model residual
-        with_poly = build_regression(xw, uw, theta.structure, n_p=3)
+        with_poly = build_regression(x, u, theta.structure, n_p=3)
         assert with_poly.m2.shape[0] == reg.m2.shape[0] + 3
         np.testing.assert_array_equal(
             residual_spectrum(theta, with_poly).coeffs, resid.coeffs)
 
     def test_wrong_parameters_give_large_residual(self):
         x, u, theta = exact_dataset()
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
-        reg = build_regression(xw, uw, theta.structure)
+        reg = build_regression(x, u, theta.structure)
         wrong = ModelParams(theta.structure,
                             A=(theta.A[0] + 0.5, theta.A[1]), B=theta.B)
         resid = residual_spectrum(wrong, reg)
@@ -616,30 +624,17 @@ class TestErrorPaths:
 
     def test_underdetermined_rejected(self):
         x, u, theta = exact_dataset(n=128)
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
         band = np.arange(3)  # fewer columns than parameter rows
         with pytest.raises(ValueError, match="underdetermined"):
-            solve_ls(build_regression(xw, uw, theta.structure, band=band))
+            solve_ls(build_regression(x, u, theta.structure, band=band))
 
-    def test_missing_corrections_rejected(self):
-        # a bare spectrum (K = 0) is the rectangular route; a stack that
-        # stops short of the model order is an error
-        x, u, _ = exact_dataset()
-        structure = ModelStructure(n_x=2, n_u=2, n_a=2, n_b=2)
-        table = window_table(WindowSpec("cinf", 2), x.num_samples, 2)
-
-        def stack(sig, k_max):
-            return fft_spectrum(apply_window(sig, table, k_max))
-
-        build_regression(stack(x, 2), stack(u, 2), structure)
-        build_regression(fft_spectrum(x), fft_spectrum(u), structure)
-        with pytest.raises(ValueError, match="state correction of order 2"):
-            build_regression(stack(x, 1), stack(u, 2), structure)
-        with pytest.raises(ValueError, match="input correction of order 2"):
-            build_regression(stack(x, 2), stack(u, 1), structure)
-        odd = Spectrum(length=T, coeffs=stack(x, 2).coeffs[:5])
-        with pytest.raises(ValueError, match="2-channel blocks"):
-            build_regression(odd, stack(u, 2), structure)
+    @pytest.mark.parametrize("n_x, n_u", [(4, 2), (2, 1), (1, 1)])
+    def test_channel_counts_must_match_the_model(self, n_x, n_u):
+        # a 4-channel state record used to read as a 2-channel stack of depth 1
+        x, u, _ = exact_dataset(n_x=2, n_u=2)
+        structure = ModelStructure(n_x=n_x, n_u=n_u, n_a=1, n_b=0)
+        with pytest.raises(ValueError, match=f"n_x = {n_x}, n_u = {n_u}"):
+            build_regression(x, u, structure, WindowSpec("cinf", 2))
 
     @pytest.mark.parametrize("windowed, poly", list(METHODS),
                              ids=list(METHODS.values()))
@@ -677,9 +672,8 @@ class TestErrorPaths:
 
     def test_negative_polynomial_order_rejected(self):
         x, u, theta = exact_dataset()
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
         with pytest.raises(ValueError, match="polynomial order"):
-            build_regression(xw, uw, theta.structure, n_p=-1)
+            build_regression(x, u, theta.structure, n_p=-1)
 
     @pytest.mark.parametrize("band", [[1.5, 2.7], np.arange(4.0),
                                       np.arange(64) < 30])
@@ -691,7 +685,5 @@ class TestErrorPaths:
 
     def test_empty_band(self):
         x, u, theta = exact_dataset()
-        xw, uw = fft_spectrum(x), fft_spectrum(u)
         with pytest.raises(ValueError, match="empty"):
-            build_regression(xw, uw, theta.structure,
-                             band=np.array([], dtype=int))
+            build_regression(x, u, theta.structure, band=np.array([], dtype=int))

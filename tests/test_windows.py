@@ -226,6 +226,17 @@ class TestWindowTable:
         with pytest.raises(ValueError):
             window_table(make("sin", 1), 1, 0)
 
+    @pytest.mark.parametrize("family, order, first_bad", [
+        ("cinf", 0.25, 44), ("cinf", 1, 50), ("cinf", 4, 59), ("sin", 2, 387)])
+    def test_first_overflowing_row_raises(self, family, order, first_bad):
+        # the row used to be returned holding -inf (cinf) or inf (sin)
+        spec = make(family, order)
+        assert np.isfinite(window_table(spec, 4096, first_bad - 1).samples).all()
+        with pytest.raises(OverflowError,
+                           match=rf"^derivative {first_bad} of window {spec.label} "
+                                 "overflows float64$"):
+            window_table(spec, 4096, first_bad + 10)
+
     @pytest.mark.parametrize("order", [0.25, 0.4375, 1, 3.3125, 8])
     def test_cinf_rows_together_equal_one_order_at_a_time(self, order):
         # a table and a transform pair share one support mask, exponent and
