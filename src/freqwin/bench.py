@@ -12,9 +12,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .identify import (EstimateReport, ModelParams, ModelStructure,
                        identify_from_signals, residual_spectrum)
-from .metrics import SweepResult, _probe_bin, error_norms, param_error
+from .metrics import SweepResult, error_norms, param_error
 from .simulate import (INPUT_NOISE_OFFSET, ForcingSpec, SimConfig, add_noise, integrate_rk4,
                        multisine, random_system, resample, sample_forcing)
 from .spectral import Signal
@@ -128,16 +130,21 @@ def sweep_rates(dataset: Dataset, rates, method: str | None = None,
                 probe_freq: float = 2.0) -> list[SweepResult]:
     """Identify at every sampling rate; also evaluates the true-parameter
     equation residual on the regression the estimate solved, whose decay
-    reflects the window class directly.  Rows carry the method that ran."""
+    reflects the window class directly.  The probe norm is ||e(f)|| at the
+    bin nearest ``probe_freq``, which must lie within half a bin (0.5 / T)
+    of it.  Rows carry the method that ran."""
     window = window or WindowSpec("rectangular")
     out = []
     for f_s in rates:
         report = estimate(dataset, f_s, method, window, n_p=n_p)
         resid = residual_spectrum(dataset.theta_true, report.regression)
         norms, l2 = error_norms(resid)
+        dist = np.abs(resid.freqs - probe_freq)
+        if not dist.min() <= 0.5 / resid.length:
+            raise ValueError(f"probe frequency {probe_freq} is outside the residual's band")
         out.append(SweepResult(
             swept_value=f_s, method=report.method, window=window.label,
-            residual_probe=float(norms[_probe_bin(resid, probe_freq)]),
+            residual_probe=float(norms[np.argmin(dist)]),
             residual_l2=l2,
             param_error=param_error(dataset.theta_true, report.theta_hat),
             wall_time=report.wall_time,

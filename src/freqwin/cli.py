@@ -173,6 +173,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     windows = [bench.parse_window(w) for w in _comma_list(args.windows, "--windows")]
+    if args.trials < 1:  # before the simulation, as the rate is
+        raise ValueError(f"--trials {args.trials} must be at least 1")
     dataset = _dataset_from_args(args, [args.fs])
     truth = dataset.theta_true
     rows = []
@@ -196,7 +198,13 @@ def cmd_overlap(args) -> int:
     if not (args.tau_step > 0 and 0 <= args.tau_min <= args.tau_max < 1):
         raise ValueError("overlap grid needs tau-step > 0 and "
                          "0 <= tau-min <= tau-max < 1")
-    taus = np.arange(args.tau_min, args.tau_max + 1e-12, args.tau_step)
+    stop = args.tau_max + 1e-12
+    try:
+        taus = np.arange(args.tau_min, stop, args.tau_step)
+    except (MemoryError, ValueError):  # ValueError: numpy's "Maximum allowed size exceeded"
+        raise ValueError(f"--tau-step {args.tau_step:g} asks for "
+                         f"{(stop - args.tau_min) / args.tau_step:.3g} tau grid points, "
+                         "more than memory holds") from None
     base_windows = args.num_windows  # windows at zero overlap = L / T
     rows = []
     for text in windows:

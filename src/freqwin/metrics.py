@@ -1,4 +1,4 @@
-"""Error norms, log-log slope fits and ensemble statistics."""
+"""The sweep row, error norms, parameter error and ensemble statistics."""
 
 from __future__ import annotations
 
@@ -31,51 +31,12 @@ def error_norms(residual: Spectrum) -> tuple[np.ndarray, float]:
     return norms, l2
 
 
-def _probe_bin(residual: Spectrum, freq: float) -> int:
-    dist = np.abs(residual.freqs - freq)
-    if not dist.min() <= 0.5 / residual.length:
-        raise ValueError(f"probe frequency {freq} is outside the residual's band")
-    return int(np.argmin(dist))
-
-
-def residual_probe_norm(residual: Spectrum, freq: float) -> float:
-    """||e(f)|| at the bin closest to the probe frequency, which must lie
-    within half a bin (0.5 / T) of it."""
-    norms, _ = error_norms(residual)
-    return float(norms[_probe_bin(residual, freq)])
-
-
 def param_error(theta_true: ModelParams, theta_hat: ModelParams) -> float:
     """Frobenius norm of the stacked free-parameter difference
     (the fixed A_{n_a} block is excluded)."""
     if theta_true.structure != theta_hat.structure:
         raise ValueError("model structures differ")
     return float(np.linalg.norm(theta_true.free_stack() - theta_hat.free_stack()))
-
-
-def loglog_slope(xs, ys) -> tuple[float, float]:
-    """OLS slope of log y against log x with a t-based 95 % CI half-width."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise ValueError("need matching arrays with at least 2 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit needs positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    design = np.vstack([np.ones_like(lx), lx]).T
-    coef, res, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    slope = float(coef[1])
-    dof = xs.size - 2
-    if dof <= 0:
-        return slope, np.inf
-    fitted = design @ coef
-    s2 = float(((ly - fitted) ** 2).sum() / dof)
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    se = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    from scipy.special import stdtrit  # kept off the import of freqwin
-
-    half = float(stdtrit(dof, 0.975) * se)  # Student-t 97.5 % quantile
-    return slope, half
 
 
 def ensemble_stats(reports, theta_true: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -68,10 +68,6 @@ class Signal:
         return self.num_samples / self.length
 
     @property
-    def nyquist(self) -> float:
-        return self.num_samples / (2.0 * self.length)
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.num_samples) * (self.length / self.num_samples)
 
@@ -153,19 +149,3 @@ def apply_window(signal, table, k_max=0) -> Signal:
                     out=block.reshape(k + 1, rec.num_channels, -1))
         start += len(block)
     return Signal(length=pairs[0][0].length, values=out)
-
-
-def lowpass_filter(signal: Signal, cutoff: float) -> Signal:
-    """Zero-phase spectral truncation: FFT, zero bins with |f| > cutoff, inverse.
-
-    Filtering commutes with the system equations, so identification may be
-    run on filtered records to suppress fold-back of true signal content
-    above the Nyquist frequency.
-    """
-    if cutoff >= signal.nyquist:
-        raise ValueError("cutoff must be below the Nyquist frequency")
-    N = signal.num_samples
-    freqs = np.fft.fftfreq(N, d=signal.length / N)
-    spec = np.fft.fft(signal.values, axis=-1)
-    spec[:, np.abs(freqs) > cutoff] = 0.0
-    return Signal(length=signal.length, values=np.fft.ifft(spec, axis=-1))

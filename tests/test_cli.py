@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freqwin
 import freqwin.bench as bench
 from freqwin import Signal, io, overlap_variance, param_error
 from freqwin.cli import build_parser, main
@@ -344,6 +348,48 @@ def test_montecarlo_and_sweep_name_windows_alike(tmp_path):
     assert mc == {"sin_1", "cinf_4"} and mc & sw == {"sin_1"}
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_is_exit_2_before_simulating(tmp_path, monkeypatch, trials,
+                                                      capsys):
+    # used to simulate the whole dataset, then fail on "need at least one report"
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking --trials")
+
+    monkeypatch.setattr(bench, "integrate_rk4", no_simulation)
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--out", str(out), "--trials", trials]) == 2
+    assert f"--trials {trials} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: a finder that refuses scipy and
+    # its submodules makes any import of them fail
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from freqwin.cli import main\n"
+        "runs = [['simulate', '--out', 'sim', '--fine-rate', '7680'],\n"
+        "        ['identify', '--out', 'id', '--x', 'sim/x.csv', '--u', 'sim/u.csv'],\n"
+        "        ['window', '--out', 'win', '--window', 'sin:2', '--samples', '256'],\n"
+        "        ['sweep', '--out', 'sw', '--fine-rate', '7680'],\n"
+        "        ['montecarlo', '--out', 'mc', '--fine-rate', '7680', '--trials', '3'],\n"
+        "        ['overlap', '--out', 'ov']]\n"
+        "for argv in runs:\n"
+        "    print(argv[0], main(argv), file=sys.stderr)\n")
+    src = str(Path(freqwin.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, text=True,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    codes = dict(line.split() for line in done.stderr.splitlines())
+    assert codes == {name: "0" for name in ("simulate", "identify", "window", "sweep",
+                                            "montecarlo", "overlap")}
+
+
 class TestNoiseFlag:
     def test_sigma_changes_records(self, tmp_path):
         clean, noisy = tmp_path / "clean", tmp_path / "noisy"
@@ -402,6 +448,28 @@ class TestOverlapCommand:
         assert rc == 2
         assert "tau" in capsys.readouterr().err
         assert not (out / "overlap.csv").exists()
+
+    def test_tau_grid_beyond_memory_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 1e-13 used to exit 1 with the _ArrayMemoryError of a 69.1 TiB grid;
+        # the allocation fails here without being attempted
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        out = tmp_path / "ov"
+        assert main(["overlap", "--out", str(out), "--tau-step", "1e-13"]) == 2
+        assert ("--tau-step 1e-13 asks for 9.5e+12 tau grid points"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tau_grid_beyond_index_range_is_exit_2(self, tmp_path, capsys):
+        # used to exit 2 with numpy's bare "Maximum allowed size exceeded";
+        # numpy refuses this size before allocating anything
+        out = tmp_path / "ov"
+        assert main(["overlap", "--out", str(out), "--tau-step", "1e-300"]) == 2
+        assert ("--tau-step 1e-300 asks for 9.5e+299 tau grid points"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 IDENTIFY_INPUTS = ["--x", "{sim}/x.csv", "--u", "{sim}/u.csv"]

@@ -8,8 +8,7 @@ import pytest
 
 import freqwin
 from freqwin import (ModelParams, ModelStructure, Spectrum, ensemble_stats,
-                     error_norms, loglog_slope, param_error,
-                     residual_probe_norm)
+                     error_norms, param_error)
 
 
 def make_params(a_entries, structure=None):
@@ -40,21 +39,6 @@ class TestErrorNorms:
         direct = np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
         np.testing.assert_allclose(norms, direct, rtol=1e-13)
         assert l2 == pytest.approx(np.sqrt((direct**2).sum() / length))
-
-    def test_probe_picks_nearest_bin(self):
-        coeffs = np.arange(8, dtype=complex)[None, :]
-        spec = Spectrum(length=1.0, coeffs=coeffs)  # freqs 0..7
-        assert residual_probe_norm(spec, 3.4) == 3.0
-
-    def test_probe_outside_band_rejected(self):
-        # fftfreq grid 0..3, -4..-1 Hz: negative probes inside it still work
-        spec = Spectrum(length=1.0, coeffs=np.arange(8, dtype=complex)[None, :],
-                        freqs=np.fft.fftfreq(8, d=1 / 8))
-        assert residual_probe_norm(spec, -2.2) == 6.0
-        assert residual_probe_norm(spec, 3.5) == 3.0
-        for probe in (3.51, -4.6, 1000.0, np.nan):
-            with pytest.raises(ValueError, match="outside"):
-                residual_probe_norm(spec, probe)
 
 
 class TestParamError:
@@ -96,36 +80,10 @@ class TestParamError:
             param_error(a, b)
 
 
-class TestLoglogSlope:
-    def test_quadratic(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0])
-        slope, half = loglog_slope(x, x**2)
-        assert slope == pytest.approx(2.0, abs=1e-12)
-        assert half < 1e-10
-
-    def test_constant(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0])
-        slope, _ = loglog_slope(x, np.full(4, 3.0))
-        assert slope == pytest.approx(0.0, abs=1e-12)
-
-    def test_noisy_power_law_within_ci(self):
-        rng = np.random.default_rng(2)
-        x = np.logspace(0, 3, 30)
-        y = 5.0 * x**-1.7 * np.exp(0.05 * rng.standard_normal(30))
-        slope, half = loglog_slope(x, y)
-        assert abs(slope + 1.7) < half
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            loglog_slope([1.0], [1.0])
-        with pytest.raises(ValueError):
-            loglog_slope([1.0, -2.0], [1.0, 1.0])
-
-
 def test_no_scipy_stats_at_runtime():
-    # the CI half-width needs one Student-t quantile, which scipy.special has;
-    # it and f_err's transform import scipy where they run, so importing
-    # the package loads no scipy module at all
+    # numpy is the one runtime dependency (the CLI subcommands are run with
+    # scipy blocked in test_cli), so importing the package loads no scipy
+    # module at all
     code = ("import sys, freqwin, freqwin.bench, freqwin.cli\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"

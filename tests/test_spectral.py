@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqwin import (Signal, WindowSpec, apply_window, fft_spectrum,
-                     lowpass_filter, window_table, window_value)
+                     window_table, window_value)
 
 T = 1.0
 
@@ -198,31 +198,6 @@ class TestApplyWindow:
                 apply_window(sig, table, k)
 
 
-class TestLowpass:
-    def test_band_limited_unchanged(self):
-        sig = tone(3.0, 128)
-        out = lowpass_filter(sig, 10.0)
-        assert np.abs(out.values - sig.values).max() < 1e-12
-
-    def test_high_tone_removed(self):
-        sig = tone(40.0, 128)
-        out = lowpass_filter(sig, 10.0)
-        assert np.abs(out.values).max() < 1e-12
-
-    def test_two_tone_split(self):
-        n = 128
-        t = np.arange(n) * T / n
-        low = np.exp(2j * np.pi * 4 * t)
-        high = np.exp(2j * np.pi * 50 * t)
-        sig = Signal(length=T, values=low + high)
-        out = lowpass_filter(sig, 20.0)
-        assert np.abs(out.values[0] - low).max() < 1e-12
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            lowpass_filter(tone(1.0, 64), 32.0)
-
-
 class TestSignalValidation:
     def test_rejects_nan(self):
         vals = np.ones(16, dtype=complex)
@@ -237,5 +212,4 @@ class TestSignalValidation:
     def test_properties(self):
         sig = tone(1.0, 64, length=2.0)
         assert sig.sample_rate == pytest.approx(32.0)
-        assert sig.nyquist == pytest.approx(16.0)
         assert sig.times[1] == pytest.approx(2.0 / 64)

@@ -2,13 +2,15 @@
 system (slopes of the parameter error, the mixed-method envelope).  These
 share one simulated dataset per seed and are slower than the unit tests."""
 
+import numpy as np
 import pytest
 
 import freqwin.bench as bench
 import freqwin.corrections as corrections
 import freqwin.identify as identify
 import freqwin.spectral as spectral
-from freqwin import WindowSpec, loglog_slope, param_error
+from analysis_helpers import loglog_slope, lowpass_filter
+from freqwin import WindowSpec, error_norms, param_error, residual_spectrum
 
 T = 1.0
 
@@ -56,11 +58,9 @@ def test_lowpass_filtering_mitigates_out_of_band_content():
     (fold-back of true content); zero-phase low-pass filtering before
     decimation commutes with the system dynamics and restores accuracy by
     orders of magnitude."""
-    import numpy as np
-
     from freqwin import (ForcingSpec, ModelStructure, SimConfig,
-                         identify_from_signals, integrate_rk4, lowpass_filter,
-                         random_system, resample, rng_for, sample_forcing)
+                         identify_from_signals, integrate_rk4, random_system,
+                         resample, rng_for, sample_forcing)
 
     structure = ModelStructure(n_x=2, n_u=2, n_a=1, n_b=0)
     theta = random_system(structure, seed=9)
@@ -139,3 +139,31 @@ class TestRouteLabels:
             bench.estimate(dataset, 80.0, "mixed", cinf4, 0)
         with pytest.raises(ValueError, match="select 'naive'"):
             bench.sweep_rates(dataset, [80.0], "ps", None)
+
+
+class TestProbeBin:
+    """The probe norm is ||e(f)|| at the bin nearest the probe frequency.
+    At f_s = 64 the two-sided grid is 0..31, -32..-1 Hz, enough bins for
+    the reference model's 50 parameters."""
+
+    @pytest.fixture(scope="class")
+    def norm_at(self, dataset):
+        resid = residual_spectrum(dataset.theta_true,
+                                  bench.estimate(dataset, 64.0).regression)
+        norms, _ = error_norms(resid)
+        return lambda freq: norms[np.flatnonzero(resid.freqs == freq)[0]]
+
+    def probe(self, dataset, freq):
+        return bench.sweep_rates(dataset, [64.0], probe_freq=freq)[0].residual_probe
+
+    def test_picks_nearest_bin(self, dataset, norm_at):
+        assert self.probe(dataset, 3.4) == norm_at(3.0)
+
+    def test_negative_probes_inside_the_grid(self, dataset, norm_at):
+        assert self.probe(dataset, -2.2) == norm_at(-2.0)
+        assert self.probe(dataset, 31.5) == norm_at(31.0)
+
+    @pytest.mark.parametrize("freq", [31.51, -32.6, 1000.0, np.nan])
+    def test_probe_past_half_a_bin_rejected(self, dataset, freq):
+        with pytest.raises(ValueError, match="outside"):
+            self.probe(dataset, freq)
