@@ -23,8 +23,8 @@ They transform the derivative rows in even/odd pairs (k, k + 1), both rows
 in one chirp z-transform, whose convolution runs as row and column FFT
 passes over one buffer.  That pays off for callers that ask for both
 orders of a pair (a window design takes k = 0 and 1): a cold pair costs
-about 0.85x two one-row transforms.  A caller that asks for one order
-alone pays for the partner row too: its cold ``f_err`` takes about 1.8x as
+about 0.8x two one-row transforms.  A caller that asks for one order
+alone pays for the partner row too: its cold ``f_err`` takes about 1.6x as
 long as a one-row transform would.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, isqrt, perm, prod
+from math import isfinite, perm, prod
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -131,32 +131,37 @@ def _cinf_poly(order: float, k: int) -> np.ndarray:
 
 def _cinf_values(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
     """Rows d^k w/ds^k at the points s, one for each k in ks: the support
-    mask, the exponent and its exp are evaluated once for all of them."""
+    mask, the exponent and its exp are evaluated once for all of them.
+    Each step runs in place on the whole point array, and each row is set
+    to 0 off the mask at the end, so no record-sized array is compressed
+    or scattered."""
     order = spec.order
-    out = np.zeros((len(ks), s.size))
-    live = (s > 0.0) & (s < 1.0)
-    x = s[live]
+    out = np.empty((len(ks), s.size))
     # the denominator from s, not c, so nothing cancels at the edges
-    q = 1.0 - x
-    q *= x
-    base = order / q  # inf for subnormal s (_window_rows ignores it): exponent -inf
-    np.subtract(4.0 * order, base, out=base)
-    above = base > _EXP_FLOOR
-    if not above.all():
-        live[live] = above
-        x = x[above]
-        q = q[above]
-        base = base[above]
-    np.exp(base, out=base)
-    x -= 0.5  # c = s - 1/2
+    q = 1.0 - s
+    q *= s
+    w = out[0] if ks[0] == 0 else np.empty_like(s)  # the window itself
+    np.divide(order, q, out=w)  # inf for subnormal s (_window_rows ignores it): exponent -inf
+    np.subtract(4.0 * order, w, out=w)
+    live = (s > 0.0) & (s < 1.0) & (w > _EXP_FLOOR)
+    dead = ~live
+    np.exp(w, out=w, where=live)
+    np.copyto(w, 0.0, where=dead)
+    c = s - 0.5
+    power = np.empty_like(s)
     for row, k in zip(out, ks):
         if k == 0:
-            row[live] = base
-        else:
-            pref = P.polyval(x, _cinf_poly(float(order), k).astype(float))
-            pref /= q ** (2 * k)
-            pref *= base
-            row[live] = _finite(pref, spec, k)
+            continue
+        coeffs = _cinf_poly(float(order), k).astype(float)
+        row.fill(coeffs[-1])  # Horner, as numpy's polyval
+        for a in coeffs[-2::-1]:
+            row *= c
+            row += a
+        np.power(q, 2 * k, out=power)
+        row /= power
+        row *= w
+        np.copyto(row, 0.0, where=dead)
+        _finite(row, spec, k)
     return out
 
 
@@ -313,15 +318,19 @@ def _chirp_plan(n: int, keep: int, size: int) -> tuple[np.ndarray, np.ndarray, n
     transform of the kernel h_(-e) = conj(c_(keep - e)) / L, e in
     [0, n - 1 + 2 keep], indices taken mod L = _fast_len(n + 2 keep); and the
     twiddles exp(-2 pi i k1 j2 / L) of L's (n1, n2) split, n1 the largest
-    divisor of L not above sqrt(L).  A circular convolution with h, run as
-    ``_dft_passes`` forward, times the kernel, and reversed, leaves at
-    e in [0, 2 keep] of inputs j < n no wrapped term: the sum over j of
-    x_j conj(c_(q - j)) for the bin q = keep - e.  The kernel's transform
-    sits in the passes' permuted layout, so nothing is transposed.  All
-    three arrays are read-only, as every call shares them.
+    divisor of L not above 64: the column FFTs stride through the whole
+    buffer, so they stay short (for f_err's L = 589 824, the 768 x 768
+    square's column FFTs took three times as long as its row FFTs, and
+    64 x 9216 runs the convolution in about half its time).  A circular
+    convolution with h, run as ``_dft_passes`` forward, times the kernel,
+    and reversed, leaves at e in [0, 2 keep] of inputs j < n no wrapped
+    term: the sum over j of x_j conj(c_(q - j)) for the bin q = keep - e.
+    The kernel's transform sits in the passes' permuted layout, so
+    nothing is transposed.  All three arrays are read-only, as every call
+    shares them.
     """
     length = _fast_len(n + 2 * keep)
-    n1 = next(d for d in range(isqrt(length), 0, -1) if length % d == 0)
+    n1 = next(d for d in range(min(64, length), 0, -1) if length % d == 0)
     n2 = length // n1
     j = np.arange(n + keep, dtype=np.int64)  # every |q - j| the kernel takes
     chirp = _roots(j * j, 2 * size)
@@ -366,7 +375,7 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     in that layout, and the same passes reversed (``_chirp_plan``).  Its
     chirp, kernel and twiddle phases come from integers (``_roots``), as
     scipy.signal.czt's float power is off by 4.2e-9 of the peak, enough to
-    move f_err at p = 1e-12; the bins stay within 7.6e-16 of each row's
+    move f_err at p = 1e-12; the bins stay within 7.7e-16 of each row's
     peak from a direct DFT of that row alone (1.4e-15 for sin_64, whose
     samples peak 12-14x above its transform).  The plan cache is keyed by
     sizes.
@@ -374,11 +383,14 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     n_hi = 1 << int(np.ceil(np.log2(max(16384, int(32 * m_max)))))
     half = n_hi // 2
     # the edges last, for the wrap sample
-    s = np.append(np.arange(half, n_hi) * (1.0 / n_hi), (0.0, 1.0))
+    s = np.arange(half, n_hi + 2, dtype=float)
+    s[:half] *= 1.0 / n_hi
+    s[half:] = 0.0, 1.0
     if spec.family == "rectangular":  # a zero partner row
         rows = np.vstack([_window_rows(spec, range(k, k + 1), s), np.zeros(s.size)])
     else:
         rows = _window_rows(spec, range(k, k + 2), s)
+    del s
     # wrap sample as the average of both one-sided limits: the DFT then
     # matches the trapezoid estimate of the transform integral
     wrap = 0.5 * (rows[:, -2] + rows[:, -1])
@@ -390,23 +402,29 @@ def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
     grid = buf.reshape(kernel.shape)
     np.multiply(rows[0, :half], scale[0], out=buf.real[:half])
     np.multiply(rows[1, :half], scale[1], out=buf.imag[:half])
-    del s, rows  # 6 MB the transform does not need
+    del rows  # 4 MB the transform does not need
     buf[:half] *= chirp[:half]
     buf[half:] = 0.0
     _dft_passes(grid, twiddle)
     grid *= kernel
     _dft_passes(grid, twiddle, reverse=True)
-    buf[:keep + 1] *= chirp[keep::-1]  # bin q at keep - q, c_-q = c_q
-    buf[keep + 1: 2 * keep + 1] *= chirp[1: keep + 1]
-    pos, neg = buf.real[keep::-1], buf.real[keep: 2 * keep + 1]
-    # B_q: 2 Re Y_a - v_c, real, and 2i Im Y_b, imaginary
-    out = np.zeros((2, keep + 1), dtype=complex)
-    np.add(pos, neg, out=out.real[0])
-    out.real[0] /= scale[0]
-    out.real[0] -= v_c
-    np.subtract(neg, pos, out=out.imag[1])
-    out.imag[1] /= scale[1]
-    out *= np.resize(np.exp(-1j * np.pi / refine * np.arange(2 * refine)), keep + 1)
+    # Re Z_q and Re Z_-q alone: bin q sits at keep - q, -q at keep + q, c_-q = c_q
+    cr, ci = chirp.real[:keep + 1], chirp.imag[:keep + 1]
+    pos = buf.real[keep::-1] * cr
+    pos -= buf.imag[keep::-1] * ci
+    neg = buf.real[keep: 2 * keep + 1] * cr
+    neg -= buf.imag[keep: 2 * keep + 1] * ci
+    del buf, grid
+    # B_q: 2 Re Y_a - v_c and 2 Im Y_b, the latter times i below
+    b = np.stack([(pos + neg) / scale[0] - v_c, (neg - pos) / scale[1]])
+    # omega^(qc) repeats every 2 refine bins: whole periods by broadcasting
+    period = 2 * refine
+    phase = np.exp(-1j * np.pi / refine * np.arange(period)) * np.array([[1.0], [1j]])
+    out = np.empty((2, keep + 1), dtype=complex)
+    head = (keep + 1) // period * period
+    np.multiply(b[:, :head].reshape(2, -1, period), phase[:, None],
+                out=out[:, :head].reshape(2, -1, period))
+    np.multiply(b[:, head:], phase[:, :keep + 1 - head], out=out[:, head:])
     out += wrap[:, None]
     out *= 1.0 / n_hi
     return np.arange(keep + 1) / refine, out
@@ -438,17 +456,21 @@ def _envelope(spec: WindowSpec, pair: int) -> np.ndarray:
     aliases; even-order sine windows are exactly zero ON the bins): by parity
     ``_spectrum_samples`` transforms only the 2^18-sample right halves of the
     2^19-sample records, both rows in one chirp z-transform convolution,
-    run as 768-point FFTs down the columns and along the rows of a
-    768 x 768 buffer, for the 163 265 kept bins of their 2^23 point DFTs.
-    Only the 2 x 10 000 envelope values are kept, read-only, not the
-    spectra.
+    run as 64-point FFTs down the columns and 9216-point FFTs along the
+    rows of a 64 x 9216 buffer, for the 163 265 kept bins of their 2^23
+    point DFTs.  Only the 2 x 10 000 envelope values are kept, read-only,
+    not the spectra.
     """
     refine = 16
     # small slack above the bound so the sup is taken over a full tail
     _, coeffs = _spectrum_samples(spec, 2 * pair, F_ERR_SEARCH_BINS * 1.02 + 4.0, refine)
-    mag = np.abs(coeffs) / window_area(spec)
-    env = np.maximum.accumulate(mag[:, ::-1], axis=1)[:, ::-1]
-    out = env[:, refine : F_ERR_SEARCH_BINS * refine + 1 : refine].copy()
+    # the sup from bin m on: the running max, from the top, of the maxima
+    # over each bin's refined points [m, m + 1)
+    bins = np.maximum.reduceat(np.abs(coeffs), np.arange(0, coeffs.shape[1], refine), axis=1)
+    env = np.maximum.accumulate(bins[:, ::-1], axis=1)[:, ::-1]
+    # dividing by the area after the max gives the same values: x / S is
+    # monotone in x under rounding
+    out = env[:, 1: F_ERR_SEARCH_BINS + 1] / window_area(spec)
     out.flags.writeable = False
     return out
 

@@ -254,6 +254,56 @@ class TestWindowTable:
             np.testing.assert_array_equal(table.samples[k], window_value(spec, k, grid))
 
 
+def compressed_cinf_rows(spec, ks, s):
+    """The cinf rows evaluated on the points compressed to the support and
+    above the exp floor, then scattered back: the reference for the
+    whole-array evaluation, which must not move a bit of any row."""
+    order = spec.order
+    out = np.zeros((len(ks), s.size))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        live = (s > 0.0) & (s < 1.0)
+        x = s[live]
+        q = (1.0 - x) * x
+        base = 4.0 * order - order / q
+        above = base > windows._EXP_FLOOR
+        live[live] = above
+        x, q, base = x[above] - 0.5, q[above], np.exp(base[above])
+        for row, k in zip(out, ks):
+            if k == 0:
+                row[live] = base
+            else:
+                coeffs = windows._cinf_poly(float(order), k).astype(float)
+                row[live] = np.polynomial.polynomial.polyval(x, coeffs) / q ** (2 * k) * base
+    return out
+
+
+# the edges, the centre, a subnormal, the last float below 1, points
+# outside the support, infinities and NaN
+CINF_EDGE_POINTS = np.array([0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0 ** -53, -0.1, 1.2,
+                             np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("order", [0.25, 0.4375, 1, 3.3125, 8])
+@pytest.mark.parametrize("ks", [range(5), range(1, 2), range(2, 4), range(3, 5)])
+def test_cinf_rows_equal_the_compressed_evaluation_at_edge_points(order, ks):
+    spec = make("cinf", order)
+    np.testing.assert_array_equal(windows._window_rows(spec, ks, CINF_EDGE_POINTS),
+                                  compressed_cinf_rows(spec, ks, CINF_EDGE_POINTS))
+
+
+@pytest.mark.parametrize("order", [0.25, 1, 8])
+def test_cinf_rows_equal_the_compressed_evaluation_on_f_errs_half(order):
+    # f_err's points: the right half of 2^19 samples, then both edges; the
+    # exponent crosses the exp floor near s = 1 for every order here
+    spec = make("cinf", order)
+    s = np.append(np.arange(1 << 18, 1 << 19) / (1 << 19), (0.0, 1.0))
+    exponent = 4.0 * order - order / ((1.0 - s[:-2]) * s[:-2])
+    assert (exponent > windows._EXP_FLOOR).any() and (exponent <= windows._EXP_FLOOR).any()
+    for ks in (range(5), range(2, 4)):
+        np.testing.assert_array_equal(windows._window_rows(spec, ks, s),
+                                      compressed_cinf_rows(spec, ks, s))
+
+
 def hann_transform(freq, length):
     """Closed-form transform of sin^2(pi t/T) over [0, T]."""
     nu = np.asarray(freq, dtype=float) * length
@@ -350,7 +400,7 @@ def direct_dft(spec, k, n, size, q):
 @pytest.mark.parametrize("k,spec", DFT_CASES, ids=[f"{k}-{s.label}" for k, s in DFT_CASES])
 def test_refined_transform_matches_direct_dft(spec, k):
     """Row k of the pair transform on f_err's default range, whose
-    convolution runs on a 768 x 768 view, against the direct DFT."""
+    convolution runs on a 64 x 9216 view, against the direct DFT."""
     freqs, pair = _spectrum_samples(spec, k - k % 2, 10000.0 * 1.02 + 4.0, refine=16)
     coeffs = pair[k % 2]
     keep = coeffs.size - 1
@@ -360,7 +410,7 @@ def test_refined_transform_matches_direct_dft(spec, k):
                                   np.arange(keep - 15, keep + 1)]))
     direct = direct_dft(spec, k, 1 << 19, 16 << 19, q)
     np.testing.assert_array_equal(freqs[q], q / 16)
-    # Scale: the row's own peak.  Observed at most 7.6e-16, and 1.4e-15 for
+    # Scale: the row's own peak.  Observed at most 7.7e-16, and 1.4e-15 for
     # sin_64, whose samples peak 12-14x above its transform (as for a
     # transform of the row alone).  Packing the rows unscaled puts
     # poly_ref_6's k = 1 row 5.0e-15 and sin_64's k = 2 row 7.3e-15 off, in
@@ -373,9 +423,9 @@ def test_refined_transform_matches_direct_dft(spec, k):
 
 # window_spectrum's plans: f_max <= 128 transforms 2^13-sample halves,
 # 10 000 the 2^18-sample halves of f_err, without refinement; the
-# convolution lengths 8192, 8748 and 294 912 split unevenly
-SPECTRUM_SPLITS = {0: (64, 128), 1: (81, 108), 16: (81, 108), 128: (81, 108),
-                   10000: (512, 576)}
+# convolution lengths 8192, 8748 and 294 912 split with n1 <= 64
+SPECTRUM_SPLITS = {0: (64, 128), 1: (54, 162), 16: (54, 162), 128: (54, 162),
+                   10000: (64, 4608)}
 SPECTRUM_CASES = [(f_max, k, spec) for f_max in SPECTRUM_SPLITS for k, spec in (
     (0, make("sin", 2)), (3, make("sin", 2)), (1, make("cinf", 0.3125)),
     (1, make("poly_ref", 6)), (3, make("sin", 64)), (0, make("rectangular")))]
@@ -395,8 +445,8 @@ def test_window_spectrum_matches_direct_dft(f_max, k, spec):
                                       np.arange(f_max - 15, f_max + 1)]))
     # Scale: the row's peak, which lies below bin 128 in every case; the few
     # bins up to a small f_max may all be rounding-sized (bin 0 of an odd k).
-    # Observed at most 1.2e-15, and 1.9e-15 for poly_ref_6's k = 1 row on
-    # the 81 x 108 split, whose samples peak 11x above its transform: its
+    # Observed at most 1.3e-15, and 1.9e-15 for poly_ref_6's k = 1 row on
+    # the 54 x 162 split, whose samples peak 11x above its transform: its
     # error is 1.7e-16 of that sample peak, one rounding.
     bins = np.union1d(q, np.arange(129))
     direct = direct_dft(spec, k, n, n, bins)
@@ -441,6 +491,14 @@ def test_chirp_plan_is_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a *= 2.0
+
+
+def test_f_err_plan_stays_within_its_memory():
+    # chirp, kernel and twiddles of f_err's default range: 4 194 304 +
+    # 9 437 184 + 9 437 184 bytes.  The plan lives as long as the process,
+    # so anything more it caches raises every caller's peak memory.
+    plan = windows._chirp_plan(1 << 18, 163264, 16 << 19)
+    assert sum(a.nbytes for a in plan) <= 23_068_672
 
 
 def test_no_sympy_at_runtime():
@@ -502,9 +560,14 @@ class TestFErr:
         vals = [f_err(spec, k, 1e-6) for k in (0, 1, 2, 3)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    # one fractional order from each of the six bands of the benchmark's
+    # window_design orders (perfbench/workloads.py), at its k and p
     @pytest.mark.parametrize("order,expect", [
         (0.3125, ((10, 38, 159), (29, 82, 260))),
+        (1.6875, ((7, 16, 45), (12, 24, 64))),
+        (3.0625, ((7, 13, 33), (10, 18, 44))),
         (4.5, ((7, 13, 29), (10, 18, 36))),
+        (5.8125, ((8, 13, 27), (11, 17, 33))),
         (7.25, ((9, 13, 26), (11, 17, 32))),
     ])
     def test_pinned_cinf_values(self, order, expect):
@@ -540,6 +603,19 @@ class TestFErr:
         assert env.shape == (2, F_ERR_SEARCH_BINS)
         with pytest.raises(ValueError):
             env[0, 0] = 0.0
+
+    @pytest.mark.parametrize("family,order", [("sin", 1), ("sin", 4), ("cinf", 0.25),
+                                              ("poly_ref", 6), ("rectangular", 1.0)])
+    def test_envelope_is_the_running_max_read_at_each_bin(self, family, order):
+        # the sup from bin m on: the reverse running max over every refined
+        # point, read at each 16th one; sin_1's side lobes are not monotone
+        spec = make(family, order)
+        for pair in (0,) if family == "rectangular" else (0, 1):
+            _, coeffs = _spectrum_samples(spec, 2 * pair, F_ERR_SEARCH_BINS * 1.02 + 4.0, 16)
+            mag = np.abs(coeffs) / window_area(spec)
+            env = np.maximum.accumulate(mag[:, ::-1], axis=1)[:, ::-1]
+            np.testing.assert_array_equal(windows._envelope(spec, pair),
+                                          env[:, 16: F_ERR_SEARCH_BINS * 16 + 1: 16])
 
     @pytest.mark.parametrize("family,order", list(PINNED_F_ERR))
     def test_pinned_table(self, family, order):
