@@ -2,16 +2,18 @@
 
 All randomness flows through the counter-based Philox (4x64-10) bit
 generator so streams are reproducible across platforms; sub-streams are
-keyed as ``root_seed * 2^32 + component`` with documented component ids.
+keyed as ``root_seed * 2^32 + component`` with documented component ids,
+so a root seed must lie in [0, 2^96).
 
 The integrator is classical fixed-step RK4 specialized to the linear system
 dz/dt = A z + c(t).  Its step recurrence z_{n+1} = phi z_n + G_n is solved
 in closed form for the multisine drive and evaluated on the whole uniform
 grid in a few vectorised products, so no rounding accumulates over ~1e5
-sequential steps.  The tone sum is one BLAS product that becomes the state
-record, and the homogeneous part is added to it one GEMM per state row, so
-no second record-sized array is formed.  The phase tables depend only on
-the tone grid and the step, so the state and input records of one dataset
+sequential steps.  The tone sum is written into the state record in BLAS
+products of at most 1 024 (row, block) pairs and the homogeneous part is
+added in the same slices, so neither a second record-sized array nor the
+whole per-block operand is formed.  The phase tables depend only on the
+tone grid and the step, so the state and input records of one dataset
 share one read-only build; the last grid's tables are kept, up to 4 MiB,
 for a caller that simulates several datasets of one design.  Resonance is
 checked exactly only for tones Weyl's inequality cannot clear, and the
@@ -22,6 +24,7 @@ once.  ``ForcingSpec.evaluate`` serves arbitrary times.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,9 @@ _RESONANCE_COND = 1e-8 / np.finfo(float).eps
 
 def rng_for(root_seed: int, component: int) -> np.random.Generator:
     """Philox generator for a documented (root seed, component) pair."""
+    root_seed = operator.index(root_seed)  # a numpy integer would wrap below
+    if not 0 <= root_seed < 2**96:
+        raise ValueError(f"seed {root_seed} must be in [0, 2**96)")
     return np.random.Generator(np.random.Philox(key=root_seed * 2**32 + component))
 
 
@@ -230,10 +236,12 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
         starts = _orbit((eye + phi_minus_eye) @ powers[-1], w,
                         n_blocks)[:, :, 0].astype(complex)
         # x[a, qB + m] += sum_i starts[q, i] powers[m, a, i]: one GEMM per
-        # state row, so no second record-sized array is formed
+        # state row in the tone sum's block runs, so no second record-sized
+        # array is formed
         top = np.ascontiguousarray(powers[:, : s.n_x].astype(float).transpose(1, 2, 0))
-        for a in range(s.n_x):
-            x[a] += starts @ top[a]
+        for rows, q in _block_slices(s.n_x, n_blocks):
+            for a in range(s.n_x)[rows]:
+                x[a, q] += starts[q] @ top[a]
     x = x.reshape(s.n_x, -1)[:, : n_steps + 1]
     x[:, 0] = x0[: s.n_x]  # exactly x0, not (x0 - sum p) + sum p
     if not np.isfinite(x.view(float)).all():
@@ -278,6 +286,9 @@ def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
 # reference rate and T = 1 s, but the per-block table grows with the record
 # (98 MB at T = 100 s), so larger tables are built per call and dropped.
 _CACHED_TABLE_BYTES = 1 << 22
+# (row, block) pairs of one tone-sum product: its left operand is then at
+# most 1.4 MB at 85 tones, against 4.9 MB for the whole full-rate record
+_PRODUCT_ROWS = 1024
 
 
 @functools.lru_cache(maxsize=1)
@@ -293,21 +304,46 @@ def _phase_tables(omega_bytes: bytes, h: float,
     return in_block, per_block
 
 
+def _block_slices(rows: int, n_blocks: int) -> list[tuple[slice, slice]]:
+    """Slices (of rows, of blocks) that tile a rows x n_blocks grid in
+    contiguous pieces of at most _PRODUCT_ROWS: several whole rows while
+    they fit, else one row in runs of blocks."""
+    per_product = _PRODUCT_ROWS // n_blocks
+    if per_product:
+        return [(slice(a, a + per_product), slice(None))
+                for a in range(0, rows, per_product)]
+    return [(slice(a, a + 1), slice(q, q + _PRODUCT_ROWS))
+            for a in range(rows) for q in range(0, n_blocks, _PRODUCT_ROWS)]
+
+
 def _grid_tone_sum(coeffs: np.ndarray, omega: np.ndarray, h: float,
                    n_blocks: int) -> np.ndarray:
     """sum_j coeffs[:, j] exp(i omega_j n h) for n < n_blocks B, as (rows,
-    n_blocks, B): one product of the per-block phases c_aj R[j, q] ((row,
+    n_blocks, B): products of the per-block phases c_aj R[j, q] ((row,
     block) pairs x tones) and the in-block phases S[j, m] (tones x B), so
-    the tones-by-samples phase matrix is never formed.  R and S come from
-    ``_phase_tables``: calls on one tone grid and step share them while
-    they fit in ``_CACHED_TABLE_BYTES``."""
+    the tones-by-samples phase matrix is never formed.  Each slice of
+    ``_block_slices`` is one product written into its part of the record,
+    or becomes the record if it is the only one; either way a sample is the
+    same GEMM dot product.  R and S come from ``_phase_tables``: calls on
+    one tone grid and step share them while they fit in
+    ``_CACHED_TABLE_BYTES``."""
     tables = _phase_tables
     if omega.size * (_BLOCK + n_blocks) * 16 > _CACHED_TABLE_BYTES:
         tables = _phase_tables.__wrapped__
     in_block, per_block = tables(omega.tobytes(), h, n_blocks)
     rows = coeffs.shape[0]
-    scaled = (coeffs[:, None, :] * per_block.T).reshape(rows * n_blocks, omega.size)
-    return (scaled @ in_block).reshape(rows, n_blocks, _BLOCK)
+
+    def operand(a: slice, q: slice) -> np.ndarray:
+        part = coeffs[a, None, :] * per_block.T[q]
+        return part.reshape(part.shape[0] * part.shape[1], omega.size)
+
+    slices = _block_slices(rows, n_blocks)
+    if len(slices) == 1:
+        return (operand(*slices[0]) @ in_block).reshape(rows, n_blocks, _BLOCK)
+    out = np.empty((rows, n_blocks, _BLOCK), dtype=complex)
+    for a, q in slices:
+        np.matmul(operand(a, q), in_block, out=out[a, q].reshape(-1, _BLOCK))
+    return out
 
 
 def sample_forcing(forcing: ForcingSpec, length: float, num_samples: int) -> Signal:

@@ -189,7 +189,7 @@ def _sin_poly(n: int, k: int) -> tuple[tuple[int, int], ...]:
 def _sin_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
     sx, cx = np.sin(np.pi * s), np.cos(np.pi * s)
     acc = sum(c * sx ** (n - b) * cx ** b for b, c in _sin_poly(n, k))
-    return acc * np.pi ** k
+    return acc * np.float64(np.pi) ** k  # inf past k = 620, which _finite names
 
 
 def _poly_ref_values(n: int, k: int, s: np.ndarray) -> np.ndarray:

@@ -362,6 +362,17 @@ def test_trials_below_one_is_exit_2_before_simulating(tmp_path, monkeypatch, tri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "montecarlo"])
+@pytest.mark.parametrize("seed", [-1, 2**96])
+def test_seed_out_of_range_is_exit_2(tmp_path, command, seed, capsys):
+    # Philox keys seed * 2**32 + component, so these used to exit 2 with
+    # numpy's "key must be positive and less than 2**128."
+    out = tmp_path / command
+    assert main([command, "--out", str(out), "--fine-rate", "7680", f"--seed={seed}"]) == 2
+    assert capsys.readouterr().err == f"config error: seed {seed} must be in [0, 2**96)\n"
+    assert not out.exists()
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # numpy is the one runtime dependency: a finder that refuses scipy and
     # its submodules makes any import of them fail
@@ -683,15 +694,18 @@ class TestConfigAndExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("window,max_deriv", [("sin:2", "1500"), ("cinf:1", "1200"),
-                                                  ("sin:2", "400"), ("cinf:1", "60")])
+                                                  ("sin:2", "400"), ("cinf:1", "60"),
+                                                  ("sin:1", "700")])
     def test_derivative_overflow_is_exit_3(self, tmp_path, window, max_deriv, capsys):
         # the first row that overflows float64 stops the table (order 387 of
-        # sin:2, 50 of cinf:1); 1500 and 1200 used to exit 1 with an
-        # OverflowError traceback, 400 and 60 to exit 0 with inf rows
+        # sin:2, 50 of cinf:1, 621 of sin:1); 1500 and 1200 used to exit 1
+        # with an OverflowError traceback, 400 and 60 to exit 0 with inf
+        # rows, and 700 to exit 3 with "(34, 'Numerical result out of range')"
         out = tmp_path / "w"
         assert main(["window", "--out", str(out), "--window", window,
                      "--max-deriv", max_deriv]) == 3
-        label, order = {"sin:2": ("sin_2", 387), "cinf:1": ("cinf_1", 50)}[window]
+        label, order = {"sin:2": ("sin_2", 387), "cinf:1": ("cinf_1", 50),
+                        "sin:1": ("sin_1", 621)}[window]
         assert (capsys.readouterr().err
                 == f"numeric failure: derivative {order} of window {label} overflows float64\n")
         assert not out.exists()

@@ -338,6 +338,56 @@ class TestPhaseTables:
         assert rel_dev(out, rk4_step_loop(theta, forcing, cfg)) <= 1e-12
 
 
+def one_product_tone_sum(coeffs, omega, h, n_blocks):
+    """The tone sum as one product of the whole per-block operand and the
+    in-block phases."""
+    in_block, per_block = _phase_tables.__wrapped__(omega.tobytes(), h, n_blocks)
+    rows = coeffs.shape[0]
+    scaled = (coeffs[:, None, :] * per_block.T).reshape(rows * n_blocks, omega.size)
+    return (scaled @ in_block).reshape(rows, n_blocks, simulate._BLOCK)
+
+
+class TestSlicedToneSum:
+    """Tone sums written slice by slice equal one whole product, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(5, 5, 1, 0), (2, 1, 1, 0), (3, 3, 2, 1)])
+    @pytest.mark.parametrize("fine_rate, length, runs_per_row", [
+        (7680, 1.0, 0), (184320, 1.0, 1), (184320, 4.0, 3)])
+    @pytest.mark.parametrize("driven", ["all", "partial"])
+    def test_records_equal_one_product(self, dims, fine_rate, length, runs_per_row,
+                                       driven, monkeypatch):
+        structure = ModelStructure(*dims)
+        theta = random_system(structure, 5)
+        forcing = multisine(bench.REF_NUM_TONES, bench.REF_F_MIN, bench.REF_F_MAX, 5,
+                            n_channels=structure.n_u)
+        if driven == "partial":  # the undriven tones leave the state's tone sum
+            amps = forcing.amplitudes.copy()
+            amps[:, 10:40] = 0.0
+            forcing = ForcingSpec(amplitudes=amps, freqs=forcing.freqs)
+        steps = int(fine_rate * length)
+        cfg = SimConfig(structure=structure, dt=length / steps, length=length, seed=5)
+        n_blocks = -(-(steps + 1) // simulate._BLOCK)
+        # one product for all rows at 7680 steps, else runs_per_row per row
+        slices = simulate._block_slices(structure.n_x, n_blocks)
+        assert len(slices) == (runs_per_row * structure.n_x or 1)
+
+        got = integrate_rk4(theta, forcing, cfg), sample_forcing(forcing, length, steps)
+        monkeypatch.setattr(simulate, "_grid_tone_sum", one_product_tone_sum)
+        monkeypatch.setattr(simulate, "_PRODUCT_ROWS", 2**62)  # whole rows in _block_slices
+        want = integrate_rk4(theta, forcing, cfg), sample_forcing(forcing, length, steps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(g.terminal, w.terminal)
+
+    def test_slices_tile_the_grid(self):
+        for rows, n_blocks in ((5, 31), (5, 721), (1, 1024), (2, 1025), (3, 2881)):
+            hits = np.zeros((rows, n_blocks), dtype=int)
+            for a, q in simulate._block_slices(rows, n_blocks):
+                assert hits[a, q].size <= simulate._PRODUCT_ROWS
+                hits[a, q] += 1
+            assert (hits == 1).all()
+
+
 class TestResonance:
     @staticmethod
     def undamped_oscillator():
@@ -471,23 +521,38 @@ class TestResonanceScreen:
 class TestRecordBuffers:
     """One record-sized buffer per record, each scanned for blow-up once."""
 
-    def test_full_rate_peak_memory(self):
+    @staticmethod
+    def full_rate_peak(function, length):
+        """tracemalloc peak of one call at the reference rate over the bytes
+        of the record it returns, the phase tables built inside."""
         theta = random_system(bench.REF_STRUCTURE, 7)
         forcing = multisine(bench.REF_NUM_TONES, bench.REF_F_MIN, bench.REF_F_MAX, 7,
                             n_channels=bench.REF_STRUCTURE.n_u)
         cfg = SimConfig(structure=bench.REF_STRUCTURE, dt=1.0 / bench.REF_FINE_RATE,
-                        length=1.0, seed=7)
+                        length=length, seed=7)
+        run = {"integrate_rk4": lambda: integrate_rk4(theta, forcing, cfg),
+               "sample_forcing": lambda: sample_forcing(forcing, length, cfg.num_steps)}
         _phase_tables.cache_clear()
         tracemalloc.start()
         try:
-            out = integrate_rk4(theta, forcing, cfg)
+            out = run[function]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # observed 1.43 with the phase tables built inside (the tone-sum
-        # product is the record; its per-block coefficients add 0.33); 2.44
-        # with a record-sized tone sum added into the state record
-        assert peak <= 1.5 * out.values.nbytes
+        return peak / out.values.nbytes
+
+    def test_full_rate_peak_memory(self):
+        # observed 1.31 (the homogeneous product of one state row adds 0.2);
+        # 1.43 with the whole per-block operand (0.33) beside the record,
+        # 2.44 with a record-sized tone sum added into the state record
+        assert self.full_rate_peak("integrate_rk4", 1.0) <= 1.35
+
+    @pytest.mark.parametrize("function, length", [
+        ("integrate_rk4", 4.0), ("sample_forcing", 1.0), ("sample_forcing", 4.0)])
+    def test_sliced_tone_sum_peak_memory(self, function, length):
+        # observed 1.13 (integrate_rk4, T = 4), 1.17 and 1.10 (sample_forcing,
+        # T = 1 and 4); 1.41-1.42 with the whole per-block operand
+        assert self.full_rate_peak(function, length) <= 1.2
 
     def test_state_record_and_slices_not_rescanned(self, monkeypatch):
         scans = []
@@ -525,6 +590,16 @@ def test_reference_dataset_matches_exact_ode():
         exact = exact_ode_record(ds.theta_true, ds.forcing, x0, t)
         got = with_terminal(x)
         assert np.abs(got - exact).max() / np.abs(exact).max() <= 1e-12
+
+
+def test_seed_range():
+    rng_for(2**96 - 1, COMPONENT_INIT)  # the largest seed that keys Philox
+    # a numpy integer seed used to wrap in seed * 2**32: another stream
+    assert (rng_for(np.int64(2**40), COMPONENT_INIT).standard_normal()
+            == rng_for(2**40, COMPONENT_INIT).standard_normal())
+    for seed in (-1, 2**96):
+        with pytest.raises(ValueError, match=rf"^seed {seed} must be in \[0, 2\*\*96\)$"):
+            rng_for(seed, COMPONENT_INIT)
 
 
 class TestAddNoise:

@@ -227,9 +227,11 @@ class TestWindowTable:
             window_table(make("sin", 1), 1, 0)
 
     @pytest.mark.parametrize("family, order, first_bad", [
-        ("cinf", 0.25, 44), ("cinf", 1, 50), ("cinf", 4, 59), ("sin", 2, 387)])
+        ("cinf", 0.25, 44), ("cinf", 1, 50), ("cinf", 4, 59), ("sin", 2, 387),
+        ("sin", 1, 621)])
     def test_first_overflowing_row_raises(self, family, order, first_bad):
-        # the row used to be returned holding -inf (cinf) or inf (sin)
+        # the row used to be returned holding -inf (cinf) or inf (sin); sin_1's
+        # order 621 used to raise Python's unnamed float-power overflow
         spec = make(family, order)
         assert np.isfinite(window_table(spec, 4096, first_bad - 1).samples).all()
         with pytest.raises(OverflowError,
