@@ -238,13 +238,16 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
         p.add_argument("--config", type=str, help="flat key = value config file")
         p.add_argument("--out", type=str, default="out", help="output directory")
 
+    def dataset(p):  # the simulated reference experiment
+        p.add_argument("--seed", type=int, default=bench.REF_SEED)
+        p.add_argument("--length", type=float, default=bench.REF_LENGTH)
+        p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
+
     p = sub.add_parser("simulate", help="generate the benchmark dataset")
     common(p)
-    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    dataset(p)
     p.add_argument("--fs", type=float, default=bench.REF_FS)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("identify", help="estimate parameters from CSV records")
@@ -273,25 +276,21 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = sub.add_parser("sweep", help="sampling-rate sweep")
     common(p)
-    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    dataset(p)
     p.add_argument("--fs-list", type=str, default="128,192,256,384,512,768")
     p.add_argument("--windows", type=str, default="sin:1,sin:2,sin:3,sin:4")
     p.add_argument("--np", type=int, default=0)
     p.add_argument("--probe-freq", type=float, default=2.0)
-    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("montecarlo", help="noise ensemble at fixed rate")
     common(p)
-    p.add_argument("--seed", type=int, default=bench.REF_SEED)
+    dataset(p)
     p.add_argument("--fs", type=float, default=bench.REF_FS)
     p.add_argument("--sigma", type=float, default=1e-2)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--windows", type=str, default="sin:1,cinf:4")
     p.add_argument("--np", type=int, default=0)
-    p.add_argument("--length", type=float, default=bench.REF_LENGTH)
-    p.add_argument("--fine-rate", type=int, default=bench.REF_FINE_RATE)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("overlap", help="overlap-variance curves")

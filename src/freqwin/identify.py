@@ -15,9 +15,10 @@ modulating-function integral, i.e. D^i X_0 minus the windowing correction
 x^{i} (see ``corrections``).  The rectangular window is the table of ones
 with K = 0, so L_i = D^i X_0 with nothing subtracted.  The rows form a
 matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
-remaining parameters solve theta_2 M_2 = -M_1 in the least-squares sense.
-The solve projects the model rows off the QR factor of the polynomial
-rows, which depend only on the band and are factored once per (band, n_p),
+remaining model rows m_2 and the n_p polynomial rows P, M_2 = [m_2; P],
+solve theta_2 M_2 = -M_1 in the least-squares sense.  P depends only on
+the band, so a regression stores m_2 alone and the solve takes P's QR
+factor from a cache keyed by (band, n_p), projects the model rows off it
 and reads M_2's singular values off a small block-triangular factor (see
 ``solve_ls``); with n_p = 0 nothing is projected and the factor is the R
 of the model rows' QR.  The window and n_p are the only settings; the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,14 +113,12 @@ class ModelParams:
 class RegressionSystem:
     """Stacked per-frequency regression blocks.
 
-    ``m1`` holds the fixed A_{n_a} block (n_x rows), ``m2`` everything else
-    with any polynomial nuisance rows last; one column per frequency bin in
-    ``band``.  ``freqs`` are the band's frequency values; ``windowed`` says
-    the state rows came from a window-derivative stack (K > 0).
-    ``poly_factor`` is the thin QR factor (Qp, Rp) of the polynomial rows'
-    transpose, shared read-only by every regression on the same band and
-    n_p; ``solve_ls`` factors the rows itself when it is None (set it to
-    None when replacing ``m2``'s polynomial rows).
+    ``m1`` holds the fixed A_{n_a} block (n_x rows), ``m2`` the other model
+    rows; one column per frequency bin in ``band``.  ``freqs`` are the
+    band's frequency values; ``windowed`` says the state rows came from a
+    window-derivative stack (K > 0).  The n_poly polynomial nuisance rows P
+    are implied by ``freqs`` and ``n_poly`` and never stored: the matrix
+    ``solve_ls`` solves is M2 = [m2; P].
     """
 
     m1: np.ndarray
@@ -130,8 +129,6 @@ class RegressionSystem:
     length: float
     n_poly: int = 0
     windowed: bool = False
-    poly_factor: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -139,8 +136,7 @@ class RegressionSystem:
 
     @property
     def model_rows(self) -> np.ndarray:
-        rows = self.m2.shape[0] - self.n_poly
-        return np.concatenate((self.m1, self.m2[:rows]))
+        return np.concatenate((self.m1, self.m2))
 
 
 @dataclass(frozen=True)
@@ -181,14 +177,13 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _poly_block(freq_bytes: bytes, n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The polynomial rows P of a band (frequencies as float64 bytes) and
-    the thin QR factor P^T = Qp Rp, read-only: they depend on the band
+def _poly_block(freq_bytes: bytes, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The thin QR factor P^T = Qp Rp of the polynomial rows P of a band
+    (frequencies as float64 bytes), read-only: it depends on the band
     only, never on the data."""
-    rows = _poly_rows(np.frombuffer(freq_bytes), n_p)
-    qp, rp = np.linalg.qr(rows.T)
-    _read_only(rows, qp, rp)
-    return rows, qp, rp
+    qp, rp = np.linalg.qr(_poly_rows(np.frombuffer(freq_bytes), n_p).T)
+    _read_only(qp, rp)
+    return qp, rp
 
 
 # 7 rates x 6 windows of a benchmark sweep fit with room to spare
@@ -217,8 +212,8 @@ def _check_band(band, n_bins: int) -> np.ndarray:
 def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                      window_spec: WindowSpec | None = None, n_p: int = 0,
                      band=None) -> RegressionSystem:
-    """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band, then
-    n_p polynomial rows; M1 is the fixed highest-order block.
+    """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band; M1
+    is the fixed highest-order block, and n_p polynomial rows are implied.
 
     Both records are multiplied by the window's derivative rows up to their
     model order, K = max(n_a, n_b) for a smooth window; no window is the
@@ -257,11 +252,10 @@ def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
     us = coeffs[(k_x + 1) * n_x:].reshape(k_u + 1, n_u, -1)  # U_0..U_{k_u}
     blocks = ([modulated_row(xs, D, i) for i in range(structure.n_a, -1, -1)]
               + [-modulated_row(us, D, i) for i in range(structure.n_b, -1, -1)])
-    poly_rows, qp, rp = _poly_block(freqs.tobytes(), n_p)
-    M = np.vstack(blocks + [poly_rows])
+    M = np.vstack(blocks)
     return RegressionSystem(m1=M[:n_x], m2=M[n_x:], freqs=freqs, band=index,
                             structure=structure, length=length, n_poly=n_p,
-                            windowed=k > 0, poly_factor=(qp, rp))
+                            windowed=k > 0)
 
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
@@ -284,41 +278,39 @@ def _split_theta(theta2: np.ndarray, structure: ModelStructure):
 
 
 def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """q @ a, or q^H @ a, for a C-contiguous complex a.  A real q
-    multiplies a's real view: one real product, no complex copy of q."""
-    if np.iscomplexobj(q):
-        return (q.T.conj() if adjoint else q) @ a
+    """q @ a, or q^T @ a, for a real q and a C-contiguous complex a: one
+    real product on a's real view, no complex copy of q."""
     return ((q.T if adjoint else q) @ a.view(float)).view(complex)
 
 
 def solve_ls(reg: RegressionSystem) -> EstimateReport:
     """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
 
-    M2^T = [Mm^T | P^T] holds the model rows and the n_p polynomial rows P.
-    P^T = Qp Rp is factored once per band and n_p (``build_regression``
-    caches it; a regression without ``poly_factor`` is factored here).
-    The model rows are projected off it, Z = Qp^H Mm^T and
+    M2^T = [Mm^T | P^T] holds the model rows Mm (``reg.m2``) and the n_p
+    polynomial rows P of the band (``_poly_rows``).  P^T = Qp Rp is
+    factored once per band and n_p and cached; Qp is real.  The model rows
+    are projected off it, Z = Qp^T Mm^T and
     W = Mm^T - Qp Z = Qw Rw, so M2^T = [Qw Qp] S with the small
     block-triangular S = [[Rw, 0], [Z, Rp]].  S has M2's singular values:
     its SVD gives ``m2_singular_values``, and a numerical rank below M2's
     row count (see RANK_RTOL) raises RankDeficiencyError.  Solving S
-    against [Qw^H; Qp^H] (-M1^T) then gives the model parameters and the
+    against [Qw^H; Qp^T] (-M1^T) then gives the model parameters and the
     polynomial coefficients.  With n_p = 0 nothing is projected: S is Rw,
     read with its right-hand side off the QR factor of [Mm^T | -M1^T].
     The fit residual is W model^T plus the projected M1^T.
     """
-    rows, cols = reg.m2.shape
+    n_m, cols = reg.m2.shape
+    rows = n_m + reg.n_poly
     if cols < rows:
         raise ValueError(f"M2 has {cols} frequency columns for {rows} parameter rows; "
                          "the regression is underdetermined")
     t0 = time.perf_counter()
-    n_m = rows - reg.n_poly
     # [Mm^T | -M1^T] in the (Fortran) order the QR takes, projected off Qp
-    aug = np.concatenate((reg.m2[:n_m], -reg.m1)).T
+    aug = np.concatenate((reg.m2, -reg.m1)).T
     if reg.n_poly:
-        qp, rp = reg.poly_factor or np.linalg.qr(reg.m2[n_m:].T)
+        qp, rp = _poly_block(np.asarray(reg.freqs, dtype=float).tobytes(), reg.n_poly)
         aug = np.ascontiguousarray(aug)  # _times multiplies its real view
-        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^H (-M1^T)]
+        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
         aug -= _times(qp, proj)
     r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
     if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]

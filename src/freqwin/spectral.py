@@ -17,7 +17,7 @@ values explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,24 +88,21 @@ class Spectrum:
     """Per-frequency complex coefficient vectors.
 
     ``coeffs`` has shape (n_channels, n_bins); ``freqs`` holds the bin
-    frequencies (k/T for k = 0, 1, .. when not given).
+    frequencies.
     """
 
     length: float
     coeffs: np.ndarray
-    freqs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    freqs: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim == 1:
             coeffs = coeffs[np.newaxis, :]
         object.__setattr__(self, "coeffs", coeffs)
-        if self.freqs is None:
-            freqs = np.arange(coeffs.shape[1]) / self.length
-        else:
-            freqs = np.asarray(self.freqs, dtype=float)
-            if freqs.shape != (coeffs.shape[1],):
-                raise ValueError("freqs must match the coefficient bins")
+        freqs = np.asarray(self.freqs, dtype=float)
+        if freqs.shape != (coeffs.shape[1],):
+            raise ValueError("freqs must match the coefficient bins")
         object.__setattr__(self, "freqs", freqs)
 
 

@@ -441,6 +441,8 @@ def window_spectrum(spec: WindowSpec, k: int, f_max: int = 128) -> Spectrum:
     if not 0 <= f_max <= F_ERR_SEARCH_BINS or f_max != int(f_max):
         raise ValueError(f"f_max must be a whole number of bins in "
                          f"[0, {F_ERR_SEARCH_BINS}], not {f_max}")
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
     if spec.family == "rectangular" and k >= 1:
         raise ValueError("rectangular window has no derivative spectra")
     freqs, coeffs = _spectrum_samples(spec, k - k % 2, f_max, refine=1)
@@ -489,6 +491,8 @@ def f_err(spec: WindowSpec, k: int, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("threshold p must be in (0, 1)")
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
     if spec.family == "rectangular" and k >= 1:
         raise ValueError("rectangular window has no derivative spectra")
     below = np.flatnonzero(_envelope(spec, k // 2)[k % 2] < p)

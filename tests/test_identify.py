@@ -117,24 +117,26 @@ REF = ModelStructure(n_x=5, n_u=5, n_a=1, n_b=0)
 
 
 def random_regression(seed, cols, n_poly):
-    """Random complex model rows of the reference structure (A_0 then B_0),
-    then n_poly Chebyshev rows on a centred frequency grid."""
+    """Random complex model rows of the reference structure (A_0 then B_0)
+    on a centred frequency grid, with n_poly implied Chebyshev rows."""
     rng = np.random.default_rng(seed)
     freqs = np.fft.fftfreq(cols, d=1.0 / cols)
     model = rng.standard_normal((10, cols)) + 1j * rng.standard_normal((10, cols))
-    poly = np.polynomial.chebyshev.chebvander(freqs / np.abs(freqs).max(),
-                                              max(n_poly - 1, 0)).T[:n_poly]
     m1 = rng.standard_normal((5, cols)) + 1j * rng.standard_normal((5, cols))
-    return RegressionSystem(m1=m1, m2=np.vstack([model, poly]), freqs=freqs,
-                            band=np.arange(cols), structure=REF, length=T,
-                            n_poly=n_poly)
+    return RegressionSystem(m1=m1, m2=model, freqs=freqs, band=np.arange(cols),
+                            structure=REF, length=T, n_poly=n_poly)
+
+
+def full_m2(reg):
+    """M2 = [m2; P]: the model rows and the implied polynomial rows."""
+    return np.vstack([reg.m2, identify._poly_rows(reg.freqs, reg.n_poly)])
 
 
 class TestSolver:
     @pytest.mark.parametrize("rows, cols", [(10, 80), (20, 768), (60, 768)])
     def test_matches_pseudo_inverse_oracle(self, rows, cols):
         reg = random_regression(rows + cols, cols, rows - 10)
-        oracle = -reg.m1 @ np.linalg.pinv(reg.m2)
+        oracle = -reg.m1 @ np.linalg.pinv(full_m2(reg))
         report = solve_ls(reg)
         scale = np.abs(oracle).max()
         got = np.hstack([report.theta_hat.A[0], report.theta_hat.B[0]])
@@ -145,7 +147,7 @@ class TestSolver:
         if rows > 10:
             np.testing.assert_allclose(report.poly_coeffs, oracle[:, 10:],
                                        rtol=0, atol=1e-12 * scale)
-        assert report.m2_condition == pytest.approx(np.linalg.cond(reg.m2),
+        assert report.m2_condition == pytest.approx(np.linalg.cond(full_m2(reg)),
                                                     rel=1e-10)
 
     def test_duplicated_row_is_rank_deficient(self):
@@ -162,29 +164,28 @@ class TestSolver:
                            match=r"rank 0 below .*\(smallest singular value ratio 0\.00e\+00\)"):
             solve_ls(replace(reg, m2=np.zeros_like(reg.m2)))
 
-    def test_duplicated_polynomial_row_is_rank_deficient(self):
-        reg = random_regression(3, 80, 5)
-        m2 = reg.m2.copy()
-        m2[-1] = m2[-2]
-        with pytest.raises(RankDeficiencyError, match=r"rank 14 below .* 15 "):
-            solve_ls(replace(reg, m2=m2))
+    def test_polynomial_rows_count_towards_the_rank(self):
+        """A band of 12 distinct bins, each repeated 3 times, holds the 10
+        model rows but not 5 polynomial rows more: M2's rank stops at 12."""
+        x, u = reference_records_at(80, 0.0)
+        band = np.tile(np.arange(12), 3)
+        solve_ls(build_regression(x, u, bench.REF_STRUCTURE, band=band))
+        with pytest.raises(RankDeficiencyError, match=r"rank 12 below .* 15 "):
+            solve_ls(build_regression(x, u, bench.REF_STRUCTURE, n_p=5, band=band))
 
     @pytest.mark.parametrize("window", [None, "cinf:4"])
     @pytest.mark.parametrize("n_p", [0, 10, 50])
     @pytest.mark.parametrize("f_s", [80, 768])
     @pytest.mark.parametrize("sigma", [0.0, 1e-2])
     def test_reference_regressions_match_pseudo_inverse(self, sigma, f_s, n_p, window):
-        """The projected solve on the benchmark's regressions, with the
-        cached polynomial factor and with the factor formed in place.
-        Noise-free at 80 Hz with n_p = 50 is the hard case: the model rows
-        lie close to the polynomial span, so -M1^T must be projected too."""
+        """The projected solve on the benchmark's regressions.  Noise-free
+        at 80 Hz with n_p = 50 is the hard case: the model rows lie close
+        to the polynomial span, so -M1^T must be projected too."""
         x, u = reference_records_at(f_s, sigma)
         spec = bench.parse_window(window) if window else None
         reg = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec,
                                     n_p=n_p).regression
         assert_matches_pseudo_inverse(reg)
-        own = solve_ls(replace(reg, poly_factor=None))
-        assert_matches_pseudo_inverse(own.regression)
 
     @pytest.mark.parametrize("window, n_p, sigma", [(None, 50, 1e-2), ("cinf:4", 0, 0.0)])
     def test_residual_matches_direct_evaluation(self, window, n_p, sigma, monkeypatch):
@@ -203,7 +204,7 @@ class TestSolver:
         spec = bench.parse_window(window) if window else None
         report = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec, n_p=n_p)
         reg = report.regression
-        direct = solutions[-1].T @ reg.m2 + reg.m1
+        direct = solutions[-1].T @ full_m2(reg) + reg.m1
         norms = np.sqrt((np.abs(direct) ** 2).sum(axis=0))
         tol = 1e-12 * np.linalg.norm(reg.m1)
         got = report.per_frequency_residual.coeffs
@@ -211,14 +212,10 @@ class TestSolver:
         assert abs(report.residual_l2 - np.sqrt((norms**2).sum() / reg.length)) <= tol
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(0, 50),
-           real_poly=st.booleans(), cached=st.booleans())
-    def test_random_regressions_match_pseudo_inverse(self, seed, n_p, real_poly,
-                                                     cached):
-        """Well-conditioned random complex regressions: Gaussian model rows,
-        n_p real or complex Gaussian polynomial rows (a real block may
-        carry its own factor, as build_regression's cache does) and a
-        random band of a frequency grid."""
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(0, 50))
+    def test_random_regressions_match_pseudo_inverse(self, seed, n_p):
+        """Random complex regressions: Gaussian model rows on a random band
+        of a frequency grid, with the n_p Chebyshev rows of that band."""
         rng = np.random.default_rng(seed)
 
         def gauss(*shape):
@@ -227,11 +224,9 @@ class TestSolver:
         n_bins = int(rng.integers(2 * (10 + n_p), 6 * (10 + n_p)))
         band = np.sort(rng.choice(4 * n_bins, size=n_bins, replace=False))
         freqs = np.fft.fftfreq(4 * n_bins, d=1.0 / (4 * n_bins))[band]
-        poly = rng.standard_normal((n_p, n_bins)) if real_poly else gauss(n_p, n_bins)
-        factor = np.linalg.qr(poly.T) if real_poly and cached else None
-        reg = RegressionSystem(m1=gauss(5, n_bins), m2=np.vstack([gauss(10, n_bins), poly]),
+        reg = RegressionSystem(m1=gauss(5, n_bins), m2=gauss(10, n_bins),
                                freqs=freqs, band=band, structure=REF,
-                               length=T, n_poly=n_p, poly_factor=factor)
+                               length=T, n_poly=n_p)
         assert_matches_pseudo_inverse(reg)
 
 
@@ -250,9 +245,10 @@ def assert_matches_pseudo_inverse(reg):
     LAPACK's gelsd is 1.1e-8-2.0e-8 off pinv on the polynomial
     coefficients, and its condition number 2.0e-9 off a 40-digit SVD)."""
     report = solve_ls(reg)
-    oracle = -reg.m1 @ np.linalg.pinv(reg.m2)
+    m2 = full_m2(reg)
+    oracle = -reg.m1 @ np.linalg.pinv(m2)
     scale = np.abs(oracle).max()
-    cond = np.linalg.cond(reg.m2)
+    cond = np.linalg.cond(m2)
     slack = 16 * np.finfo(float).eps * cond
     got = np.hstack([report.theta_hat.A[0], report.theta_hat.B[0]])
     np.testing.assert_allclose(got, oracle[:, :10].real, rtol=0, atol=1e-12 * scale)
@@ -391,8 +387,6 @@ class TestOneTransformPerEstimate:
         reg = identify_from_signals(x, u, structure, window_spec=spec,
                                     n_p=n_p).regression
         np.testing.assert_array_equal(reg.model_rows, per_record)
-        np.testing.assert_array_equal(reg.m2[len(per_record) - structure.n_x:],
-                                      identify._poly_rows(reg.freqs, n_p))
 
     @pytest.mark.parametrize("f_s, sigma", RECORDS)
     @pytest.mark.parametrize("window", ["cinf:4", None])
@@ -449,16 +443,14 @@ class TestDesignCaches:
         r1, r2 = (identify_from_signals(x, u, theta.structure, n_p=6, band=band)
                   for _ in range(2))
         assert calls == [5]
-        assert r1.regression.poly_factor[0] is r2.regression.poly_factor[0]
         assert_same_report(r1, r2)
 
     def test_cached_arrays_refuse_writes(self):
         x, u, theta = exact_dataset()
         reg = identify_from_signals(x, u, theta.structure, n_p=4).regression
-        rows, qp, rp = identify._poly_block(reg.freqs.tobytes(), 4)
+        qp, rp = identify._poly_block(reg.freqs.tobytes(), 4)
         table = identify._window_table(WindowSpec("sin", 2), x.num_samples, 1)
-        assert reg.poly_factor[0] is qp and reg.poly_factor[1] is rp
-        for array in (rows, qp, rp, table.samples):
+        for array in (qp, rp, table.samples):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -495,7 +487,7 @@ class TestResidualSpectrum:
         assert np.abs(resid.coeffs).max() < 1e-10
         # polynomial rows are nuisance terms, not part of the model residual
         with_poly = build_regression(x, u, theta.structure, n_p=3)
-        assert with_poly.m2.shape[0] == reg.m2.shape[0] + 3
+        np.testing.assert_array_equal(with_poly.m2, reg.m2)
         np.testing.assert_array_equal(
             residual_spectrum(theta, with_poly).coeffs, resid.coeffs)
 

@@ -60,7 +60,8 @@ def test_signal_csv_rejects_bad_time_column(tmp_path, times, terminal_time):
 
 
 def test_spectrum_csv_columns(tmp_path):
-    spec = Spectrum(length=1.0, coeffs=np.array([[1 + 2j, 3 - 4j]]))
+    spec = Spectrum(length=1.0, coeffs=np.array([[1 + 2j, 3 - 4j]]),
+                    freqs=np.array([0.0, 1.0]))
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, spec)
     lines = path.read_text().splitlines()

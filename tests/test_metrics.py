@@ -19,7 +19,7 @@ def make_params(a_entries, structure=None):
 
 class TestErrorNorms:
     def test_zero_residual(self):
-        spec = Spectrum(length=2.0, coeffs=np.zeros((3, 8)))
+        spec = Spectrum(length=2.0, coeffs=np.zeros((3, 8)), freqs=np.arange(8) / 2.0)
         norms, l2 = error_norms(spec)
         assert norms.tolist() == [0.0] * 8
         assert l2 == 0.0
@@ -28,14 +28,16 @@ class TestErrorNorms:
         length = 2.0
         coeffs = np.zeros((1, 8), dtype=complex)
         coeffs[0, 3] = 1.0
-        _, l2 = error_norms(Spectrum(length=length, coeffs=coeffs))
+        _, l2 = error_norms(Spectrum(length=length, coeffs=coeffs,
+                                     freqs=np.arange(coeffs.shape[1]) / length))
         assert l2 == pytest.approx(np.sqrt(1.0 / length))
 
     def test_matches_direct_quadrature(self):
         rng = np.random.default_rng(4)
         length = 1.5
         coeffs = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        norms, l2 = error_norms(Spectrum(length=length, coeffs=coeffs))
+        norms, l2 = error_norms(Spectrum(length=length, coeffs=coeffs,
+                                     freqs=np.arange(coeffs.shape[1]) / length))
         direct = np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
         np.testing.assert_allclose(norms, direct, rtol=1e-13)
         assert l2 == pytest.approx(np.sqrt((direct**2).sum() / length))

@@ -343,6 +343,12 @@ class TestWindowSpectrum:
         with pytest.raises(ValueError):
             window_spectrum(make("sin", 1), 0, f_max=1.5)
 
+    @pytest.mark.parametrize("family, order", [("cinf", 1), ("sin", 2)])
+    def test_negative_derivative_order_rejected(self, family, order):
+        # used to recurse until RecursionError
+        with pytest.raises(ValueError, match="derivative order must be >= 0"):
+            window_spectrum(make(family, order), -1)
+
     @pytest.mark.parametrize("f_max", [0, F_ERR_SEARCH_BINS])
     def test_f_max_range_ends(self, f_max):
         sp = window_spectrum(make("sin", 1), 0, f_max=f_max)
@@ -551,6 +557,12 @@ class TestFErr:
 
     def test_sentinel(self):
         assert np.isinf(f_err(make("sin", 1), 0, 1e-12))
+
+    @pytest.mark.parametrize("family, order", [("cinf", 1), ("sin", 2)])
+    def test_negative_derivative_order_rejected(self, family, order):
+        # used to recurse until RecursionError
+        with pytest.raises(ValueError, match="derivative order must be >= 0"):
+            f_err(make(family, order), -1, 1e-3)
 
     def test_monotone_in_p(self):
         spec = make("cinf", 2)
