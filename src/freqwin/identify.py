@@ -71,8 +71,6 @@ class ModelStructure:
     def __post_init__(self):
         if self.n_x < 1 or self.n_u < 1:
             raise ValueError("state and input dimensions must be >= 1")
-        if self.n_u > self.n_x:
-            raise ValueError("n_u must not exceed n_x")
         if self.n_a < 1:
             raise ValueError("n_a must be >= 1")
         if self.n_b < 0:
@@ -101,6 +99,8 @@ class ModelParams:
             raise ValueError("A must hold n_a + 1 matrices of shape (n_x, n_x)")
         if len(B) != s.n_b + 1 or any(m.shape != (s.n_x, s.n_u) for m in B):
             raise ValueError("B must hold n_b + 1 matrices of shape (n_x, n_u)")
+        if not np.isfinite(np.concatenate([m.ravel() for m in A + B])).all():
+            raise ValueError("A and B must be finite matrices")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 

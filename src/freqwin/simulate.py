@@ -14,11 +14,11 @@ products of at most 1 024 (row, block) pairs and the homogeneous part is
 added in the same slices, so neither a second record-sized array nor the
 whole per-block operand is formed.  The phase tables depend only on the
 tone grid and the step, so the state and input records of one dataset
-share one read-only build; the last grid's tables are kept, up to 4 MiB,
-for a caller that simulates several datasets of one design.  Resonance is
-checked exactly only for tones Weyl's inequality cannot clear, and the
-state record and its decimating slices are scanned for non-finite values
-once.  ``ForcingSpec.evaluate`` serves arbitrary times.
+share one read-only build at any length, kept for a caller that simulates
+several datasets of one design.  Resonance is checked exactly only for
+tones Weyl's inequality cannot clear, and the state record and its
+decimating slices are scanned for non-finite values once.
+``ForcingSpec.evaluate`` serves arbitrary times.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class ForcingSpec:
         freqs = np.asarray(self.freqs, dtype=float)
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValueError("need at least one tone")
+        if not (np.isfinite(freqs).all() and np.isfinite(amps).all()):
+            raise ValueError("tone frequencies and amplitudes must be finite")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("tone frequencies must be strictly increasing")
         if amps.shape[1] != freqs.size:
@@ -121,6 +123,8 @@ class SimConfig:
         steps = self.length / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError("dt must divide the record length")
+        if self.x0 is not None and not np.isfinite(np.asarray(self.x0, dtype=complex)).all():
+            raise ValueError("x0 must be finite")
 
     @property
     def num_steps(self) -> int:
@@ -244,7 +248,8 @@ def integrate_rk4(theta: ModelParams, forcing: ForcingSpec,
                 x[a, q] += starts[q] @ top[a]
     x = x.reshape(s.n_x, -1)[:, : n_steps + 1]
     x[:, 0] = x0[: s.n_x]  # exactly x0, not (x0 - sum p) + sum p
-    if not np.isfinite(x.view(float)).all():
+    # a row's mask at a time: a record's would set the peak beside the tables
+    if not all(np.isfinite(row).all() for row in x.view(float)):
         blown = ~np.isfinite(x).all(axis=0)
         raise RuntimeError(f"state blew up near t = {np.argmax(blown) * h:.6g}")
 
@@ -282,10 +287,6 @@ def _orbit(step: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-# The phase tables of the last grid are kept if they fit: 1.3 MB at the full
-# reference rate and T = 1 s, but the per-block table grows with the record
-# (98 MB at T = 100 s), so larger tables are built per call and dropped.
-_CACHED_TABLE_BYTES = 1 << 22
 # (row, block) pairs of one tone-sum product: its left operand is then at
 # most 1.4 MB at 85 tones, against 4.9 MB for the whole full-rate record
 _PRODUCT_ROWS = 1024
@@ -296,7 +297,12 @@ def _phase_tables(omega_bytes: bytes, h: float,
                   n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """In-block phases exp(i w_j m h), m < B, and per-block phases
     exp(i w_j q B h), q < n_blocks, read-only: they depend on the tone grid
-    (w as float64 bytes) and the step only, never on amplitudes or x0."""
+    (w as float64 bytes) and the step only, never on amplitudes or x0.
+
+    The last grid's tables stay alive, tones x (B + n_blocks) x 16 bytes:
+    at 85 tones and the full reference rate 1.3 MB for T = 1 s, 4.3 MB for
+    T = 4 s and 98 MB for T = 100 s, beside a 14.7 MB, 59 MB and 1.47 GB
+    state record."""
     omega = np.frombuffer(omega_bytes)
     in_block = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * h))
     per_block = np.exp(1j * np.outer(omega, np.arange(n_blocks) * (_BLOCK * h)))
@@ -323,26 +329,19 @@ def _grid_tone_sum(coeffs: np.ndarray, omega: np.ndarray, h: float,
     block) pairs x tones) and the in-block phases S[j, m] (tones x B), so
     the tones-by-samples phase matrix is never formed.  Each slice of
     ``_block_slices`` is one product written into its part of the record,
-    or becomes the record if it is the only one; either way a sample is the
-    same GEMM dot product.  R and S come from ``_phase_tables``: calls on
-    one tone grid and step share them while they fit in
-    ``_CACHED_TABLE_BYTES``."""
-    tables = _phase_tables
-    if omega.size * (_BLOCK + n_blocks) * 16 > _CACHED_TABLE_BYTES:
-        tables = _phase_tables.__wrapped__
-    in_block, per_block = tables(omega.tobytes(), h, n_blocks)
-    rows = coeffs.shape[0]
-
-    def operand(a: slice, q: slice) -> np.ndarray:
-        part = coeffs[a, None, :] * per_block.T[q]
-        return part.reshape(part.shape[0] * part.shape[1], omega.size)
-
-    slices = _block_slices(rows, n_blocks)
-    if len(slices) == 1:
-        return (operand(*slices[0]) @ in_block).reshape(rows, n_blocks, _BLOCK)
-    out = np.empty((rows, n_blocks, _BLOCK), dtype=complex)
-    for a, q in slices:
-        np.matmul(operand(a, q), in_block, out=out[a, q].reshape(-1, _BLOCK))
+    so a sample is the same GEMM dot product however the grid is sliced.
+    R and S come from ``_phase_tables``, so calls on one tone grid and step
+    share one build."""
+    in_block, per_block = _phase_tables(omega.tobytes(), h, n_blocks)
+    rows, out = coeffs.shape[0], None
+    for a, q in _block_slices(rows, n_blocks):
+        part = np.multiply(coeffs[a, None, :], per_block.T[q], order="C")  # reshapes as a view
+        if out is None:  # after the first operand: allocated before it, the
+            # record cost a 7 680-step dataset 56 more page faults (+7 % time)
+            out = np.empty((rows, n_blocks, _BLOCK), dtype=complex)
+        np.matmul(part.reshape(part.shape[0] * part.shape[1], omega.size), in_block,
+                  out=out[a, q].reshape(-1, _BLOCK))
+        del part  # so that no two slices' operands coexist
     return out
 
 

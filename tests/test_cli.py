@@ -189,6 +189,36 @@ class TestIdentify:
             assert rc == 2
             assert "input record (T = 2," in capsys.readouterr().err
 
+    def test_non_finite_truth_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # used to print "parameter error vs truth: nan" and exit 0
+        payload = json.loads((sim_dir / "truth.json").read_text())
+        payload["theta"]["A"][0]["data"][0] = float("nan")
+        truth = tmp_path / "truth_nan.json"
+        truth.write_text(json.dumps(payload))
+        out = tmp_path / "nan"
+        assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
+                     "--u", str(sim_dir / "u.csv"), "--truth", str(truth)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_inputs_than_states(self, tmp_path, capsys):
+        # one state driven by two inputs, n_b = 1: the records alone give n_u
+        ds = bench.reference_dataset(42, fine_rate=30720,
+                                     structure=freqwin.ModelStructure(1, 2, 1, 1))
+        x, u = ds.decimated(256)
+        io.write_signal_csv(tmp_path / "x.csv", x)
+        io.write_signal_csv(tmp_path / "u.csv", u)
+        io.write_truth_json(tmp_path / "truth.json", ds.theta_true, ds.forcing, seeds={})
+        out = tmp_path / "id"
+        assert main(["identify", "--out", str(out), "--x", str(tmp_path / "x.csv"),
+                     "--u", str(tmp_path / "u.csv"), "--truth", str(tmp_path / "truth.json"),
+                     "--nb", "1"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        theta = io.params_from_payload(report["theta_hat"])
+        assert theta.structure == ds.theta_true.structure
+        assert param_error(ds.theta_true, theta) <= 1e-9  # observed 2.1e-11
+        assert "parameter error vs truth" in capsys.readouterr().out
+
     def test_length_flag_is_gone(self, sim_dir, tmp_path):
         # the records carry T; identify has no --length to disagree with them
         assert exit_code(["identify", "--out", str(tmp_path / "len"),

@@ -10,7 +10,7 @@ import freqwin.corrections as corrections
 import freqwin.identify as identify
 import freqwin.spectral as spectral
 from analysis_helpers import loglog_slope, lowpass_filter
-from freqwin import WindowSpec, error_norms, param_error, residual_spectrum
+from freqwin import WindowSpec, error_norms, f_err, param_error, residual_spectrum
 
 T = 1.0
 
@@ -167,3 +167,34 @@ class TestProbeBin:
     def test_probe_past_half_a_bin_rejected(self, dataset, freq):
         with pytest.raises(ValueError, match="outside"):
             self.probe(dataset, freq)
+
+
+class TestFerrBound:
+    """f_err bounds the identifier's aliasing residual: at the first rate of
+    at least 2 (f_max + max_{k <= n_a} f_err(w, k, p)), the true parameters
+    leave a residual of at most p of the fixed block M1, both maxima taken
+    over channels and bins.  The rule is a bound, not a prediction: the
+    observed ratios lie 5 to 4e4 times below p.  sin:2 at p = 1e-6 needs
+    2885 Hz, above every rate here, so it is not a case."""
+
+    RATES = [80, 96, 128, 160, 192, 256, 384, 512, 768]
+
+    # the rate the rule picks and the observed ratio in each comment
+    @pytest.mark.parametrize("window, p", [
+        ("cinf:1", 1e-6),  # 128 Hz, 2.7e-9
+        ("cinf:1", 1e-9),  # 192 Hz, 1.9e-12
+        ("cinf:1", 1e-12),  # 256 Hz, 2.0e-14
+        ("cinf:4", 1e-6),  # 96 Hz, 4.4e-10
+        ("cinf:4", 1e-9),  # 128 Hz, 2.5e-14
+        ("sin:4", 1e-3),  # 80 Hz, 4.3e-6
+        ("sin:4", 1e-6),  # 192 Hz, 3.9e-8
+        ("sin:4", 1e-9),  # 768 Hz, 1.5e-10
+        ("sin:2", 1e-3),  # 160 Hz, 1.8e-4
+    ])
+    def test_residual_below_p_at_the_rule_rate(self, dataset, window, p):
+        spec = bench.parse_window(window)
+        need = 2 * (bench.REF_F_MAX + max(f_err(spec, k, p) for k in (0, 1)))
+        x, u = dataset.decimated(next(r for r in self.RATES if r >= need))
+        reg = identify.build_regression(x, u, dataset.theta_true.structure, spec)
+        resid = residual_spectrum(dataset.theta_true, reg).coeffs
+        assert np.abs(resid).max() / np.abs(reg.m1).max() <= p
