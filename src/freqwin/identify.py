@@ -18,11 +18,14 @@ matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
 remaining model rows m_2 and the n_p polynomial rows P, M_2 = [m_2; P],
 solve theta_2 M_2 = -M_1 in the least-squares sense.  P depends only on
 the band, so a regression stores m_2 alone and the solve takes P's QR
-factor from a cache keyed by (band, n_p), projects the model rows off it
-and reads M_2's singular values off a small block-triangular factor (see
-``solve_ls``); with n_p = 0 nothing is projected and the factor is the R
-of the model rows' QR.  The window and n_p are the only settings; the
-method name is read off the regression that was solved:
+factor from a cache keyed by (band, n_p) and projects the model rows off
+it into a small block-triangular factor S with M_2's singular values (see
+``solve_ls``); with n_p = 0 nothing is projected and S is the R of the
+model rows' QR.  A condition bound on S certifies M_2's full rank, and
+only when it fails does an SVD of S decide the rank; M_2's singular
+values are computed when a report's ``m2_singular_values`` is first read.
+The window and n_p are the only settings; the method name is read off the
+regression that was solved:
 
     window                     stack depth K    n_p = 0      n_p > 0
     smooth (sin, cinf, ..)     K = n_a (n_b)    corrected    mixed
@@ -51,6 +54,9 @@ from .windows import WindowSpec, WindowTable, window_table
 # singular values of M2 at or below RANK_RTOL * s_max count as zero (the
 # rcond of the least-squares solve); a rank below M2's row count is an error
 RANK_RTOL = 1e-12
+# ||S||_F ||S^-1||_F at or below this bounds cond(M2) by 1e10, a hundredth of
+# 1 / RANK_RTOL, so the SVD rule would count full rank too (``solve_ls``)
+CERTIFIED_COND = 1e-2 / RANK_RTOL
 
 # method name by (windowed stack K > 0, polynomial rows n_p > 0)
 METHODS = {(True, False): "corrected", (True, True): "mixed",
@@ -141,6 +147,13 @@ class RegressionSystem:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """One least-squares estimate and its diagnostics.
+
+    ``m2_singular_values`` (descending) and ``m2_condition`` are not
+    formed by the solve: the first read rebuilds S from ``regression`` by
+    the solve's own steps and takes its SVD, the same values bit for bit.
+    """
+
     theta_hat: ModelParams
     residual_l2: float
     per_frequency_residual: Spectrum
@@ -148,7 +161,12 @@ class EstimateReport:
     regression: RegressionSystem
     imag_norm: float
     poly_coeffs: np.ndarray | None
-    m2_singular_values: np.ndarray  # descending
+
+    @functools.cached_property
+    def m2_singular_values(self) -> np.ndarray:
+        reg = self.regression
+        rows = reg.m2.shape[0] + reg.n_poly
+        return np.linalg.svd(_factor(reg)[1][:, :rows], compute_uv=False)
 
     @property
     def method(self) -> str:
@@ -177,13 +195,20 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _poly_block(freq_bytes: bytes, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+def _poly_block(freq_bytes: bytes, n_p: int):
     """The thin QR factor P^T = Qp Rp of the polynomial rows P of a band
-    (frequencies as float64 bytes), read-only: it depends on the band
-    only, never on the data."""
+    (frequencies as float64 bytes), with Rp^-1 and ||Rp^-1||_F for the
+    rank certificate (NaN where Rp is exactly singular), read-only: it
+    depends on the band only, never on the data."""
     qp, rp = np.linalg.qr(_poly_rows(np.frombuffer(freq_bytes), n_p).T)
-    _read_only(qp, rp)
-    return qp, rp
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rp_inv = np.linalg.inv(rp)
+        except np.linalg.LinAlgError:
+            rp_inv = np.full_like(rp, np.nan)
+        rp_inv_norm = float(np.linalg.norm(rp_inv))
+    _read_only(qp, rp, rp_inv)
+    return qp, rp, rp_inv, rp_inv_norm
 
 
 # 7 rates x 6 windows of a benchmark sweep fit with room to spare
@@ -283,6 +308,49 @@ def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return ((q.T if adjoint else q) @ a.view(float)).view(complex)
 
 
+def _factor(reg: RegressionSystem):
+    """The projected columns and the small factor of ``solve_ls``.
+
+    Returns aug = [W | (I - Qp Qp^T)(-M1^T)], r_aug = [S | its right-hand
+    side] and the band's ``_poly_block`` (None with n_p = 0).  The solve
+    and ``EstimateReport.m2_singular_values`` both form S here.
+    """
+    n_m = reg.m2.shape[0]
+    poly = None
+    # [Mm^T | -M1^T] in the (Fortran) order the QR takes, projected off Qp
+    aug = np.concatenate((reg.m2, -reg.m1)).T
+    if reg.n_poly:
+        poly = _poly_block(np.asarray(reg.freqs, dtype=float).tobytes(), reg.n_poly)
+        qp, rp = poly[:2]
+        aug = np.ascontiguousarray(aug)  # _times multiplies its real view
+        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
+        aug -= _times(qp, proj)
+    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
+    if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
+        r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
+                          [proj[:, :n_m], rp, proj[:, n_m:]]])
+    return aug, r_aug, poly
+
+
+def _full_rank_certified(tri: np.ndarray, n_m: int, poly) -> bool:
+    """Whether ||S||_F ||S^-1||_F <= CERTIFIED_COND, which bounds S's 2-norm
+    condition number, so s_min / s_max >= 1e-10.  S^-1 is
+    [[Rw^-1, 0], [-Rp^-1 Z Rw^-1, Rp^-1]]: only the n_m x n_m Rw is
+    inverted, Rp^-1 and its norm come with the band's cached block.  A
+    singular Rw or Rp, or a NaN anywhere, fails the bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rw_inv = np.linalg.inv(tri[:n_m, :n_m])
+        except np.linalg.LinAlgError:
+            return False
+        inv_norm = np.linalg.norm(rw_inv)
+        if poly is not None:
+            rp_inv, rp_inv_norm = poly[2:]
+            corner = _times(rp_inv, tri[n_m:, :n_m] @ rw_inv)  # Rp^-1 Z Rw^-1
+            inv_norm = np.hypot(np.hypot(inv_norm, rp_inv_norm), np.linalg.norm(corner))
+        return bool(np.linalg.norm(tri) * inv_norm <= CERTIFIED_COND)
+
+
 def solve_ls(reg: RegressionSystem) -> EstimateReport:
     """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
 
@@ -291,13 +359,16 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     factored once per band and n_p and cached; Qp is real.  The model rows
     are projected off it, Z = Qp^T Mm^T and
     W = Mm^T - Qp Z = Qw Rw, so M2^T = [Qw Qp] S with the small
-    block-triangular S = [[Rw, 0], [Z, Rp]].  S has M2's singular values:
-    its SVD gives ``m2_singular_values``, and a numerical rank below M2's
-    row count (see RANK_RTOL) raises RankDeficiencyError.  Solving S
-    against [Qw^H; Qp^T] (-M1^T) then gives the model parameters and the
-    polynomial coefficients.  With n_p = 0 nothing is projected: S is Rw,
-    read with its right-hand side off the QR factor of [Mm^T | -M1^T].
-    The fit residual is W model^T plus the projected M1^T.
+    block-triangular S = [[Rw, 0], [Z, Rp]], which has M2's singular
+    values (``_factor``).  Full rank is certified by the bound
+    ||S||_F ||S^-1||_F <= CERTIFIED_COND; only when the bound fails does
+    the SVD of S decide, and a numerical rank below M2's row count (see
+    RANK_RTOL) raises RankDeficiencyError.  The singular values are not
+    kept: ``EstimateReport.m2_singular_values`` computes them on read.
+    Solving S against [Qw^H; Qp^T] (-M1^T) then gives the model parameters
+    and the polynomial coefficients.  With n_p = 0 nothing is projected:
+    S is Rw, read with its right-hand side off the QR factor of
+    [Mm^T | -M1^T].  The fit residual is W model^T plus the projected M1^T.
     """
     n_m, cols = reg.m2.shape
     rows = n_m + reg.n_poly
@@ -305,24 +376,15 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         raise ValueError(f"M2 has {cols} frequency columns for {rows} parameter rows; "
                          "the regression is underdetermined")
     t0 = time.perf_counter()
-    # [Mm^T | -M1^T] in the (Fortran) order the QR takes, projected off Qp
-    aug = np.concatenate((reg.m2, -reg.m1)).T
-    if reg.n_poly:
-        qp, rp = _poly_block(np.asarray(reg.freqs, dtype=float).tobytes(), reg.n_poly)
-        aug = np.ascontiguousarray(aug)  # _times multiplies its real view
-        proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
-        aug -= _times(qp, proj)
-    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
-    if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
-        r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
-                          [proj[:, :n_m], rp, proj[:, n_m:]]])
+    aug, r_aug, poly = _factor(reg)
     tri, rhs = r_aug[:, :rows], r_aug[:, rows:]
-    s = np.linalg.svd(tri, compute_uv=False)
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    if rank < rows:
-        ratio = s[-1] / s[0] if s[0] > 0 else 0.0
-        raise RankDeficiencyError(f"numerical rank {rank} below parameter row count {rows} "
-                                  f"(smallest singular value ratio {ratio:.2e})")
+    if not _full_rank_certified(tri, n_m, poly):
+        s = np.linalg.svd(tri, compute_uv=False)
+        rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+        if rank < rows:
+            ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+            raise RankDeficiencyError(f"numerical rank {rank} below parameter row count "
+                                      f"{rows} (smallest singular value ratio {ratio:.2e})")
     theta2 = np.linalg.solve(tri, rhs).T
     wall = time.perf_counter() - t0
     model = theta2[:, :n_m]
@@ -335,7 +397,7 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
         per_frequency_residual=Spectrum(reg.length, norms, reg.freqs), wall_time=wall,
         regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
-        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None, m2_singular_values=s,
+        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None,
     )
 
 

@@ -492,7 +492,7 @@ class TestOverlapCommand:
 
     def test_tau_grid_beyond_memory_is_exit_2(self, tmp_path, monkeypatch, capsys):
         # 1e-13 used to exit 1 with the _ArrayMemoryError of a 69.1 TiB grid;
-        # the allocation fails here without being attempted
+        # the point cap now rejects it before any allocation is attempted
         def no_memory(*args):
             raise MemoryError
 
@@ -501,6 +501,19 @@ class TestOverlapCommand:
         assert main(["overlap", "--out", str(out), "--tau-step", "1e-13"]) == 2
         assert ("--tau-step 1e-13 asks for 9.5e+12 tau grid points"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tau_grid_beyond_the_cap_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 1e-7 fits in memory, but its 9.5e6 points used to run about 35 min
+        # per window before writing anything; the grid is never built now
+        def no_grid(*args):
+            raise AssertionError("tau grid built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        out = tmp_path / "ov"
+        assert main(["overlap", "--out", str(out), "--tau-step", "1e-7"]) == 2
+        assert ("--tau-step 1e-07 asks for 9.5e+06 tau grid points, more than the "
+                "1e+05 allowed" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_tau_grid_beyond_index_range_is_exit_2(self, tmp_path, capsys):

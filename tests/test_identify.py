@@ -3,7 +3,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import freqwin.bench as bench
 import freqwin.identify as identify
@@ -153,6 +153,53 @@ def full_m2(reg):
     return np.vstack([reg.m2, identify._poly_rows(reg.freqs, reg.n_poly)])
 
 
+def consistent_regression(rng, m2, n_p):
+    """Model rows m2 on a centred grid with n_p implied polynomial rows and
+    -M1 = theta M2 for a random real theta: the least-squares oracle then
+    holds to a few eps cond(M2)."""
+    cols = m2.shape[1]
+    reg = RegressionSystem(m1=np.zeros((5, cols)), m2=m2,
+                           freqs=np.fft.fftfreq(cols, d=1.0 / cols), band=np.arange(cols),
+                           structure=REF, length=T, n_poly=n_p)
+    return replace(reg, m1=-rng.standard_normal((5, 10 + n_p)) @ full_m2(reg))
+
+
+def assert_rank_rule(reg):
+    """Where the bound certifies full rank the SVD rule counts it too;
+    solve_ls raises exactly when the SVD rule finds rank < rows, with its
+    message; every full-rank solve, fallbacks included, matches the lstsq
+    oracle."""
+    rows = 10 + reg.n_poly
+    _, r_aug, poly = identify._factor(reg)
+    tri = r_aug[:, :rows]
+    rank, message = svd_rule(tri)
+    if identify._full_rank_certified(tri, 10, poly):
+        assert rank == rows
+    if rank < rows:
+        with pytest.raises(RankDeficiencyError) as raised:
+            solve_ls(reg)
+        assert str(raised.value) == message
+        return
+    report = solve_ls(reg)
+    oracle = np.linalg.lstsq(full_m2(reg).T, -reg.m1.T, rcond=None)[0].T
+    s = np.linalg.svd(tri, compute_uv=False)
+    slack = 16 * np.finfo(float).eps * s[0] / s[-1]
+    got = np.hstack([report.theta_hat.A[0], report.theta_hat.B[0]])
+    np.testing.assert_allclose(got, oracle[:, :10].real, rtol=0,
+                               atol=(1e-12 + slack) * np.abs(oracle).max())
+
+
+def svd_rule(tri):
+    """The numerical rank of the small factor S by its SVD (singular values
+    above RANK_RTOL * s_max) and the message solve_ls raises below full
+    rank."""
+    s = np.linalg.svd(tri, compute_uv=False)
+    rank = int(np.count_nonzero(s > identify.RANK_RTOL * s[0]))
+    ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+    return rank, (f"numerical rank {rank} below parameter row count {tri.shape[0]} "
+                  f"(smallest singular value ratio {ratio:.2e})")
+
+
 class TestSolver:
     @pytest.mark.parametrize("rows, cols", [(10, 80), (20, 768), (60, 768)])
     def test_matches_pseudo_inverse_oracle(self, rows, cols):
@@ -184,6 +231,99 @@ class TestSolver:
         with pytest.raises(RankDeficiencyError,
                            match=r"rank 0 below .*\(smallest singular value ratio 0\.00e\+00\)"):
             solve_ls(replace(reg, m2=np.zeros_like(reg.m2)))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.sampled_from([0, 10, 50]),
+           log_rel=st.floats(-16.0, -6.0))
+    def test_rank_certificate_agrees_with_the_svd_rule(self, seed, n_p, log_rel):
+        """One model row replaced by a random combination of M2's other rows
+        plus a perturbation of relative size 10^log_rel: cond(M2) sweeps
+        about 1e6..1e16, across the band between the certificate's 1e10 and
+        the SVD rule's 1 / RANK_RTOL."""
+        rng = np.random.default_rng(seed)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        rows = 10 + n_p
+        cols = int(rng.integers(2 * rows, 4 * rows))
+        reg = consistent_regression(rng, gauss(10, cols), n_p)
+        j = int(rng.integers(10))
+        comb = gauss(rows - 1) @ np.delete(full_m2(reg), j, axis=0)
+        reg.m2[j] = comb + 10.0**log_rel * np.linalg.norm(comb) / np.sqrt(cols) * gauss(cols)
+        assert_rank_rule(consistent_regression(rng, reg.m2, n_p))
+
+    @pytest.mark.parametrize("weight", [1e3, 1e4, 1e5, 1e6, 1e7])
+    @pytest.mark.parametrize("n_p", [10, 50])
+    def test_rank_certificate_on_rows_near_the_polynomial_span(self, n_p, weight):
+        """Model rows of O(1) plus weight times polynomial combinations:
+        S's corner block Z grows with the weight while Rw and Rp stay O(1),
+        so S^-1's corner -Rp^-1 Z Rw^-1 carries cond(M2), 2e7..6e15 here."""
+        rng = np.random.default_rng(5)
+        cols = 4 * (10 + n_p)
+        freqs = np.fft.fftfreq(cols, d=1.0 / cols)
+        m2 = rng.standard_normal((10, cols)) + 1j * rng.standard_normal((10, cols))
+        m2 += weight * rng.standard_normal((10, n_p)) @ identify._poly_rows(freqs, n_p)
+        assert_rank_rule(consistent_regression(rng, m2, n_p))
+
+    @pytest.mark.parametrize("case", ["nan", "overflow", "singular_rw", "singular_rp"])
+    @pytest.mark.parametrize("n_p", [0, 10])
+    def test_uncertifiable_factors_fall_back_to_the_svd_rule(self, case, n_p):
+        """A NaN, an inverse whose norm overflows (one row scaled by
+        1e-200), an exactly singular Rw (inverting it raises LinAlgError)
+        or an exactly singular Rp (all-zero band: the second Chebyshev row
+        vanishes) fails the bound without a warning, and the SVD rule
+        decides as it always has."""
+        reg = random_regression(4, 80, n_p)
+        if case == "nan":
+            reg.m2[2, 5] = np.nan
+        elif case == "overflow":
+            reg.m2[4] *= 1e-200
+        elif case == "singular_rw":
+            reg.m2[4] = 0.0
+        else:
+            reg = replace(reg, freqs=np.zeros_like(reg.freqs), n_poly=n_p + 2)
+        rows = 10 + reg.n_poly
+        _, r_aug, poly = identify._factor(reg)
+        tri = r_aug[:, :rows]
+        assert not identify._full_rank_certified(tri, 10, poly)
+        if case == "singular_rp":  # cached as NaN: inverting Rp raised
+            assert np.isnan(poly[2]).all() and np.isnan(poly[3])
+        if case == "nan":
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                solve_ls(reg)
+            return
+        rank, message = svd_rule(tri)
+        assert rank < rows
+        with pytest.raises(RankDeficiencyError) as raised:
+            solve_ls(reg)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("f_s, sigma", [(80, 0.0), (80, 1e-2), (768, 0.0), (768, 1e-2)])
+    def test_singular_values_computed_on_read(self, f_s, sigma, monkeypatch):
+        """No SVD in the solve of the reference regressions of the four
+        methods; the first read of m2_singular_values takes one, and the
+        value is kept for later reads and m2_condition."""
+        x, u = reference_records_at(f_s, sigma)
+        regs = [build_regression(x, u, bench.REF_STRUCTURE, window, n_p)
+                for window in (None, WindowSpec("cinf", 4)) for n_p in (0, 50)]
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for reg in regs:
+            report = solve_ls(reg)
+            assert calls == []
+            s = report.m2_singular_values
+            assert calls == [(10 + reg.n_poly,) * 2]
+            assert report.m2_singular_values is s
+            assert report.m2_condition == s[0] / s[-1]
+            assert len(calls) == 1
+            calls.clear()
 
     def test_polynomial_rows_count_towards_the_rank(self):
         """A band of 12 distinct bins, each repeated 3 times, holds the 10
@@ -469,9 +609,9 @@ class TestDesignCaches:
     def test_cached_arrays_refuse_writes(self):
         x, u, theta = exact_dataset()
         reg = identify_from_signals(x, u, theta.structure, n_p=4).regression
-        qp, rp = identify._poly_block(reg.freqs.tobytes(), 4)
+        qp, rp, rp_inv, _ = identify._poly_block(reg.freqs.tobytes(), 4)
         table = identify._window_table(WindowSpec("sin", 2), x.num_samples, 1)
-        for array in (qp, rp, table.samples):
+        for array in (qp, rp, rp_inv, table.samples):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -566,6 +706,23 @@ class TestInvariances:
         want_a0, want_b0 = reference_estimate(method, window)
         assert_relative(a0, want_a0[p][:, p])
         assert_relative(b0, want_b0[p][:, p])
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), **invariance_case)
+    def test_input_mixing(self, seed, method, window):
+        """Driving the system with the mixed input Q u, for a random real
+        Q, is x' + A_0 x = (B_0 Q^-1)(Q u): A_0 stays, B_0 -> B_0 Q^-1.
+        The estimates' relative change grows as about 3e-14 cond(Q) (worst
+        3.0e-13 over 37 draws with cond(Q) <= 20), so Q is drawn that well
+        conditioned."""
+        q = np.random.default_rng(seed).standard_normal((5, 5))
+        assume(np.linalg.cond(q) <= 20)
+        x, u = reference_records()
+        a0, b0 = estimate_ab0(x, replace(u, values=q @ u.values, terminal=q @ u.terminal),
+                              method, bench.parse_window(window))
+        want_a0, want_b0 = reference_estimate(method, window)
+        assert_relative(a0, want_a0, rtol=1e-12)
+        assert_relative(b0, want_b0 @ np.linalg.inv(q), rtol=1e-12)
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(c=st.floats(0.1, 10.0), **invariance_case)
