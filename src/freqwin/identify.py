@@ -22,8 +22,9 @@ factor from a cache keyed by (band, n_p) and projects the model rows off
 it into a small block-triangular factor S with M_2's singular values (see
 ``solve_ls``); with n_p = 0 nothing is projected and S is the R of the
 model rows' QR.  A condition bound on S certifies M_2's full rank, and
-only when it fails does an SVD of S decide the rank; M_2's singular
-values are computed when a report's ``m2_singular_values`` is first read.
+only when it fails does an SVD of S decide the rank.  The QR's trailing
+block gives ``residual_l2``; the per-bin residual and M_2's singular
+values are computed when a report's field is first read.
 The window and n_p are the only settings; the method name is read off the
 regression that was solved:
 
@@ -149,18 +150,29 @@ class RegressionSystem:
 class EstimateReport:
     """One least-squares estimate and its diagnostics.
 
-    ``m2_singular_values`` (descending) and ``m2_condition`` are not
-    formed by the solve: the first read rebuilds S from ``regression`` by
-    the solve's own steps and takes its SVD, the same values bit for bit.
+    ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T) is read off the solve's
+    QR factor.  ``per_frequency_residual`` (its norm per bin),
+    ``m2_singular_values`` (descending) and ``m2_condition`` are not formed
+    by the solve: the first read redoes the solve's own steps on
+    ``regression``, the same values bit for bit.
     """
 
     theta_hat: ModelParams
     residual_l2: float
-    per_frequency_residual: Spectrum
     wall_time: float
     regression: RegressionSystem
     imag_norm: float
     poly_coeffs: np.ndarray | None
+
+    @functools.cached_property
+    def per_frequency_residual(self) -> Spectrum:
+        reg = self.regression
+        n_m, rows = reg.m2.shape[0], reg.m2.shape[0] + reg.n_poly
+        aug, r_aug = _factor(reg)[:2]
+        model = np.linalg.solve(r_aug[:, :rows], r_aug[:, rows:]).T[:, :n_m]
+        # theta2 M2 + M1: the polynomial part of the fit is the projection onto Qp
+        fit_resid = model @ aug[:, :n_m].T - aug[:, n_m:].T
+        return Spectrum(reg.length, np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0)), reg.freqs)
 
     @functools.cached_property
     def m2_singular_values(self) -> np.ndarray:
@@ -294,12 +306,18 @@ def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
     return Spectrum(length=reg.length, coeffs=resid, freqs=reg.freqs)
 
 
-def _split_theta(theta2: np.ndarray, structure: ModelStructure):
+def _split_theta(theta2: np.ndarray, structure: ModelStructure) -> ModelParams:
+    """The solver's real theta2 as ModelParams, whose blocks have the right
+    shapes by construction: of its checks only finiteness is kept."""
+    if not np.isfinite(theta2).all():
+        raise ValueError("A and B must be finite matrices")
     s = structure
     a = s.n_x * s.n_a  # column blocks A_{n_a-1} .. A_0, then B_{n_b} .. B_0
     A = [theta2[:, j:j + s.n_x] for j in range(0, a, s.n_x)][::-1] + [np.eye(s.n_x)]
     B = [theta2[:, j:j + s.n_u] for j in range(a, theta2.shape[1], s.n_u)][::-1]
-    return ModelParams(s, A=tuple(A), B=tuple(B))
+    params = object.__new__(ModelParams)
+    params.__dict__.update(structure=s, A=tuple(A), B=tuple(B))
+    return params
 
 
 def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -312,8 +330,11 @@ def _factor(reg: RegressionSystem):
     """The projected columns and the small factor of ``solve_ls``.
 
     Returns aug = [W | (I - Qp Qp^T)(-M1^T)], r_aug = [S | its right-hand
-    side] and the band's ``_poly_block`` (None with n_p = 0).  The solve
-    and ``EstimateReport.m2_singular_values`` both form S here.
+    side], the band's ``_poly_block`` (None with n_p = 0) and R22, the
+    trailing block of aug's R, whose Frobenius norm is the least-squares
+    residual's (Golub & Van Loan, sec. 5.3; aug is already projected off
+    Qp).  R22 has min(cols, n_m + n_x) - n_m rows, none when cols = n_m.
+    The solve and ``EstimateReport``'s fields computed on read form S here.
     """
     n_m = reg.m2.shape[0]
     poly = None
@@ -325,11 +346,12 @@ def _factor(reg: RegressionSystem):
         aug = np.ascontiguousarray(aug)  # _times multiplies its real view
         proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
         aug -= _times(qp, proj)
-    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
+    r = np.linalg.qr(aug, mode="r")
+    r_aug = r[:n_m]  # [Rw | Qw^H (-M1^T)]
     if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
         r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
                           [proj[:, :n_m], rp, proj[:, n_m:]]])
-    return aug, r_aug, poly
+    return aug, r_aug, poly, r[n_m:, n_m:]
 
 
 def _full_rank_certified(tri: np.ndarray, n_m: int, poly) -> bool:
@@ -368,7 +390,8 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     Solving S against [Qw^H; Qp^T] (-M1^T) then gives the model parameters
     and the polynomial coefficients.  With n_p = 0 nothing is projected:
     S is Rw, read with its right-hand side off the QR factor of
-    [Mm^T | -M1^T].  The fit residual is W model^T plus the projected M1^T.
+    [Mm^T | -M1^T].  ``residual_l2`` is ||R22||_F / sqrt(T) (``_factor``);
+    the per-bin residual is formed on read, outside any ``wall_time``.
     """
     n_m, cols = reg.m2.shape
     rows = n_m + reg.n_poly
@@ -376,7 +399,7 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         raise ValueError(f"M2 has {cols} frequency columns for {rows} parameter rows; "
                          "the regression is underdetermined")
     t0 = time.perf_counter()
-    aug, r_aug, poly = _factor(reg)
+    _, r_aug, poly, r22 = _factor(reg)
     tri, rhs = r_aug[:, :rows], r_aug[:, rows:]
     if not _full_rank_certified(tri, n_m, poly):
         s = np.linalg.svd(tri, compute_uv=False)
@@ -388,14 +411,9 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     theta2 = np.linalg.solve(tri, rhs).T
     wall = time.perf_counter() - t0
     model = theta2[:, :n_m]
-    # the polynomial part of the fit is the projection onto Qp, so the
-    # residual theta2 M2 + M1 is model W^T minus the projected -M1
-    fit_resid = model @ aug[:, :n_m].T - aug[:, n_m:].T
-    norms = np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0))
-    resid_l2 = float(np.sqrt((norms**2).sum() / reg.length))
     return EstimateReport(
-        theta_hat=_split_theta(model.real, reg.structure), residual_l2=resid_l2,
-        per_frequency_residual=Spectrum(reg.length, norms, reg.freqs), wall_time=wall,
+        theta_hat=_split_theta(model.real, reg.structure),
+        residual_l2=float(np.linalg.norm(r22) / np.sqrt(reg.length)), wall_time=wall,
         regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
         poly_coeffs=theta2[:, n_m:] if reg.n_poly else None,
     )

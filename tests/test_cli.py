@@ -147,6 +147,31 @@ class TestIdentify:
         config = (out / "run_config.txt").read_text()
         assert f"window = {window}" in config and f"np = {n_p}" in config
 
+    @pytest.mark.parametrize("window, n_p", [("cinf:4", 0), ("rect", 5)])
+    def test_residual_outputs_match_an_independent_fit(self, sim_dir, tmp_path, window,
+                                                       n_p):
+        """residual.csv's per-bin norms against the residual of an lstsq fit
+        of the same regression, and report.json's residual_l2 (read off the
+        solve's QR factor) against those norms, to 1e-12 ||M1||."""
+        out = tmp_path / "res"
+        assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
+                     "--u", str(sim_dir / "u.csv"), "--window", window,
+                     "--np", str(n_p)]) == 0
+        x, u = (io.read_signal_csv(sim_dir / name) for name in ("x.csv", "u.csv"))
+        reg = freqwin.build_regression(x, u, bench.REF_STRUCTURE,
+                                       bench.parse_window(window), n_p)
+        # the polynomial rows span degrees < n_p; any basis fits the same residual
+        m2 = np.vstack([reg.m2, np.vander(reg.freqs / np.abs(reg.freqs).max(), n_p).T])
+        theta2 = np.linalg.lstsq(m2.T, -reg.m1.T, rcond=None)[0].T
+        want = np.linalg.norm(theta2 @ m2 + reg.m1, axis=0)
+        rows = read_rows(out / "residual.csv")
+        np.testing.assert_array_equal([float(r["f"]) for r in rows], reg.freqs)
+        norms = np.array([float(r["residual_norm"]) for r in rows])
+        tol = 1e-12 * np.linalg.norm(reg.m1)
+        assert np.abs(norms - want).max() <= tol
+        report = json.loads((out / "report.json").read_text())
+        assert abs(report["residual_l2"] - np.sqrt((norms**2).sum() / x.length)) <= tol
+
     @pytest.mark.parametrize("command", ["identify", "sweep", "montecarlo"])
     def test_method_flag_is_gone(self, sim_dir, tmp_path, command):
         # the window and --np pick the method; --method could disagree with them

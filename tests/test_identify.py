@@ -170,7 +170,7 @@ def assert_rank_rule(reg):
     message; every full-rank solve, fallbacks included, matches the lstsq
     oracle."""
     rows = 10 + reg.n_poly
-    _, r_aug, poly = identify._factor(reg)
+    _, r_aug, poly, _ = identify._factor(reg)
     tri = r_aug[:, :rows]
     rank, message = svd_rule(tri)
     if identify._full_rank_certified(tri, 10, poly):
@@ -284,7 +284,7 @@ class TestSolver:
         else:
             reg = replace(reg, freqs=np.zeros_like(reg.freqs), n_poly=n_p + 2)
         rows = 10 + reg.n_poly
-        _, r_aug, poly = identify._factor(reg)
+        _, r_aug, poly, _ = identify._factor(reg)
         tri = r_aug[:, :rows]
         assert not identify._full_rank_certified(tri, 10, poly)
         if case == "singular_rp":  # cached as NaN: inverting Rp raised
@@ -353,14 +353,7 @@ class TestSolver:
         """The residual formed from the projected columns against
         theta2 M2 + M1 over every row, polynomial rows included, at the
         solve's own complex theta2 (768 Hz)."""
-        solutions = []
-        solve = np.linalg.solve
-
-        def keep(a, b):
-            solutions.append(solve(a, b))
-            return solutions[-1]
-
-        monkeypatch.setattr(np.linalg, "solve", keep)
+        solutions = capture_solutions(monkeypatch)
         x, u = reference_records_at(768, sigma)
         spec = bench.parse_window(window) if window else None
         report = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec, n_p=n_p)
@@ -389,6 +382,136 @@ class TestSolver:
                                freqs=freqs, band=band, structure=REF,
                                length=T, n_poly=n_p)
         assert_matches_pseudo_inverse(reg)
+
+    @pytest.mark.parametrize("window", [None, "cinf:4"])
+    @pytest.mark.parametrize("n_p", [0, 10, 50])
+    @pytest.mark.parametrize("f_s", [80, 768])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_residual_l2_is_the_explicit_residual(self, sigma, f_s, n_p, window,
+                                                  monkeypatch):
+        """residual_l2, read off the QR factor's trailing block R22, against
+        ||theta2 M2 + M1||_F / sqrt(T) at the solve's own complex theta2,
+        on the reference regressions."""
+        solutions = capture_solutions(monkeypatch)
+        x, u = reference_records_at(f_s, sigma)
+        spec = bench.parse_window(window) if window else None
+        reg = build_regression(x, u, bench.REF_STRUCTURE, spec, n_p)
+        assert_residual_l2(solve_ls(reg), solutions[-1].T)
+
+    @pytest.mark.parametrize("cols, n_p", [(10, 0), (12, 0), (13, 3), (14, 3), (16, 3)])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_residual_l2_on_bands_shorter_than_the_factor(self, cols, n_p, sigma,
+                                                          monkeypatch):
+        """Bands of n_m = 10 to n_m + n_x + 1 = 16 bins (n_m model rows,
+        n_x = 5): aug's R factor has min(cols, n_m + n_x) rows, so R22 is
+        short below 15 bins, and empty at cols = n_m, where the fit is exact
+        and residual_l2 reads 0."""
+        solutions = capture_solutions(monkeypatch)
+        x, u = reference_records_at(80, sigma)
+        reg = build_regression(x, u, bench.REF_STRUCTURE, WindowSpec("cinf", 4), n_p,
+                               band=np.arange(1, cols + 1))
+        assert identify._factor(reg)[3].shape == (min(cols, 15) - 10, 5)
+        report = solve_ls(reg)
+        if cols == 10:
+            assert report.residual_l2 == 0.0
+        assert_residual_l2(report, solutions[-1].T)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(0, 50))
+    def test_residual_l2_on_random_regressions(self, seed, n_p):
+        """Gaussian regressions of n_m + n_p to 3 (n_m + n_p + n_x) bins,
+        short R22 included, on records of length 0.5-4."""
+        rng = np.random.default_rng(seed)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cols = int(rng.integers(10 + n_p, 3 * (15 + n_p)))
+        reg = RegressionSystem(m1=gauss(5, cols), m2=gauss(10, cols),
+                               freqs=np.fft.fftfreq(cols, d=1.0 / cols),
+                               band=np.arange(cols), structure=REF,
+                               length=float(rng.uniform(0.5, 4.0)), n_poly=n_p)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            solutions = capture_solutions(monkeypatch)
+            report = solve_ls(reg)
+        assert_residual_l2(report, solutions[-1].T)
+
+    @pytest.mark.parametrize("window, n_p", [(None, 0), ("cinf:4", 0), (None, 50),
+                                             ("cinf:4", 10)])
+    @pytest.mark.parametrize("f_s, sigma", [(80, 0.0), (768, 1e-2)])
+    def test_per_frequency_residual_computed_on_read(self, f_s, sigma, window, n_p,
+                                                     monkeypatch):
+        """The solve factors once; the first read of per_frequency_residual
+        factors once more, later reads never, and its norms are those of
+        the solve's own steps: model W^T minus the projected -M1."""
+        x, u = reference_records_at(f_s, sigma)
+        spec = bench.parse_window(window) if window else None
+        reg = build_regression(x, u, bench.REF_STRUCTURE, spec, n_p)
+        calls = []
+        factor = identify._factor
+
+        def counted(r):
+            calls.append(r)
+            return factor(r)
+
+        monkeypatch.setattr(identify, "_factor", counted)
+        report = solve_ls(reg)
+        assert len(calls) == 1
+        res = report.per_frequency_residual
+        assert len(calls) == 2
+        assert report.per_frequency_residual is res
+        assert len(calls) == 2
+        rows = 10 + n_p
+        aug, r_aug = factor(reg)[:2]
+        model = np.linalg.solve(r_aug[:, :rows], r_aug[:, rows:]).T[:, :10]
+        fit = model @ aug[:, :10].T - aug[:, 10:].T
+        np.testing.assert_array_equal(res.coeffs[0], np.sqrt((np.abs(fit) ** 2).sum(axis=0)))
+        np.testing.assert_array_equal(res.freqs, reg.freqs)
+
+    @pytest.mark.parametrize("case, n_p", [("inf", 0), ("inf", 10), ("nan", 0),
+                                           ("nan", 10), ("overflow", 0)])
+    def test_non_finite_solve_is_refused(self, case, n_p):
+        """A finite M2 beside an inf, a NaN or an overflowing row (1e308,
+        finite itself) in M1: S stays finite and certified, theta2 does not,
+        and the solve refuses it with ModelParams' message.  The projection
+        and the QR may warn first; only the refusal is under test."""
+        reg = random_regression(6, 80, n_p)
+        if case == "overflow":
+            reg.m1[1] = 1e308
+        else:
+            reg.m1[1, 7] = np.inf if case == "inf" else np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="A and B must be finite matrices"):
+                solve_ls(reg)
+
+
+def capture_solutions(monkeypatch):
+    """A list that collects every np.linalg.solve result from here on."""
+    solutions = []
+    solve = np.linalg.solve
+
+    def keep(a, b):
+        solutions.append(solve(a, b))
+        return solutions[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", keep)
+    return solutions
+
+
+def assert_residual_l2(report, theta2):
+    """residual_l2 against ||theta2 M2 + M1||_F / sqrt(T) over every row,
+    polynomial rows included, within (1e-12 ||M1|| + 16 eps ||theta2||
+    ||M2||) / sqrt(T).  The second term is a backward-stable solve's
+    first-order effect on the residual at its computed theta2; it is the
+    larger only where polynomial coefficients are large (80 Hz, noisy,
+    n_p = 50: ||theta2|| ||M2|| is 2e6 ||M1||, and the two differ by
+    3.4e-12 ||M1||)."""
+    reg = report.regression
+    m2 = full_m2(reg)
+    direct = np.linalg.norm(theta2 @ m2 + reg.m1) / np.sqrt(reg.length)
+    tol = (1e-12 * np.linalg.norm(reg.m1) + 16 * np.finfo(float).eps
+           * np.linalg.norm(theta2) * np.linalg.norm(m2)) / np.sqrt(reg.length)
+    assert abs(report.residual_l2 - direct) <= tol
 
 
 @cache
