@@ -17,14 +17,9 @@ with K = 0, so L_i = D^i X_0 with nothing subtracted.  The rows form a
 matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
 remaining model rows m_2 and the n_p polynomial rows P, M_2 = [m_2; P],
 solve theta_2 M_2 = -M_1 in the least-squares sense.  P depends only on
-the band, so a regression stores m_2 alone and the solve takes P's QR
-factor from a cache keyed by (band, n_p) and projects the model rows off
-it into a small block-triangular factor S with M_2's singular values (see
-``solve_ls``); with n_p = 0 nothing is projected and S is the R of the
-model rows' QR.  A condition bound on S certifies M_2's full rank, and
-only when it fails does an SVD of S decide the rank.  The QR's trailing
-block gives ``residual_l2``; the per-bin residual and M_2's singular
-values are computed when a report's field is first read.
+the band, so a regression stores m_2 alone and ``solve_ls`` takes P's QR
+factor from a cache keyed by (band, n_p).  A report keeps the solve's
+theta_2 and computes each diagnostic from its definition on read.
 The window and n_p are the only settings; the method name is read off the
 regression that was solved:
 
@@ -148,37 +143,48 @@ class RegressionSystem:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One least-squares estimate and its diagnostics.
-
-    ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T) is read off the solve's
-    QR factor.  ``per_frequency_residual`` (its norm per bin),
-    ``m2_singular_values`` (descending) and ``m2_condition`` are not formed
-    by the solve: the first read redoes the solve's own steps on
-    ``regression``, the same values bit for bit.
+    """One least-squares estimate: the solve's complex theta2 (``solution``,
+    n_x x (n_m + n_p), model columns first) and its real model part.  With
+    M2 = [m2; P], each diagnostic is its definition, computed on read:
+    ``imag_norm`` = ||Im theta2[:, :n_m]||, ``poly_coeffs`` = theta2[:, n_m:]
+    (None with n_p = 0), ``per_frequency_residual`` the norm per bin of
+    theta2 M2 + M1, ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T), and
+    ``m2_singular_values`` (descending) the SVD of M2, both kept once read.
     """
 
     theta_hat: ModelParams
-    residual_l2: float
     wall_time: float
     regression: RegressionSystem
-    imag_norm: float
-    poly_coeffs: np.ndarray | None
+    solution: np.ndarray
+
+    @property
+    def imag_norm(self) -> float:
+        return float(np.linalg.norm(self.solution[:, :self.regression.m2.shape[0]].imag))
+
+    @property
+    def poly_coeffs(self) -> np.ndarray | None:
+        n_p = self.regression.n_poly
+        return self.solution[:, -n_p:] if n_p else None
+
+    @functools.cached_property
+    def _m2(self) -> np.ndarray:
+        reg = self.regression
+        return np.vstack((reg.m2, _poly_rows(reg.freqs, reg.n_poly)))
 
     @functools.cached_property
     def per_frequency_residual(self) -> Spectrum:
         reg = self.regression
-        n_m, rows = reg.m2.shape[0], reg.m2.shape[0] + reg.n_poly
-        aug, r_aug = _factor(reg)[:2]
-        model = np.linalg.solve(r_aug[:, :rows], r_aug[:, rows:]).T[:, :n_m]
-        # theta2 M2 + M1: the polynomial part of the fit is the projection onto Qp
-        fit_resid = model @ aug[:, :n_m].T - aug[:, n_m:].T
+        fit_resid = self.solution @ self._m2 + reg.m1
         return Spectrum(reg.length, np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0)), reg.freqs)
+
+    @property
+    def residual_l2(self) -> float:
+        res = self.per_frequency_residual
+        return float(np.linalg.norm(res.coeffs) / np.sqrt(res.length))
 
     @functools.cached_property
     def m2_singular_values(self) -> np.ndarray:
-        reg = self.regression
-        rows = reg.m2.shape[0] + reg.n_poly
-        return np.linalg.svd(_factor(reg)[1][:, :rows], compute_uv=False)
+        return np.linalg.svd(self._m2, compute_uv=False)
 
     @property
     def method(self) -> str:
@@ -327,16 +333,9 @@ def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
 
 def _factor(reg: RegressionSystem):
-    """The projected columns and the small factor of ``solve_ls``.
-
-    Returns aug = [W | (I - Qp Qp^T)(-M1^T)], r_aug = [S | its right-hand
-    side], the band's ``_poly_block`` (None with n_p = 0) and R22, the
-    trailing block of aug's R, whose Frobenius norm is the least-squares
-    residual's (Golub & Van Loan, sec. 5.3; aug is already projected off
-    Qp).  R22 has min(cols, n_m + n_x) - n_m rows, none when cols = n_m.
-    The solve and ``EstimateReport``'s fields computed on read form S here.
-    """
-    n_m = reg.m2.shape[0]
+    """The small factor S of ``solve_ls``, its right-hand side and the
+    band's ``_poly_block`` (None with n_p = 0)."""
+    n_m, rows = reg.m2.shape[0], reg.m2.shape[0] + reg.n_poly
     poly = None
     # [Mm^T | -M1^T] in the (Fortran) order the QR takes, projected off Qp
     aug = np.concatenate((reg.m2, -reg.m1)).T
@@ -346,12 +345,11 @@ def _factor(reg: RegressionSystem):
         aug = np.ascontiguousarray(aug)  # _times multiplies its real view
         proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
         aug -= _times(qp, proj)
-    r = np.linalg.qr(aug, mode="r")
-    r_aug = r[:n_m]  # [Rw | Qw^H (-M1^T)]
+    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
     if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
         r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
                           [proj[:, :n_m], rp, proj[:, n_m:]]])
-    return aug, r_aug, poly, r[n_m:, n_m:]
+    return r_aug[:, :rows], r_aug[:, rows:], poly
 
 
 def _full_rank_certified(tri: np.ndarray, n_m: int, poly) -> bool:
@@ -374,24 +372,20 @@ def _full_rank_certified(tri: np.ndarray, n_m: int, poly) -> bool:
 
 
 def solve_ls(reg: RegressionSystem) -> EstimateReport:
-    """Least-squares estimate theta_2 = -M1 M2^+ with rank diagnostics.
+    """Least-squares estimate theta_2 = -M1 M2^+, with a rank check.
 
     M2^T = [Mm^T | P^T] holds the model rows Mm (``reg.m2``) and the n_p
     polynomial rows P of the band (``_poly_rows``).  P^T = Qp Rp is
     factored once per band and n_p and cached; Qp is real.  The model rows
-    are projected off it, Z = Qp^T Mm^T and
-    W = Mm^T - Qp Z = Qw Rw, so M2^T = [Qw Qp] S with the small
-    block-triangular S = [[Rw, 0], [Z, Rp]], which has M2's singular
-    values (``_factor``).  Full rank is certified by the bound
-    ||S||_F ||S^-1||_F <= CERTIFIED_COND; only when the bound fails does
-    the SVD of S decide, and a numerical rank below M2's row count (see
-    RANK_RTOL) raises RankDeficiencyError.  The singular values are not
-    kept: ``EstimateReport.m2_singular_values`` computes them on read.
-    Solving S against [Qw^H; Qp^T] (-M1^T) then gives the model parameters
-    and the polynomial coefficients.  With n_p = 0 nothing is projected:
-    S is Rw, read with its right-hand side off the QR factor of
-    [Mm^T | -M1^T].  ``residual_l2`` is ||R22||_F / sqrt(T) (``_factor``);
-    the per-bin residual is formed on read, outside any ``wall_time``.
+    are projected off it, Z = Qp^T Mm^T and W = Mm^T - Qp Z = Qw Rw, so
+    M2^T = [Qw Qp] S with the small block-triangular S = [[Rw, 0], [Z, Rp]],
+    which has M2's singular values (``_factor``).  Full rank is certified
+    by the bound ||S||_F ||S^-1||_F <= CERTIFIED_COND; only when it fails
+    does the SVD of S decide, and a numerical rank below M2's row count
+    (see RANK_RTOL) raises RankDeficiencyError.  Solving S against
+    [Qw^H; Qp^T] (-M1^T) gives theta_2, which the report keeps.  With
+    n_p = 0 nothing is projected: S is Rw, read with its right-hand side
+    off the QR factor of [Mm^T | -M1^T].
     """
     n_m, cols = reg.m2.shape
     rows = n_m + reg.n_poly
@@ -399,8 +393,7 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         raise ValueError(f"M2 has {cols} frequency columns for {rows} parameter rows; "
                          "the regression is underdetermined")
     t0 = time.perf_counter()
-    _, r_aug, poly, r22 = _factor(reg)
-    tri, rhs = r_aug[:, :rows], r_aug[:, rows:]
+    tri, rhs, poly = _factor(reg)
     if not _full_rank_certified(tri, n_m, poly):
         s = np.linalg.svd(tri, compute_uv=False)
         rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -410,13 +403,8 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
                                       f"{rows} (smallest singular value ratio {ratio:.2e})")
     theta2 = np.linalg.solve(tri, rhs).T
     wall = time.perf_counter() - t0
-    model = theta2[:, :n_m]
-    return EstimateReport(
-        theta_hat=_split_theta(model.real, reg.structure),
-        residual_l2=float(np.linalg.norm(r22) / np.sqrt(reg.length)), wall_time=wall,
-        regression=reg, imag_norm=float(np.linalg.norm(model.imag)),
-        poly_coeffs=theta2[:, n_m:] if reg.n_poly else None,
-    )
+    return EstimateReport(theta_hat=_split_theta(theta2[:, :n_m].real, reg.structure),
+                          wall_time=wall, regression=reg, solution=theta2)
 
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,

@@ -29,9 +29,9 @@ class Signal:
     ``values`` has shape (n_channels, N) with sample times t_j = j T / N.
     ``terminal`` optionally carries the extra sample s(T), record data for
     checks against x(T) and for the CSV's exact T; no estimate reads it.
-    The values are scanned for non-finite entries once, at construction,
-    and are treated as read-only: a slice of them (a decimated record)
-    shares their memory and is not scanned.
+    The values and the terminal sample are scanned for non-finite entries
+    once, at construction, and are treated as read-only: a slice of them (a
+    decimated record) shares their memory and is not scanned.
     """
 
     length: float
@@ -46,13 +46,15 @@ class Signal:
             vals = vals[np.newaxis, :]
         if vals.shape[1] < 2:
             raise ValueError("need at least 2 samples")
-        if self._scan and not np.isfinite(vals).all():
+        term = np.asarray(() if self.terminal is None else self.terminal, complex).ravel()
+        if self.terminal is not None and term.size != vals.shape[0]:
+            raise ValueError(f"{term.size} terminal entries, not n_channels = {vals.shape[0]}")
+        if self._scan and not (np.isfinite(vals).all() and np.isfinite(term).all()):
             raise ValueError("signal contains non-finite values")
         if not 0 < self.length < np.inf:
             raise ValueError("record length must be finite and positive")
         object.__setattr__(self, "values", vals)
         if self.terminal is not None:
-            term = np.asarray(self.terminal, dtype=complex).reshape(vals.shape[0])
             object.__setattr__(self, "terminal", term)
 
     @property

@@ -151,8 +151,8 @@ class TestIdentify:
     def test_residual_outputs_match_an_independent_fit(self, sim_dir, tmp_path, window,
                                                        n_p):
         """residual.csv's per-bin norms against the residual of an lstsq fit
-        of the same regression, and report.json's residual_l2 (read off the
-        solve's QR factor) against those norms, to 1e-12 ||M1||."""
+        of the same regression, and report.json's residual_l2 against those
+        norms, to 1e-12 ||M1||."""
         out = tmp_path / "res"
         assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
                      "--u", str(sim_dir / "u.csv"), "--window", window,
@@ -224,6 +224,20 @@ class TestIdentify:
         assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
                      "--u", str(sim_dir / "u.csv"), "--truth", str(truth)]) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_terminal_sample_is_exit_2(self, sim_dir, tmp_path, capsys):
+        # a NaN s(T) in the CSV's terminal row used to be read without a check
+        *rows, terminal = (sim_dir / "x.csv").read_text().splitlines()
+        fields = terminal.split(",")
+        assert fields[0] == io.TERMINAL_TAG
+        fields[2] = "nan"
+        bad = tmp_path / "x_nan.csv"
+        bad.write_text("\n".join(rows + [",".join(fields)]) + "\n")
+        out = tmp_path / "nan_terminal"
+        assert main(["identify", "--out", str(out), "--x", str(bad),
+                     "--u", str(sim_dir / "u.csv")]) == 2
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_more_inputs_than_states(self, tmp_path, capsys):

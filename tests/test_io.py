@@ -59,6 +59,14 @@ def test_signal_csv_rejects_bad_time_column(tmp_path, times, terminal_time):
         read_signal_csv(path)
 
 
+def test_signal_csv_rejects_non_finite_terminal_sample(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("t,ch0_re,ch0_im\n" + "".join(f"{t},1,0\n" for t in (0, 0.25, 0.5, 0.75))
+                    + "# terminal,1.0,nan,0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_signal_csv(path)
+
+
 def test_spectrum_csv_columns(tmp_path):
     spec = Spectrum(length=1.0, coeffs=np.array([[1 + 2j, 3 - 4j]]),
                     freqs=np.array([0.0, 1.0]))

@@ -596,6 +596,8 @@ class TestRecordBuffers:
             spectral._finite_signal(1.0, np.ones((2, 1)))
         with pytest.raises(ValueError, match="finite and positive"):
             spectral._finite_signal(np.inf, np.ones(4))
+        with pytest.raises(ValueError, match="3 terminal entries, not n_channels = 1"):
+            spectral._finite_signal(1.0, np.ones(4), terminal=np.ones(3))
 
 
 def test_reference_dataset_matches_exact_ode():

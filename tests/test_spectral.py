@@ -205,6 +205,17 @@ class TestSignalValidation:
         with pytest.raises(ValueError):
             Signal(length=1.0, values=vals)
 
+    @pytest.mark.parametrize("terminal", [[np.nan, 1.0], [1.0, np.inf]])
+    def test_rejects_non_finite_terminal_sample(self, terminal):
+        # a NaN s(T) used to be accepted and written back to a CSV
+        with pytest.raises(ValueError, match="non-finite"):
+            Signal(length=1.0, values=np.ones((2, 8)), terminal=terminal)
+
+    def test_terminal_sample_needs_one_entry_per_channel(self):
+        # used to fail in numpy's reshape, without naming the channel count
+        with pytest.raises(ValueError, match="3 terminal entries, not n_channels = 2"):
+            Signal(length=1.0, values=np.ones((2, 8)), terminal=[1.0, 2.0, 3.0])
+
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             Signal(length=1.0, values=np.array([1.0]))
