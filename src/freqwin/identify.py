@@ -147,9 +147,9 @@ class EstimateReport:
     n_x x (n_m + n_p), model columns first) and its real model part.  With
     M2 = [m2; P], each diagnostic is its definition, computed on read:
     ``imag_norm`` = ||Im theta2[:, :n_m]||, ``poly_coeffs`` = theta2[:, n_m:]
-    (None with n_p = 0), ``per_frequency_residual`` the norm per bin of
-    theta2 M2 + M1, ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T), and
-    ``m2_singular_values`` (descending) the SVD of M2, both kept once read.
+    (None with n_p = 0), ``per_frequency_residual`` (cached) the norm per
+    bin of theta2 M2 + M1, ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T),
+    and ``m2_singular_values`` (cached, descending) the SVD of M2.
     """
 
     theta_hat: ModelParams
