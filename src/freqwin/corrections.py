@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .spectral import Signal, Spectrum, apply_window, fft_spectrum
+from .spectral import Signal, Spectrum, _grid, apply_window, fft_spectrum
 from .windows import WindowTable
 
 
@@ -43,7 +43,7 @@ def modulated_row(stack: np.ndarray, D: np.ndarray, i: int,
     for k in range(k_min, min(i, len(stack) - 1) + 1):
         term = (-1) ** k * comb(i, k) * stack[k] if k else stack[0]
         if k < i:
-            term = D ** (i - k) * term
+            term = (D if k == i - 1 else D ** (i - k)) * term
         row = term if row is None else row + term
     return row
 
@@ -62,7 +62,7 @@ def correction_spectra(signal: Signal, table: WindowTable,
         return ()
     spec = fft_spectrum(apply_window(signal, table, j_max))
     stack = spec.coeffs.reshape(j_max + 1, signal.num_channels, -1)
-    D = 2j * np.pi * spec.freqs
+    D = _grid(signal.num_samples, signal.length)[1]
     return tuple(
         Spectrum(length=signal.length, coeffs=-modulated_row(stack, D, n, k_min=1),
                  freqs=spec.freqs)

@@ -18,8 +18,9 @@ matrix M whose top n_x rows belong to the fixed A_{n_a} = I block; the
 remaining model rows m_2 and the n_p polynomial rows P, M_2 = [m_2; P],
 solve theta_2 M_2 = -M_1 in the least-squares sense.  P depends only on
 the band, so a regression stores m_2 alone and ``solve_ls`` takes P's QR
-factor from a cache keyed by (band, n_p).  A report keeps the solve's
-theta_2 and computes each diagnostic from its definition on read.
+factor from a cache keyed by (band, n_p).  One solve of the small factor
+gives theta_2 and the columns of its inverse that certify M_2's rank.  A
+report keeps theta_2 and computes each diagnostic from its definition on read.
 The window and n_p are the only settings; the method name is read off the
 regression that was solved:
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corrections import modulated_row
-from .spectral import Signal, Spectrum, apply_window, fft_spectrum
+from .spectral import Signal, Spectrum, _grid, apply_window, fft_spectrum
 from .windows import WindowSpec, WindowTable, window_table
 
 # singular values of M2 at or below RANK_RTOL * s_max count as zero (the
@@ -215,18 +216,17 @@ def _read_only(*arrays: np.ndarray) -> None:
 @functools.lru_cache(maxsize=16)
 def _poly_block(freq_bytes: bytes, n_p: int):
     """The thin QR factor P^T = Qp Rp of the polynomial rows P of a band
-    (frequencies as float64 bytes), with Rp^-1 and ||Rp^-1||_F for the
-    rank certificate (NaN where Rp is exactly singular), read-only: it
-    depends on the band only, never on the data."""
+    (frequencies as float64 bytes), read-only, and ||Rp^-1||_F, the part of
+    ||S^-1||_F the rank certificate takes from here (NaN where Rp is
+    exactly singular): it depends on the band only, never on the data."""
     qp, rp = np.linalg.qr(_poly_rows(np.frombuffer(freq_bytes), n_p).T)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rp_inv = np.linalg.inv(rp)
+            rp_inv_norm = float(np.linalg.norm(np.linalg.inv(rp)))
         except np.linalg.LinAlgError:
-            rp_inv = np.full_like(rp, np.nan)
-        rp_inv_norm = float(np.linalg.norm(rp_inv))
-    _read_only(qp, rp, rp_inv)
-    return qp, rp, rp_inv, rp_inv_norm
+            rp_inv_norm = np.nan
+    _read_only(qp, rp)
+    return qp, rp, rp_inv_norm
 
 
 # 7 rates x 6 windows of a benchmark sweep fit with room to spare
@@ -238,9 +238,15 @@ def _window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowT
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _strict_lower(shape: tuple[int, int]) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of a matrix."""
+    mask = np.tri(*shape, -1, dtype=bool)
+    _read_only(mask)
+    return mask
+
+
 def _check_band(band, n_bins: int) -> np.ndarray:
-    if band is None:
-        return np.arange(n_bins)
     band = np.asarray(band)
     if band.size == 0:
         raise ValueError("empty frequency band")
@@ -278,7 +284,8 @@ def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
     if (x_sig.num_channels, u_sig.num_channels) != (n_x, n_u):
         raise ValueError(f"records of {x_sig.num_channels} state and {u_sig.num_channels} "
                          f"input channels for a model with n_x = {n_x}, n_u = {n_u}")
-    index = _check_band(band, n)
+    freqs, D, every_bin = _grid(n, length)
+    index = every_bin if band is None else _check_band(band, n)
     band = slice(None) if band is None else index  # all bins: views, not copies
     spec = window_spec or WindowSpec("rectangular")
     k = 0 if spec.family == "rectangular" else max(structure.n_a, structure.n_b)
@@ -288,9 +295,7 @@ def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                          f"its derivatives below order {k} do not vanish at the edges")
     k_x, k_u = min(structure.n_a, k), min(structure.n_b, k)
     spectra = fft_spectrum(apply_window((x_sig, u_sig), table, (k_x, k_u)))
-    freqs = spectra.freqs[band]
-    D = 2j * np.pi * freqs
-    coeffs = spectra.coeffs[:, band]
+    freqs, D, coeffs = freqs[band], D[band], spectra.coeffs[:, band]
     xs = coeffs[:(k_x + 1) * n_x].reshape(k_x + 1, n_x, -1)  # X_0..X_{k_x}
     us = coeffs[(k_x + 1) * n_x:].reshape(k_u + 1, n_u, -1)  # U_0..U_{k_u}
     blocks = ([modulated_row(xs, D, i) for i in range(structure.n_a, -1, -1)]
@@ -345,30 +350,33 @@ def _factor(reg: RegressionSystem):
         aug = np.ascontiguousarray(aug)  # _times multiplies its real view
         proj = _times(qp, aug, adjoint=True)  # [Z | Qp^T (-M1^T)]
         aug -= _times(qp, proj)
-    r_aug = np.linalg.qr(aug, mode="r")[:n_m]  # [Rw | Qw^H (-M1^T)]
+    # [Rw | Qw^H (-M1^T)] on and above the diagonal, reflectors below it
+    r_aug = np.linalg.qr(aug, mode="raw")[0].T[:n_m]
+    np.putmask(r_aug, _strict_lower(r_aug.shape), 0.0)
     if reg.n_poly:  # [S | its right-hand side], S = [[Rw, 0], [Z, Rp]]
         r_aug = np.block([[r_aug[:, :n_m], np.zeros((n_m, reg.n_poly)), r_aug[:, n_m:]],
                           [proj[:, :n_m], rp, proj[:, n_m:]]])
     return r_aug[:, :rows], r_aug[:, rows:], poly
 
 
-def _full_rank_certified(tri: np.ndarray, n_m: int, poly) -> bool:
-    """Whether ||S||_F ||S^-1||_F <= CERTIFIED_COND, which bounds S's 2-norm
+def _certified_solve(tri: np.ndarray, rhs: np.ndarray, n_m: int, poly):
+    """One solve of S against [rhs | E], E the identity's first n_m
+    columns: theta_2^T = S^-1 rhs (None where S is exactly singular), and
+    whether ||S||_F ||S^-1||_F <= CERTIFIED_COND, which bounds S's 2-norm
     condition number, so s_min / s_max >= 1e-10.  S^-1 is
-    [[Rw^-1, 0], [-Rp^-1 Z Rw^-1, Rp^-1]]: only the n_m x n_m Rw is
-    inverted, Rp^-1 and its norm come with the band's cached block.  A
-    singular Rw or Rp, or a NaN anywhere, fails the bound."""
+    [[Rw^-1, 0], [-Rp^-1 Z Rw^-1, Rp^-1]]: the solve gives its first block
+    column S^-1 E, ||Rp^-1||_F comes with the band's cached block.  A
+    singular S, or a NaN or overflow anywhere, fails the bound."""
+    k = rhs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rw_inv = np.linalg.inv(tri[:n_m, :n_m])
+            sol = np.linalg.solve(tri, np.hstack((rhs, np.eye(len(tri), n_m))))
         except np.linalg.LinAlgError:
-            return False
-        inv_norm = np.linalg.norm(rw_inv)
+            return None, False
+        inv_norm = np.linalg.norm(sol[:, k:])
         if poly is not None:
-            rp_inv, rp_inv_norm = poly[2:]
-            corner = _times(rp_inv, tri[n_m:, :n_m] @ rw_inv)  # Rp^-1 Z Rw^-1
-            inv_norm = np.hypot(np.hypot(inv_norm, rp_inv_norm), np.linalg.norm(corner))
-        return bool(np.linalg.norm(tri) * inv_norm <= CERTIFIED_COND)
+            inv_norm = np.hypot(inv_norm, poly[2])
+        return sol[:, :k], bool(np.linalg.norm(tri) * inv_norm <= CERTIFIED_COND)
 
 
 def solve_ls(reg: RegressionSystem) -> EstimateReport:
@@ -382,10 +390,12 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     which has M2's singular values (``_factor``).  Full rank is certified
     by the bound ||S||_F ||S^-1||_F <= CERTIFIED_COND; only when it fails
     does the SVD of S decide, and a numerical rank below M2's row count
-    (see RANK_RTOL) raises RankDeficiencyError.  Solving S against
-    [Qw^H; Qp^T] (-M1^T) gives theta_2, which the report keeps.  With
-    n_p = 0 nothing is projected: S is Rw, read with its right-hand side
-    off the QR factor of [Mm^T | -M1^T].
+    (see RANK_RTOL) raises RankDeficiencyError.  One solve of S against
+    [Qw^H; Qp^T] (-M1^T) and the identity's first n_m columns gives
+    theta_2, which the report keeps, and S^-1's first block column, the
+    certificate's part of ||S^-1||_F (``_certified_solve``).  With n_p = 0
+    nothing is projected: S is Rw, read with its right-hand side off the
+    QR factor of [Mm^T | -M1^T].
     """
     n_m, cols = reg.m2.shape
     rows = n_m + reg.n_poly
@@ -394,14 +404,17 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
                          "the regression is underdetermined")
     t0 = time.perf_counter()
     tri, rhs, poly = _factor(reg)
-    if not _full_rank_certified(tri, n_m, poly):
+    theta2, certified = _certified_solve(tri, rhs, n_m, poly)
+    if not certified:
         s = np.linalg.svd(tri, compute_uv=False)
         rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
         if rank < rows:
             ratio = s[-1] / s[0] if s[0] > 0 else 0.0
             raise RankDeficiencyError(f"numerical rank {rank} below parameter row count "
                                       f"{rows} (smallest singular value ratio {ratio:.2e})")
-    theta2 = np.linalg.solve(tri, rhs).T
+        if theta2 is None:
+            raise np.linalg.LinAlgError("Singular matrix")
+    theta2 = theta2.T
     wall = time.perf_counter() - t0
     return EstimateReport(theta_hat=_split_theta(theta2[:, :n_m].real, reg.structure),
                           wall_time=wall, regression=reg, solution=theta2)

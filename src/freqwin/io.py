@@ -55,11 +55,15 @@ def write_signal_csv(path, signal: Signal) -> None:
 def read_signal_csv(path) -> Signal:
     """Read a signal CSV.  The record length T is the terminal row's time,
     else N dt from the first time step dt; the time column must be the grid
-    t_j = j T/N (relative 1e-9 of T), else ValueError."""
+    t_j = j T/N (relative 1e-9 of T) and every entry finite, else
+    ValueError naming the file and the row."""
     lines = Path(path).read_text().splitlines()
     data = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: a signal needs at least 2 samples")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in sample row {bad[0]} (line {bad[0] + 2})")
     t = data[:, 0]
     terminal = None
     if lines[-1].startswith(TERMINAL_TAG + ","):
@@ -67,6 +71,8 @@ def read_signal_csv(path) -> Signal:
         if row.size != data.shape[1]:
             raise ValueError(f"{path}: terminal row has {row.size} fields, "
                              f"sample rows have {data.shape[1]}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: non-finite value in the terminal row")
         t = np.append(t, row[0])
         terminal = row[1::2] + 1j * row[2::2]
     if not (np.diff(t) > 0).all():

@@ -372,7 +372,8 @@ def add_noise(signal: Signal, sigma: float, seed: int, trial: int = 0) -> Signal
 
 
 def resample(signal: Signal, target_num: int) -> Signal:
-    """Exact decimation by an integer stride."""
+    """Exact decimation by an integer stride; at stride 1 the record itself
+    (a Signal is read-only)."""
     if target_num < 2:
         raise ValueError("target sample count must be >= 2")
     stride, rem = divmod(signal.num_samples, target_num)
@@ -381,4 +382,6 @@ def resample(signal: Signal, target_num: int) -> Signal:
             f"cannot decimate {signal.num_samples} samples to {target_num}: "
             "non-integer stride"
         )
+    if stride == 1:
+        return signal
     return _finite_signal(signal.length, signal.values[:, ::stride], signal.terminal)

@@ -17,6 +17,7 @@ values explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,19 @@ class Spectrum:
         object.__setattr__(self, "freqs", freqs)
 
 
+# 7 rates of a benchmark sweep fit with room to spare
+@functools.lru_cache(maxsize=64)
+def _grid(num_samples: int, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DFT grid of N samples over T: the bin frequencies (fftfreq
+    order), D = 2 pi i f and every bin's index, read-only and shared by
+    every record of that (N, T)."""
+    freqs = np.fft.fftfreq(num_samples, d=length / num_samples)
+    grid = freqs, 2j * np.pi * freqs, np.arange(num_samples)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def fft_spectrum(signal: Signal) -> Spectrum:
     """Transform estimates on the full two-sided DFT grid (fftfreq order).
 
@@ -115,12 +129,13 @@ def fft_spectrum(signal: Signal) -> Spectrum:
     carry information independent of the non-negative bins, and the
     identification pipeline fits over all of them.  coeff_k =
     (T/N) sum_j s_j exp(-2 pi i k j / N), the trapezoid/DFT estimate of the
-    transform.
+    transform, scaled in place; the frequencies are the read-only ones
+    ``_grid`` shares per (N, T).
     """
     N = signal.num_samples
-    coeffs = np.fft.fft(signal.values, axis=-1) * (signal.length / N)
-    freqs = np.fft.fftfreq(N, d=signal.length / N)
-    return Spectrum(length=signal.length, coeffs=coeffs, freqs=freqs)
+    coeffs = np.fft.fft(signal.values, axis=-1)
+    coeffs *= signal.length / N
+    return Spectrum(length=signal.length, coeffs=coeffs, freqs=_grid(N, signal.length)[0])
 
 
 def apply_window(signal, table, k_max=0) -> Signal:

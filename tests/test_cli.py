@@ -237,7 +237,21 @@ class TestIdentify:
         out = tmp_path / "nan_terminal"
         assert main(["identify", "--out", str(out), "--x", str(bad),
                      "--u", str(sim_dir / "u.csv")]) == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert f"{bad}: non-finite value in the terminal row" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_sample_names_the_file_and_row(self, sim_dir, tmp_path, capsys):
+        # used to reach Signal, whose message named neither the file nor the row
+        header, first, *rows = (sim_dir / "x.csv").read_text().splitlines()
+        fields = first.split(",")
+        fields[1] = "inf"
+        bad = tmp_path / "x_inf.csv"
+        bad.write_text("\n".join([header, ",".join(fields)] + rows) + "\n")
+        out = tmp_path / "inf_sample"
+        assert main(["identify", "--out", str(out), "--x", str(bad),
+                     "--u", str(sim_dir / "u.csv")]) == 2
+        assert (f"{bad}: non-finite value in sample row 0 (line 2)"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_more_inputs_than_states(self, tmp_path, capsys):

@@ -163,6 +163,32 @@ class TestCorrectionSpectra:
         stack = fft_spectrum(apply_window(sig, table, 1)).coeffs[:, None, :]
         np.testing.assert_array_equal(modulated_row(stack, np.ones(64), 0), stack[0])
 
+    def test_equals_the_binomial_sums_on_a_fresh_grid(self):
+        """== the binomial sums over the modulated stack with D = 2 pi i f
+        computed afresh and raised by ** to every power, first included,
+        on criterion 1's signal and windows."""
+        n, tones = 4096, np.arange(4.0, 33.0, 4.0)
+        rng = rng_for(7, 99)
+        amps = rng.standard_normal(len(tones)) + 1j * rng.standard_normal(len(tones))
+        v = np.vander(tones, 4, increasing=True).T
+        amps = amps - np.linalg.pinv(v) @ (v @ amps)
+        om = 2j * np.pi * tones
+        t = np.arange(n) * T / n
+        sig = Signal(length=T, values=(amps[None, :] @ np.exp(np.outer(om, t))).real)
+        D = 2j * np.pi * np.fft.fftfreq(n, d=T / n)
+        for spec in (WindowSpec("sin", 3), WindowSpec("sin", 4), WindowSpec("cinf", 1),
+                     WindowSpec("cinf", 4)):
+            table = window_table(spec, n, 4)
+            stack = (np.fft.fft(apply_window(sig, table, 4).values, axis=-1) * (T / n))[:, None]
+            for j, got in enumerate(correction_spectra(sig, table, 4), start=1):
+                row = None
+                for k in range(1, j + 1):
+                    term = (-1) ** k * comb(j, k) * stack[k]
+                    if k < j:
+                        term = D ** (j - k) * term
+                    row = term if row is None else row + term
+                np.testing.assert_array_equal(got.coeffs, -row)
+
     def test_first_order_constant_signal_sin1(self):
         # x = 1: correction is F(dw/dt) = F((pi/T) cos(pi t/T)), closed form
         n = 4096

@@ -170,9 +170,9 @@ def assert_rank_rule(reg):
     message; every full-rank solve, fallbacks included, matches the lstsq
     oracle."""
     rows = 10 + reg.n_poly
-    tri, _, poly = identify._factor(reg)
+    tri, rhs, poly = identify._factor(reg)
     rank, message = svd_rule(tri)
-    if identify._full_rank_certified(tri, 10, poly):
+    if identify._certified_solve(tri, rhs, 10, poly)[1]:
         assert rank == rows
     if rank < rows:
         with pytest.raises(RankDeficiencyError) as raised:
@@ -283,10 +283,10 @@ class TestSolver:
         else:
             reg = replace(reg, freqs=np.zeros_like(reg.freqs), n_poly=n_p + 2)
         rows = 10 + reg.n_poly
-        tri, _, poly = identify._factor(reg)
-        assert not identify._full_rank_certified(tri, 10, poly)
+        tri, rhs, poly = identify._factor(reg)
+        assert not identify._certified_solve(tri, rhs, 10, poly)[1]
         if case == "singular_rp":  # cached as NaN: inverting Rp raised
-            assert np.isnan(poly[2]).all() and np.isnan(poly[3])
+            assert np.isnan(poly[2])
         if case == "nan":
             with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
                 solve_ls(reg)
@@ -350,6 +350,19 @@ class TestSolver:
         reg = identify_from_signals(x, u, bench.REF_STRUCTURE, window_spec=spec,
                                     n_p=n_p).regression
         assert_matches_pseudo_inverse(reg)
+
+    @pytest.mark.parametrize("window, n_p", [("cinf:4", 0), (None, 50), ("cinf:4", 10)])
+    @pytest.mark.parametrize("f_s", [80, 768])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_solution_is_the_plain_solve_of_the_factor(self, sigma, f_s, window, n_p):
+        """The one solve that also gives the certificate's columns of S^-1
+        leaves theta2 == a solve of S against its right-hand side alone
+        (reference experiment, seed 42)."""
+        x, u = reference_dataset_42().decimated(float(f_s), sigma, 1)
+        spec = bench.parse_window(window) if window else None
+        reg = build_regression(x, u, bench.REF_STRUCTURE, spec, n_p)
+        tri, rhs, _ = identify._factor(reg)
+        np.testing.assert_array_equal(solve_ls(reg).solution, np.linalg.solve(tri, rhs).T)
 
     @pytest.mark.parametrize("window, n_p, sigma", [(None, 50, 1e-2), ("cinf:4", 0, 0.0)])
     def test_residual_matches_direct_evaluation(self, window, n_p, sigma, monkeypatch):
@@ -474,15 +487,17 @@ class TestSolver:
 
 
 def capture_solutions(monkeypatch):
-    """A list that collects every np.linalg.solve result from here on."""
+    """A list that collects every solve's theta2^T from here on, without
+    the columns of S^-1 the same solve gives the rank certificate."""
     solutions = []
-    solve = np.linalg.solve
+    solve = identify._certified_solve
 
-    def keep(a, b):
-        solutions.append(solve(a, b))
-        return solutions[-1]
+    def keep(*args):
+        theta2_t, certified = solve(*args)
+        solutions.append(theta2_t)
+        return theta2_t, certified
 
-    monkeypatch.setattr(np.linalg, "solve", keep)
+    monkeypatch.setattr(identify, "_certified_solve", keep)
     return solutions
 
 
@@ -733,9 +748,9 @@ class TestDesignCaches:
     def test_cached_arrays_refuse_writes(self):
         x, u, theta = exact_dataset()
         reg = identify_from_signals(x, u, theta.structure, n_p=4).regression
-        qp, rp, rp_inv, _ = identify._poly_block(reg.freqs.tobytes(), 4)
+        qp, rp, _ = identify._poly_block(reg.freqs.tobytes(), 4)
         table = identify._window_table(WindowSpec("sin", 2), x.num_samples, 1)
-        for array in (qp, rp, rp_inv, table.samples):
+        for array in (qp, rp, table.samples, identify._strict_lower((10, 15))):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 

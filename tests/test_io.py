@@ -67,6 +67,24 @@ def test_signal_csv_rejects_non_finite_terminal_sample(tmp_path):
         read_signal_csv(path)
 
 
+@pytest.mark.parametrize("line, field, value, where", [
+    (3, 1, "nan", "sample row 1 (line 3)"), (2, 2, "inf", "sample row 0 (line 2)"),
+    (5, 0, "-inf", "sample row 3 (line 5)"), (6, 3, "nan", "the terminal row"),
+    (6, 1, "inf", "the terminal row")])
+def test_signal_csv_names_the_file_and_row_of_a_non_finite_value(tmp_path, line, field,
+                                                                 value, where):
+    """Field ``field`` of file line ``line`` set to a non-finite value; line
+    6 is the terminal row, whose field 1 is T."""
+    rows = [["t", "ch0_re", "ch0_im"]] + [[str(t), "1", "0"] for t in (0, 0.25, 0.5, 0.75)]
+    rows.append(["# terminal", "1.0", "1", "0"])
+    rows[line - 1][field] = value
+    path = tmp_path / "sig.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError) as raised:
+        read_signal_csv(path)
+    assert str(raised.value) == f"{path}: non-finite value in {where}"
+
+
 def test_spectrum_csv_columns(tmp_path):
     spec = Spectrum(length=1.0, coeffs=np.array([[1 + 2j, 3 - 4j]]),
                     freqs=np.array([0.0, 1.0]))

@@ -647,8 +647,7 @@ class TestAddNoise:
 class TestResample:
     def test_identity_stride(self):
         sig = Signal(length=1.0, values=np.arange(64, dtype=complex))
-        out = resample(sig, 64)
-        np.testing.assert_array_equal(out.values, sig.values)
+        assert resample(sig, 64) is sig
 
     def test_tone_below_new_nyquist_keeps_coefficients(self):
         n = 256

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from freqwin import (Signal, WindowSpec, apply_window, fft_spectrum,
-                     window_table, window_value)
+import freqwin.spectral as spectral
+from freqwin import (ModelStructure, Signal, WindowSpec, apply_window, build_regression,
+                     fft_spectrum, window_table, window_value)
 
 T = 1.0
 
@@ -61,6 +62,27 @@ class TestFourierCoeffs:
         lhs = fft_spectrum(combo).coeffs
         rhs = 2.0 * fft_spectrum(a).coeffs - 1.5j * fft_spectrum(b).coeffs
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+class TestGrid:
+    def test_shared_by_the_records_of_one_grid_and_read_only(self):
+        """Two records of one (N, T) get the same frequency array, and the
+        regressions built on them the same band index, both from the
+        read-only grid; another T gets another grid."""
+        a, b = tone(3.0, 64), tone(5.0, 64, amp=2.0)
+        freqs, D, every_bin = spectral._grid(64, T)
+        assert fft_spectrum(a).freqs is freqs and fft_spectrum(b).freqs is freqs
+        np.testing.assert_array_equal(freqs, np.fft.fftfreq(64, d=T / 64))
+        np.testing.assert_array_equal(D, 2j * np.pi * freqs)
+        np.testing.assert_array_equal(every_bin, np.arange(64))
+        for array in (freqs, D, every_bin):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        structure = ModelStructure(n_x=1, n_u=1, n_a=1, n_b=0)
+        r1, r2 = build_regression(a, b, structure), build_regression(b, a, structure)
+        assert r1.band is every_bin and r2.band is every_bin
+        assert np.shares_memory(r1.freqs, freqs) and np.shares_memory(r2.freqs, freqs)
+        assert fft_spectrum(tone(3.0, 64, length=2.0)).freqs is not freqs
 
 
 class TestParseval:
