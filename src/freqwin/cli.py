@@ -102,6 +102,7 @@ def cmd_identify(args) -> int:
         raise ValueError("identify needs --x and --u")
     x = io.read_signal_csv(args.x)
     u = io.read_signal_csv(args.u)
+    truth = io.read_truth_json(args.truth) if args.truth else None
     window = bench.parse_window(args.window) if args.window else None
     structure = ModelStructure(n_x=x.num_channels, n_u=u.num_channels,
                                n_a=args.na, n_b=args.nb)
@@ -113,9 +114,7 @@ def cmd_identify(args) -> int:
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
     report = identify_from_signals(x, u, structure, window_spec=window, n_p=args.np,
                                    band=band)
-    err = None
-    if args.truth:
-        err = metrics.param_error(io.read_truth_json(args.truth), report.theta_hat)
+    err = None if truth is None else metrics.param_error(truth, report.theta_hat)
     out = _out_dir(args)
     io.write_report_json(out / "report.json", report,
                          window=args.window, seeds={})

@@ -12,6 +12,7 @@ are not quantization-limited.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -52,25 +53,78 @@ def write_signal_csv(path, signal: Signal) -> None:
     _write_channels(path, "t", signal.times, signal.values, footer)
 
 
+def _text(path) -> str:
+    """The file's text, or ValueError naming the line of its first byte
+    that is not UTF-8."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: bytes that are not UTF-8") from None
+
+
+def _reader(read):
+    """``read(path)``, with every parse failure in it (a missing key, a
+    wrong type, a value that does not convert) a ValueError that starts with
+    the path."""
+    @functools.wraps(read)
+    def named(path):
+        try:
+            return read(path)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            if str(exc).startswith(f"{path}: "):
+                raise
+            raise ValueError(f"{path}: {exc}") from None
+    return named
+
+
+def _floats(path, number: int, line: str, width: int) -> list[float]:
+    """The ``width`` comma-separated numbers of file line ``number``."""
+    if line.lstrip().startswith("#"):
+        raise ValueError(f"{path}: line {number}: a '#' line that is not "
+                         f"the last line's {TERMINAL_TAG!r} row")
+    fields = line.split(",")
+    if len(fields) != width:
+        raise ValueError(f"{path}: line {number} has {len(fields)} fields, "
+                         f"the header {width}")
+    out = []
+    for field in fields:
+        try:
+            out.append(float(field))
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: {field!r} is not a number") from None
+    return out
+
+
+@_reader
 def read_signal_csv(path) -> Signal:
     """Read a signal CSV.  The record length T is the terminal row's time,
     else N dt from the first time step dt; the time column must be the grid
-    t_j = j T/N (relative 1e-9 of T) and every entry finite, else
-    ValueError naming the file and the row."""
-    lines = Path(path).read_text().splitlines()
-    data = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
+    t_j = j T/N (relative 1e-9 of T) and every entry finite.  Blank lines
+    are skipped; the only ``#`` line is the terminal row, last.  A bad file
+    is a ValueError naming it and, where one line is at fault, the line."""
+    (first, header), *lines = [(number, line) for number, line
+                               in enumerate(_text(path).splitlines(), 1)
+                               if line.strip()] or [(1, "")]
+    width = header.count(",") + 1
+    if width < 3 or width % 2 == 0:
+        raise ValueError(f"{path}: line {first}: a header of {width} comma-separated "
+                         "fields, not t and an (re, im) pair per channel")
+    last = lines.pop() if lines and lines[-1][1].startswith(TERMINAL_TAG + ",") else None
+    data = np.array([_floats(path, number, line, width) for number, line in lines])
     if data.shape[0] < 2:
         raise ValueError(f"{path}: a signal needs at least 2 samples")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}: non-finite value in sample row {bad[0]} (line {bad[0] + 2})")
-    t = data[:, 0]
-    terminal = None
-    if lines[-1].startswith(TERMINAL_TAG + ","):
-        row = np.array(lines[-1].split(",")[1:], dtype=float)
-        if row.size != data.shape[1]:
-            raise ValueError(f"{path}: terminal row has {row.size} fields, "
-                             f"sample rows have {data.shape[1]}")
+        raise ValueError(f"{path}: non-finite value in sample row {bad[0]} "
+                         f"(line {lines[bad[0]][0]})")
+    t, terminal = data[:, 0], None
+    if last is not None:
+        number, line = last
+        row = np.array(_floats(path, number, line[len(TERMINAL_TAG) + 1:], width))
         if not np.isfinite(row).all():
             raise ValueError(f"{path}: non-finite value in the terminal row")
         t = np.append(t, row[0])
@@ -98,11 +152,19 @@ def _params_payload(theta: ModelParams) -> dict:
     }
 
 
+def _matrix(entry: dict) -> np.ndarray:
+    """A ``{"shape": .., "data": ..}`` entry; every datum must be a number."""
+    data = entry["data"]
+    bad = [v for v in data if type(v) not in (int, float)] if isinstance(data, list) else [data]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a number")
+    return np.array(data, dtype=float).reshape(entry["shape"])
+
+
 def params_from_payload(payload: dict) -> ModelParams:
     s = ModelStructure(**payload["structure"])
-    A = tuple(np.array(m["data"]).reshape(m["shape"]) for m in payload["A"])
-    B = tuple(np.array(m["data"]).reshape(m["shape"]) for m in payload["B"])
-    return ModelParams(structure=s, A=A, B=B)
+    return ModelParams(structure=s, A=tuple(_matrix(m) for m in payload["A"]),
+                       B=tuple(_matrix(m) for m in payload["B"]))
 
 
 def write_report_json(path, report: EstimateReport, window: str | None = None,
@@ -142,9 +204,9 @@ def write_truth_json(path, theta: ModelParams, forcing, seeds: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
+@_reader
 def read_truth_json(path) -> ModelParams:
-    payload = json.loads(Path(path).read_text())
-    return params_from_payload(payload["theta"])
+    return params_from_payload(json.loads(_text(path))["theta"])
 
 
 def write_resolved_config(path, config: dict) -> None:
@@ -153,9 +215,10 @@ def write_resolved_config(path, config: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_reader
 def read_config_file(path) -> dict:
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -15,8 +15,8 @@ overlap-variance figures.
 
 Derivatives are exact: a sine-window derivative is a sum of sin^a cos^b
 terms with integer coefficients, a bump-family derivative the window times a
-rational prefactor built once per (order, k) in exact fractions.  Every
-window is even about 1/2: w^(k)(1 - s) = (-1)^k w^(k)(s).
+rational prefactor in exact fractions, each carried from order k to k + 1.
+Every window is even about 1/2: w^(k)(1 - s) = (-1)^k w^(k)(s).
 
 The spectral diagnostics (``window_spectrum``, ``f_err``) need numpy only.
 They transform the derivative rows in even/odd pairs (k, k + 1), both rows
@@ -31,6 +31,8 @@ long as a one-row transform would.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, perm, prod
@@ -110,11 +112,12 @@ class WindowTable:
 # q = s (1 - s) = 1/4 - c^2 in c = s - 1/2, exact coefficients in rising powers
 _Q = np.array([Fraction(1, 4), 0, -1], dtype=object)
 _DQ = P.polyder(_Q)
+_Q2 = P.polymul(_Q, _Q)
 
 
-@functools.lru_cache(maxsize=None)
-def _cinf_poly(order: float, k: int) -> np.ndarray:
-    """Exact coefficients in c of P_k, where d^k/ds^k w = P_k(c) / q^(2k) w.
+def _cinf_polys(order: float) -> Iterator[np.ndarray]:
+    """Exact coefficients in c of P_1, P_2, ..., each built when asked for,
+    where d^k/ds^k w = P_k(c) / q^(2k) w.
 
     The exponent g = 4n - n/q has g' = n q' / q^2, so P_1 = n q', and
     R_{k+1} = R_k' + R_k g' with R_k = P_k / q^(2k) gives
@@ -122,11 +125,11 @@ def _cinf_poly(order: float, k: int) -> np.ndarray:
     coefficient exact; no exponential ever appears.
     """
     n = Fraction(order)
-    if k == 1:
-        return n * _DQ
-    p = _cinf_poly(order, k - 1)
-    return P.polyadd(P.polymul(P.polymul(_Q, _Q), P.polyder(p)),
-                     P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * (k - 1) * _Q)))
+    p = n * _DQ
+    for k in itertools.count(1):
+        yield p
+        p = P.polyadd(P.polymul(_Q2, P.polyder(p)),
+                      P.polymul(P.polymul(_DQ, p), P.polysub([n], 2 * k * _Q)))
 
 
 def _cinf_values(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
@@ -149,10 +152,11 @@ def _cinf_values(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
     np.copyto(w, 0.0, where=dead)
     c = s - 0.5
     power = np.empty_like(s)
+    polys = itertools.islice(_cinf_polys(order), max(ks.start - 1, 0), None)
     for row, k in zip(out, ks):
         if k == 0:
             continue
-        coeffs = _cinf_poly(float(order), k).astype(float)
+        coeffs = next(polys).astype(float)
         row.fill(coeffs[-1])  # Horner, as numpy's polyval
         for a in coeffs[-2::-1]:
             row *= c
@@ -172,24 +176,18 @@ def _finite(row: np.ndarray, spec: WindowSpec, k: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=None)
-def _sin_poly(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (b, c_b) with d^k/dx^k sin^n x = sum_b c_b sin^(n-b) x cos^b x,
+def _sin_values(n: int, ks: range, s: np.ndarray) -> Iterator[np.ndarray]:
+    """Rows d^k/ds^k sin^n(pi s) for k in ks, each formed when asked for,
+    from c_b with d^k/dx^k sin^n x = sum_b c_b sin^(n-b) x cos^b x, carried
     by d/dx S^a C^b = a S^(a-1) C^(b+1) - b S^(a+1) C^(b-1): a + b = n stays,
     b has the parity of k (at most k/2 + 1 terms) and a never goes negative."""
-    if k == 0:
-        return ((0, 1),)
-    terms = dict.fromkeys(range(-1, n + 2), 0)
-    for b, c in _sin_poly(n, k - 1):
-        terms[b + 1] += (n - b) * c
-        terms[b - 1] -= b * c
-    return tuple((b, c) for b, c in sorted(terms.items()) if c)
-
-
-def _sin_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
     sx, cx = np.sin(np.pi * s), np.cos(np.pi * s)
-    acc = sum(c * sx ** (n - b) * cx ** b for b, c in _sin_poly(n, k))
-    return acc * np.float64(np.pi) ** k  # inf past k = 620, which _finite names
+    c = [0, 1] + [0] * (n + 1)  # c_b at index b + 1, b = -1 .. n + 1
+    for k in itertools.count():
+        if k >= ks.start:
+            acc = sum(cb * sx ** (n - b) * cx ** b for b, cb in enumerate(c[1:-1]) if cb)
+            yield acc * np.float64(np.pi) ** k  # inf past k = 620, which _finite names
+        c = [0] + [(n - b + 1) * c[b] - (b + 1) * c[b + 2] for b in range(n + 1)] + [0]
 
 
 def _poly_ref_values(n: int, k: int, s: np.ndarray) -> np.ndarray:
@@ -209,18 +207,19 @@ def _window_rows(spec: WindowSpec, ks: range, s: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if spec.family == "cinf":
             return _cinf_values(spec, ks, s)
+        if spec.family == "rectangular":
+            if ks.stop > 1:
+                raise ValueError("rectangular window has no pointwise derivatives; it "
+                                 "participates only in the polynomial-transient baseline")
+            values = [1.0]
+        elif spec.family == "sin":
+            values = _sin_values(int(spec.order), ks, s)
+        else:  # poly_ref
+            values = (_poly_ref_values(int(spec.order), k, s) for k in ks)
         out = np.zeros((len(ks), s.size))
-        for row, k in zip(out, ks):
-            if spec.family == "rectangular":
-                if k >= 1:
-                    raise ValueError("rectangular window has no pointwise derivatives; it "
-                                     "participates only in the polynomial-transient baseline")
-                vals = 1.0
-            elif spec.family == "sin":
-                vals = _sin_values(int(spec.order), k, s)
-            else:  # poly_ref
-                vals = _poly_ref_values(int(spec.order), k, s)
-            row[:] = _finite(np.where((s >= 0.0) & (s <= 1.0), vals, 0.0), spec, k)
+        inside = (s >= 0.0) & (s <= 1.0)
+        for row, k, vals in zip(out, ks, values):
+            row[:] = _finite(np.where(inside, vals, 0.0), spec, k)
     return out
 
 

@@ -50,6 +50,13 @@ def without_wall_time(path):
     return path.read_bytes()
 
 
+def with_field(lines, number, field, value):
+    """``lines`` with field ``field`` of file line ``number`` set to ``value``."""
+    fields = lines[number - 1].split(",")
+    fields[field] = value
+    return lines[:number - 1] + [",".join(fields)] + lines[number:]
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
         for name in ("x.csv", "u.csv", "truth.json", "run_config.txt"):
@@ -252,6 +259,77 @@ class TestIdentify:
                      "--u", str(sim_dir / "u.csv")]) == 2
         assert (f"{bad}: non-finite value in sample row 0 (line 2)"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    # one edit each of a CLI-written x.csv (file line 1 the header, lines
+    # 2.. the samples, the last line the terminal row) and what stderr names
+    CSV_EDITS = {
+        "text cell": (lambda lines: with_field(lines, 3, 1, "abc"),
+                      "line 3: 'abc' is not a number"),
+        "row one field short": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]]
+                                + lines[3:], "line 3 has"),
+        "extra column": (lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
+                         "line 2 has"),
+        "even column count": (lambda lines: [line + ",0" for line in lines],
+                              "line 1: a header of"),
+        "semicolons": (lambda lines: [line.replace(",", ";") for line in lines],
+                       "line 1: a header of 1 "),
+        "terminal row moved": (lambda lines: lines[:3] + lines[-1:] + lines[3:-1],
+                               "line 4: a '#' line"),
+        "terminal row twice": (lambda lines: lines + lines[-1:],
+                               "a '#' line that is not the last line"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(CSV_EDITS))
+    def test_bad_signal_csv_names_the_file_and_line(self, sim_dir, tmp_path, capsys, edit):
+        # each used to exit 2 with numpy's message and no path, or (a '#' row
+        # mid-file) to exit 0 with the row skipped
+        change, where = self.CSV_EDITS[edit]
+        bad = tmp_path / "x_bad.csv"
+        bad.write_text("\n".join(change((sim_dir / "x.csv").read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        assert main(["identify", "--out", str(out), "--x", str(bad),
+                     "--u", str(sim_dir / "u.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and where in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_signal_csv_that_is_not_utf8_names_the_file_and_line(self, sim_dir, tmp_path,
+                                                                capsys):
+        # used to print a codec error without the path
+        lines = (sim_dir / "x.csv").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        bad = tmp_path / "x_latin.csv"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        assert main(["identify", "--out", str(out), "--x", str(bad),
+                     "--u", str(sim_dir / "u.csv")]) == 2
+        assert f"{bad}: line 4: bytes that are not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("no A", "missing key 'A'"), ("bad shape", "cannot reshape"),
+        ("text entry", "'abc' is not a number")])
+    def test_bad_truth_is_exit_2_before_the_estimate(self, sim_dir, tmp_path, monkeypatch,
+                                                     capsys, edit, message):
+        # no "A" used to exit 1 with a KeyError traceback, after the estimate
+        payload = json.loads((sim_dir / "truth.json").read_text())
+        theta = payload["theta"]
+        if edit == "no A":
+            del theta["A"]
+        elif edit == "bad shape":
+            theta["A"][0]["shape"] = [3, 3]
+        else:
+            theta["B"][0]["data"][1] = "abc"
+        truth = tmp_path / "truth_bad.json"
+        truth.write_text(json.dumps(payload))
+        monkeypatch.setattr("freqwin.cli.identify_from_signals", None)  # never reached
+        out = tmp_path / "out"
+        assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
+                     "--u", str(sim_dir / "u.csv"), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {truth}: " in err and message in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_more_inputs_than_states(self, tmp_path, capsys):

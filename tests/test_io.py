@@ -118,3 +118,44 @@ def test_config_file_round_trip_and_comments(tmp_path):
     path.write_text("oops\n")
     with pytest.raises(ValueError):
         read_config_file(path)
+
+
+SIGNAL_ROWS = ["t,ch0_re,ch0_im"] + [f"{t},1,0" for t in (0, 0.25, 0.5, 0.75)]
+
+
+# cases the CLI tests do not edit into a written file
+@pytest.mark.parametrize("lines, where", [
+    (SIGNAL_ROWS + ["# a note"], "line 6: a '#' line"),
+    (SIGNAL_ROWS + ["# terminal,1.0,1"], "line 6 has 2 fields, the header 3"),
+    ([], "line 1: a header of 1 comma-separated field")])
+def test_signal_csv_names_the_file_and_line_of_a_bad_line(tmp_path, lines, where):
+    path = tmp_path / "sig.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError) as raised:
+        read_signal_csv(path)
+    assert str(raised.value).startswith(f"{path}: {where}")
+
+
+def test_signal_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("\n".join(SIGNAL_ROWS[:3] + ["", "  "] + SIGNAL_ROWS[3:]
+                              + ["# terminal,1.0,2,0", ""]) + "\n")
+    back = read_signal_csv(path)
+    assert back.length == 1.0 and back.terminal[0] == 2.0 and back.num_samples == 4
+
+
+@pytest.mark.parametrize("reader", [read_signal_csv, read_truth_json, read_config_file])
+def test_readers_name_the_line_of_bytes_that_are_not_utf8(tmp_path, reader):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a = 1\nb = \xff\n")
+    with pytest.raises(ValueError) as raised:
+        reader(path)
+    assert str(raised.value) == f"{path}: line 2: bytes that are not UTF-8"
+
+
+def test_truth_json_names_the_file_of_a_missing_key(tmp_path):
+    path = tmp_path / "truth.json"
+    path.write_text('{"theta": {"structure": {"n_x": 1, "n_u": 1, "n_a": 1, "n_b": 0}}}')
+    with pytest.raises(ValueError) as raised:
+        read_truth_json(path)
+    assert str(raised.value) == f"{path}: missing key 'A'"

@@ -1,9 +1,13 @@
 """The package's public names, pinned: the design aim is that they go down,
 so a change that adds or drops one edits this list and says why.  The
 fields an estimate stores are pinned too: every diagnostic is computed
-from them on read, so storing one again edits this list and says why."""
+from them on read, so storing one again edits this list and says why.  So
+are the module-level caches, each a concept of its own: a new one edits
+this list and says why."""
 
 import dataclasses
+import importlib
+import pkgutil
 import types
 
 import freqwin
@@ -31,3 +35,18 @@ def test_public_names_are_pinned():
 def test_estimate_report_stores_the_solve_only():
     names = [f.name for f in dataclasses.fields(freqwin.EstimateReport)]
     assert names == ["theta_hat", "wall_time", "regression", "solution"]
+
+
+CACHES = ["_chirp_plan", "_envelope", "_grid", "_leggauss", "_phase_tables",
+          "_poly_block", "_strict_lower", "_window_table"]
+
+
+def test_module_level_caches_are_pinned():
+    # a cache imported into another module (``_grid``) is counted once
+    caches = {}
+    for info in pkgutil.iter_modules(freqwin.__path__):
+        module = importlib.import_module(f"freqwin.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                caches[id(value)] = name
+    assert sorted(caches.values()) == CACHES  # 8 caches

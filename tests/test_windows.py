@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -239,6 +240,14 @@ class TestWindowTable:
                                  "overflows float64$"):
             window_table(spec, 4096, first_bad + 10)
 
+    def test_high_order_row_is_built_without_recursion(self):
+        # a fresh order 600 used to hit Python's recursion limit: the exact
+        # coefficients came from a memoised recursion one call per order
+        spec = make("sin", 1)
+        exact = mpmath.pi ** 600 * mpmath.sin(mpmath.mpf(0.3) * mpmath.pi)
+        assert window_value(spec, 600, 0.3) == pytest.approx(float(exact), rel=1e-12)
+        assert np.isinf(f_err(spec, 600, 1e-3))
+
     @pytest.mark.parametrize("order", [0.25, 0.4375, 1, 3.3125, 8])
     def test_cinf_rows_together_equal_one_order_at_a_time(self, order):
         # a table and a transform pair share one support mask, exponent and
@@ -254,6 +263,20 @@ class TestWindowTable:
         for k in range(5):
             np.testing.assert_array_equal(together[k], window_value(spec, k, s))
             np.testing.assert_array_equal(table.samples[k], window_value(spec, k, grid))
+
+
+def cinf_prefactor(order, k):
+    """Exact coefficients in c = s - 1/2 of P_k, d^k/ds^k w = P_k(c) / q^(2k) w
+    with q = 1/4 - c^2, by P_1 = n q' and
+    P_(j+1) = q^2 P_j' + q' P_j (n - 2 j q), in fractions."""
+    poly = np.polynomial.polynomial
+    n, q = Fraction(order), np.array([Fraction(1, 4), 0, -1], dtype=object)
+    dq = poly.polyder(q)
+    p = n * dq
+    for j in range(1, k):
+        p = poly.polyadd(poly.polymul(poly.polymul(q, q), poly.polyder(p)),
+                         poly.polymul(poly.polymul(dq, p), poly.polysub([n], 2 * j * q)))
+    return p
 
 
 def compressed_cinf_rows(spec, ks, s):
@@ -274,7 +297,7 @@ def compressed_cinf_rows(spec, ks, s):
             if k == 0:
                 row[live] = base
             else:
-                coeffs = windows._cinf_poly(float(order), k).astype(float)
+                coeffs = cinf_prefactor(order, k).astype(float)
                 row[live] = np.polynomial.polynomial.polyval(x, coeffs) / q ** (2 * k) * base
     return out
 
