@@ -106,6 +106,9 @@ def cmd_identify(args) -> int:
     window = bench.parse_window(args.window) if args.window else None
     structure = ModelStructure(n_x=x.num_channels, n_u=u.num_channels,
                                n_a=args.na, n_b=args.nb)
+    if truth is not None and truth.structure != structure:
+        raise ValueError(f"{args.truth}: truth structure {truth.structure} is not the "
+                         f"estimate's {structure}")
     band = None
     if args.f_min is not None or args.f_max is not None:
         freqs = np.fft.fftfreq(x.num_samples, d=x.length / x.num_samples)
@@ -113,7 +116,8 @@ def cmd_identify(args) -> int:
         hi = args.f_max if args.f_max is not None else np.inf
         band = np.where((np.abs(freqs) >= lo) & (np.abs(freqs) <= hi))[0]
     report = identify_from_signals(x, u, structure, window_spec=window, n_p=args.np,
-                                   band=band)
+                                   band=band, names=(f"{args.x}: state record",
+                                                     f"{args.u}: input record"))
     err = None if truth is None else metrics.param_error(truth, report.theta_hat)
     out = _out_dir(args)
     io.write_report_json(out / "report.json", report,
@@ -136,7 +140,7 @@ def cmd_window(args) -> int:
     max_deriv = 0 if spec.family == "rectangular" else args.max_deriv
     try:
         table = window_table(spec, n, max_deriv)
-        s = np.arange(n) / n
+        s = np.arange(n) * (1.0 / n)
     except MemoryError:
         raise ValueError(f"--samples {n} needs {8.0 * (max_deriv + 2) * n:.3g} bytes "
                          "of window samples, more than memory holds") from None

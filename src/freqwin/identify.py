@@ -102,7 +102,7 @@ class ModelParams:
             raise ValueError("A must hold n_a + 1 matrices of shape (n_x, n_x)")
         if len(B) != s.n_b + 1 or any(m.shape != (s.n_x, s.n_u) for m in B):
             raise ValueError("B must hold n_b + 1 matrices of shape (n_x, n_u)")
-        if not np.isfinite(np.concatenate([m.ravel() for m in A + B])).all():
+        if not np.isfinite(np.concatenate(A + B, axis=None)).all():
             raise ValueError("A and B must be finite matrices")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -145,18 +145,28 @@ class RegressionSystem:
 @dataclass(frozen=True)
 class EstimateReport:
     """One least-squares estimate: the solve's complex theta2 (``solution``,
-    n_x x (n_m + n_p), model columns first) and its real model part.  With
-    M2 = [m2; P], each diagnostic is its definition, computed on read:
-    ``imag_norm`` = ||Im theta2[:, :n_m]||, ``poly_coeffs`` = theta2[:, n_m:]
-    (None with n_p = 0), ``per_frequency_residual`` (cached) the norm per
-    bin of theta2 M2 + M1, ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T),
-    and ``m2_singular_values`` (cached, descending) the SVD of M2.
+    n_x x (n_m + n_p), model columns first).  With M2 = [m2; P], each
+    diagnostic is its definition, computed on read: ``theta_hat`` (cached)
+    = Re theta2[:, :n_m], the column blocks A_{n_a-1}..A_0, B_{n_b}..B_0,
+    beside A_{n_a} = I, ``imag_norm`` = ||Im theta2[:, :n_m]||,
+    ``poly_coeffs`` = theta2[:, n_m:] (None with n_p = 0),
+    ``per_frequency_residual`` (cached) the norm per bin of theta2 M2 + M1,
+    ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T), and
+    ``m2_singular_values`` (cached, descending) the SVD of M2.
     """
 
-    theta_hat: ModelParams
     wall_time: float
     regression: RegressionSystem
     solution: np.ndarray
+
+    @functools.cached_property
+    def theta_hat(self) -> ModelParams:
+        s = self.regression.structure
+        theta = self.solution[:, :self.regression.m2.shape[0]].real
+        a = s.n_x * s.n_a
+        A = [theta[:, j:j + s.n_x] for j in range(0, a, s.n_x)][::-1] + [np.eye(s.n_x)]
+        B = [theta[:, j:j + s.n_u] for j in range(a, theta.shape[1], s.n_u)][::-1]
+        return ModelParams(s, tuple(A), tuple(B))
 
     @property
     def imag_norm(self) -> float:
@@ -260,7 +270,7 @@ def _check_band(band, n_bins: int) -> np.ndarray:
 
 def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                      window_spec: WindowSpec | None = None, n_p: int = 0,
-                     band=None) -> RegressionSystem:
+                     band=None, names=("state record", "input record")) -> RegressionSystem:
     """Stack rows [L_{n_a}; ..; L_0; -R_{n_b}; ..; -R_0] over the band; M1
     is the fixed highest-order block, and n_p polynomial rows are implied.
 
@@ -272,13 +282,14 @@ def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
     symmetric about s = 1/2, so the s = 0 sample decides); the table is
     cached per (window, N, K).  Each output gets its own coefficient per
     polynomial row, so n_p rows add n_p * n_x estimated nuisance parameters
-    (order 50 on the benchmark adds 250).
+    (order 50 on the benchmark adds 250).  The error for records of another
+    N or T calls them ``names``.
     """
     if n_p < 0:
         raise ValueError("polynomial order must be >= 0")
     n, length = x_sig.num_samples, x_sig.length
     if u_sig.num_samples != n or abs(u_sig.length - length) > 1e-12 * length:
-        raise ValueError(f"state record (T = {length:.17g}, N = {n}) and input record "
+        raise ValueError(f"{names[0]} (T = {length:.17g}, N = {n}) and {names[1]} "
                          f"(T = {u_sig.length:.17g}, N = {u_sig.num_samples}) differ")
     n_x, n_u = structure.n_x, structure.n_u
     if (x_sig.num_channels, u_sig.num_channels) != (n_x, n_u):
@@ -308,27 +319,8 @@ def build_regression(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
 
 def residual_spectrum(theta: ModelParams, reg: RegressionSystem) -> Spectrum:
     """Equation residual e(f) = sum_j A_j L_j(f) - sum_k B_k R_k(f)."""
-    s = theta.structure
-    wide = np.hstack(
-        [theta.A[i] for i in range(s.n_a, -1, -1)]
-        + [theta.B[k] for k in range(s.n_b, -1, -1)]
-    )
-    resid = wide @ reg.model_rows
+    resid = np.hstack(theta.A[::-1] + theta.B[::-1]) @ reg.model_rows
     return Spectrum(length=reg.length, coeffs=resid, freqs=reg.freqs)
-
-
-def _split_theta(theta2: np.ndarray, structure: ModelStructure) -> ModelParams:
-    """The solver's real theta2 as ModelParams, whose blocks have the right
-    shapes by construction: of its checks only finiteness is kept."""
-    if not np.isfinite(theta2).all():
-        raise ValueError("A and B must be finite matrices")
-    s = structure
-    a = s.n_x * s.n_a  # column blocks A_{n_a-1} .. A_0, then B_{n_b} .. B_0
-    A = [theta2[:, j:j + s.n_x] for j in range(0, a, s.n_x)][::-1] + [np.eye(s.n_x)]
-    B = [theta2[:, j:j + s.n_u] for j in range(a, theta2.shape[1], s.n_u)][::-1]
-    params = object.__new__(ModelParams)
-    params.__dict__.update(structure=s, A=tuple(A), B=tuple(B))
-    return params
 
 
 def _times(q: np.ndarray, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -415,14 +407,16 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
         if theta2 is None:
             raise np.linalg.LinAlgError("Singular matrix")
     theta2 = theta2.T
-    wall = time.perf_counter() - t0
-    return EstimateReport(theta_hat=_split_theta(theta2[:, :n_m].real, reg.structure),
-                          wall_time=wall, regression=reg, solution=theta2)
+    if not np.isfinite(theta2[:, :n_m].real).all():
+        raise ValueError("A and B must be finite matrices")
+    return EstimateReport(wall_time=time.perf_counter() - t0, regression=reg,
+                          solution=theta2)
 
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,
                           window_spec: WindowSpec | None = None,
-                          n_p: int = 0, band=None) -> EstimateReport:
+                          n_p: int = 0, band=None,
+                          names=("state record", "input record")) -> EstimateReport:
     """One-shot estimation from sampled records: ``solve_ls`` of
     ``build_regression`` on the same arguments.  A smooth window is the
     corrected method, or mixed with ``n_p`` > 0; no window is naive, or ps
@@ -431,5 +425,6 @@ def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructur
     (window, N, K) includes the cold build of the window table.
     """
     t0 = time.perf_counter()
-    report = solve_ls(build_regression(x_sig, u_sig, structure, window_spec, n_p, band))
+    report = solve_ls(build_regression(x_sig, u_sig, structure, window_spec, n_p, band,
+                                       names))
     return replace(report, wall_time=time.perf_counter() - t0)

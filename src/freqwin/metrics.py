@@ -35,7 +35,8 @@ def param_error(theta_true: ModelParams, theta_hat: ModelParams) -> float:
     """Frobenius norm of the stacked free-parameter difference
     (the fixed A_{n_a} block is excluded)."""
     if theta_true.structure != theta_hat.structure:
-        raise ValueError("model structures differ")
+        raise ValueError(f"model structures differ: {theta_true.structure} "
+                         f"and {theta_hat.structure}")
     return float(np.linalg.norm(theta_true.free_stack() - theta_hat.free_stack()))
 
 

@@ -31,7 +31,7 @@ class Signal:
     ``terminal`` optionally carries the extra sample s(T), record data for
     checks against x(T) and for the CSV's exact T; no estimate reads it.
     The values and the terminal sample are scanned for non-finite entries
-    once, at construction, and are treated as read-only: a slice of them (a
+    once, at construction, and stored as read-only views: a slice of them (a
     decimated record) shares their memory and is not scanned.
     """
 
@@ -54,6 +54,8 @@ class Signal:
             raise ValueError("signal contains non-finite values")
         if not 0 < self.length < np.inf:
             raise ValueError("record length must be finite and positive")
+        vals, term = vals.view(), term.view()  # the caller's arrays keep their flag
+        vals.flags.writeable = term.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.terminal is not None:
             object.__setattr__(self, "terminal", term)

@@ -247,7 +247,13 @@ def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTa
     return WindowTable(spec=spec, samples=_window_rows(spec, range(max_deriv + 1), s))
 
 
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # nodes, weights
+@functools.cache
+def _leggauss(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: every
+    ``window_area`` and ``overlap_variance`` call shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def window_area(spec: WindowSpec) -> float:

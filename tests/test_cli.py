@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io as stdio
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqwin
 import freqwin.bench as bench
@@ -332,6 +337,26 @@ class TestIdentify:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_truth_of_another_structure_is_exit_2_before_the_estimate(
+            self, sim_dir, tmp_path, monkeypatch, capsys):
+        # used to run the whole estimate, then print only "model structures differ"
+        payload = json.loads((sim_dir / "truth.json").read_text())
+        theta = payload["theta"]
+        theta["structure"]["n_b"] = 1
+        theta["B"].append({"shape": theta["B"][0]["shape"],
+                           "data": [0.0] * len(theta["B"][0]["data"])})
+        truth = tmp_path / "truth_nb1.json"
+        truth.write_text(json.dumps(payload))
+        monkeypatch.setattr("freqwin.cli.identify_from_signals", None)  # never reached
+        out = tmp_path / "out"
+        assert main(["identify", "--out", str(out), "--x", str(sim_dir / "x.csv"),
+                     "--u", str(sim_dir / "u.csv"), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {truth}: " in err and "Traceback" not in err
+        assert "ModelStructure(n_x=5, n_u=5, n_a=1, n_b=1)" in err
+        assert "ModelStructure(n_x=5, n_u=5, n_a=1, n_b=0)" in err
+        assert not out.exists()
+
     def test_more_inputs_than_states(self, tmp_path, capsys):
         # one state driven by two inputs, n_b = 1: the records alone give n_u
         ds = bench.reference_dataset(42, fine_rate=30720,
@@ -355,6 +380,138 @@ class TestIdentify:
         assert exit_code(["identify", "--out", str(tmp_path / "len"),
                           "--x", str(sim_dir / "x.csv"), "--u", str(sim_dir / "u.csv"),
                           "--length", "1"]) == 2
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def cut_outcome(lines, kept):
+    """What ``identify`` makes of a CSV (``lines``: the header, N sample
+    rows, the terminal row) cut to its prefix ``kept``.  A cut within the
+    terminal row that drops it, or keeps its width and a number in its last
+    field, leaves the same record: only the terminal sample changes, which
+    no estimate reads.  A cut within the last sample row that keeps its
+    width and a number in its last field is a record of N samples that no
+    reader can tell from the file's ("exit 0").  Any other cut is an error:
+    a shorter record is not the other record's N samples."""
+    *whole, tail = kept.split("\n")
+    terminal = len(lines) - 1
+    full = tail.count(",") == lines[len(whole)].count(",") and is_number(tail.split(",")[-1])
+    if len(whole) == terminal:
+        return "same" if tail == "" or full else "exit 2"
+    if len(whole) == terminal - 1:
+        return "same" if tail == lines[-2] else "exit 0" if full else "exit 2"
+    return "exit 2"
+
+
+def truth_key_paths(theta):
+    """Every key of truth.json that ``read_truth_json`` reads."""
+    paths = [("theta",), ("theta", "structure"), ("theta", "A"), ("theta", "B")]
+    paths += [("theta", "structure", key) for key in theta["structure"]]
+    paths += [("theta", block, i, key) for block in ("A", "B")
+              for i in range(len(theta[block])) for key in ("shape", "data")]
+    return paths
+
+
+@st.composite
+def file_edits(draw, texts):
+    """One edit of a ``freqwin simulate``-written file: (file name, edited
+    text, outcome).  The outcome is "exit 2", "same" (exit 0 with the
+    unedited estimate) or "exit 0" (an edit no reader can see)."""
+    name = draw(st.sampled_from(sorted(texts)))
+    text = texts[name]
+    if name == "truth.json":
+        kind = draw(st.sampled_from(["cut", "drop key", "shape"]))
+        if kind == "cut":  # no prefix of a JSON object is one
+            return name, text[:draw(st.integers(0, len(text) - 1))], "exit 2"
+        payload = json.loads(text)
+        theta, outcome = payload["theta"], "exit 2"
+        if kind == "drop key":
+            *parents, key = draw(st.sampled_from(truth_key_paths(theta)))
+            entry = payload
+            for parent in parents:
+                entry = entry[parent]
+            del entry[key]
+        else:
+            entry = draw(st.sampled_from(theta["A"] + theta["B"]))
+            shape = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+            outcome = "same" if shape == entry["shape"] else outcome
+            entry["shape"] = shape
+        return name, json.dumps(payload, indent=2), outcome
+    lines = text.splitlines()  # the header, N sample rows, the terminal row
+    kind = draw(st.sampled_from(["drop", "duplicate", "move", "cell", "semicolons",
+                                 "cut"]))
+    if kind == "semicolons":
+        return name, text.replace(",", ";"), "exit 2"
+    if kind == "cut":
+        kept = text[:draw(st.integers(0, len(text) - 1))]
+        return name, kept, cut_outcome(lines, kept)
+    i = draw(st.integers(0, len(lines) - 1))
+    outcome = "exit 2"
+    if kind == "drop":
+        outcome = "same" if i == len(lines) - 1 else outcome  # the terminal row
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "move":
+        j = draw(st.integers(0, len(lines) - 2))
+        lines.insert(j + (j >= i), lines.pop(i))
+    else:  # the header's labels are read by position only
+        field = draw(st.integers(0, lines[i].count(",")))
+        lines = with_field(lines, i + 1, field, draw(st.sampled_from(["abc", "nan", ""])))
+        outcome = "same" if i == 0 else outcome
+    return name, "\n".join(lines) + "\n", outcome
+
+
+@pytest.fixture(scope="module")
+def sim_texts(sim_dir):
+    return {name: (sim_dir / name).read_text() for name in ("x.csv", "u.csv", "truth.json")}
+
+
+def run_identify(paths, out):
+    """``identify`` on x.csv, u.csv and truth.json at ``paths``: its exit
+    code and stderr."""
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+        rc = main(["identify", "--out", str(out), "--x", str(paths["x.csv"]),
+                   "--u", str(paths["u.csv"]), "--truth", str(paths["truth.json"])])
+    return rc, err.getvalue()
+
+
+def estimate_files(out):
+    return without_wall_time(out / "report.json"), (out / "residual.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def unedited_estimate(sim_dir, sim_texts, tmp_path_factory):
+    out = tmp_path_factory.mktemp("unedited") / "out"
+    assert run_identify({name: sim_dir / name for name in sim_texts}, out)[0] == 0
+    return estimate_files(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(data=st.data())
+def test_edited_input_file_is_exit_2_naming_it(sim_dir, sim_texts, unedited_estimate, data):
+    name, text, outcome = data.draw(file_edits(sim_texts))
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp).resolve() / name
+        edited.write_text(text)
+        paths = {other: sim_dir / other for other in sim_texts} | {name: edited}
+        out = edited.parent / "out"
+        rc, err = run_identify(paths, out)
+        if outcome == "exit 2":
+            assert rc == 2, err
+            assert f"{edited}: " in err and "Traceback" not in err
+            assert not out.exists()
+        else:
+            assert rc == 0, err
+            if outcome == "same":
+                assert estimate_files(out) == unedited_estimate
 
 
 class TestRecordLength:
@@ -398,6 +555,14 @@ class TestWindowCommand:
         assert vals[1e-12] == ">10000"
         window = read_rows(out / "window.csv")
         assert len(window) == 256
+
+    def test_time_column_is_the_sampled_grid(self, tmp_path):
+        # t used to be np.arange(n) / n, off in the last bit in 255 of 768 rows
+        out = tmp_path / "grid"
+        assert main(["window", "--out", str(out), "--window", "sin:1",
+                     "--samples", "768", "--max-deriv", "0", "--f-max", "8"]) == 0
+        t = np.array([float(r["t"]) for r in read_rows(out / "window.csv")])
+        assert np.array_equal(t, np.arange(768) * (1.0 / 768))
 
     def test_rectangular_skips_derivative_rows(self, tmp_path):
         out = tmp_path / "rect"

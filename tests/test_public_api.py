@@ -3,14 +3,18 @@ so a change that adds or drops one edits this list and says why.  The
 fields an estimate stores are pinned too: every diagnostic is computed
 from them on read, so storing one again edits this list and says why.  So
 are the module-level caches, each a concept of its own: a new one edits
-this list and says why."""
+this list and says why.  Their callers share what they return, so every
+array in it is read-only."""
 
 import dataclasses
 import importlib
 import pkgutil
 import types
 
+import numpy as np
+
 import freqwin
+from freqwin import WindowSpec, WindowTable
 
 PUBLIC_NAMES = [
     "EstimateReport", "ForcingSpec", "ModelParams", "ModelStructure",
@@ -34,7 +38,7 @@ def test_public_names_are_pinned():
 
 def test_estimate_report_stores_the_solve_only():
     names = [f.name for f in dataclasses.fields(freqwin.EstimateReport)]
-    assert names == ["theta_hat", "wall_time", "regression", "solution"]
+    assert names == ["wall_time", "regression", "solution"]
 
 
 CACHES = ["_chirp_plan", "_envelope", "_grid", "_leggauss", "_phase_tables",
@@ -50,3 +54,43 @@ def test_module_level_caches_are_pinned():
             if hasattr(value, "cache_info"):
                 caches[id(value)] = name
     assert sorted(caches.values()) == CACHES  # 8 caches
+
+
+# small valid arguments per cache (``_envelope`` has no small ones: its
+# spectra always span the f_err search range)
+CACHE_ARGS = {
+    "_chirp_plan": (8, 2, 16),
+    "_envelope": (WindowSpec("sin", 1), 0),
+    "_grid": (8, 1.0),
+    "_leggauss": (4,),
+    "_phase_tables": (np.array([1.0, 2.0]).tobytes(), 1e-3, 2),
+    "_poly_block": (np.arange(-4.0, 4.0).tobytes(), 3),
+    "_strict_lower": ((3, 4),),
+    "_window_table": (WindowSpec("sin", 2), 16, 2),
+}
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, WindowTable):
+        return [value.samples]
+    if isinstance(value, tuple):
+        return [a for entry in value for a in arrays_in(entry)]
+    return []
+
+
+def test_every_cache_hands_out_read_only_arrays():
+    # every caller shares what a cache returns; ``__wrapped__`` builds it
+    # without filling the cache under test (two caches of one name are the
+    # pin's to catch)
+    caches = {}
+    for info in pkgutil.iter_modules(freqwin.__path__):
+        module = importlib.import_module(f"freqwin.{info.name}")
+        caches.update((name, value) for name, value in vars(module).items()
+                      if hasattr(value, "cache_info"))
+    assert sorted(caches) == sorted(CACHE_ARGS) == CACHES
+    for name, args in CACHE_ARGS.items():
+        out = arrays_in(caches[name].__wrapped__(*args))
+        assert out, name
+        assert not any(a.flags.writeable for a in out), name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freqwin.bench as bench
 import freqwin.spectral as spectral
 from freqwin import (ModelStructure, Signal, WindowSpec, apply_window, build_regression,
                      fft_spectrum, window_table, window_value)
@@ -246,3 +247,20 @@ class TestSignalValidation:
         sig = tone(1.0, 64, length=2.0)
         assert sig.sample_rate == pytest.approx(32.0)
         assert sig.times[1] == pytest.approx(2.0 / 64)
+
+    def test_values_and_terminal_are_read_only(self):
+        # a decimated record is a view of the dataset's; writing NaN into it
+        # used to reach ds.x past the finiteness scan, and every later record
+        ds = bench.reference_dataset(3, fine_rate=23040)
+        before = ds.x.values.copy()
+        for f_s in (80, 23040):  # a strided view, and the record itself
+            x, _ = ds.decimated(f_s)
+            with pytest.raises(ValueError, match="read-only"):
+                x.values[0, 0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                x.terminal[0] = np.nan
+        assert np.array_equal(ds.x.values, before)
+        vals, term = np.ones((2, 8), dtype=complex), np.ones(2, dtype=complex)
+        sig = Signal(length=1.0, values=vals, terminal=term)
+        assert np.shares_memory(sig.values, vals) and np.shares_memory(sig.terminal, term)
+        assert vals.flags.writeable and term.flags.writeable
