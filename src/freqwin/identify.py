@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corrections import modulated_row
-from .spectral import Signal, Spectrum, _grid, apply_window, fft_spectrum
+from .spectral import Signal, Spectrum, _grid, _read_only, apply_window, fft_spectrum
 from .windows import WindowSpec, WindowTable, window_table
 
 # singular values of M2 at or below RANK_RTOL * s_max count as zero (the
@@ -86,7 +86,8 @@ class ModelStructure:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coefficient matrices A_0..A_{n_a} (n_x x n_x) and B_0..B_{n_b} (n_x x n_u)."""
+    """Coefficient matrices A_0..A_{n_a} (n_x x n_x) and B_0..B_{n_b} (n_x x n_u),
+    stored as read-only views: the caller's arrays keep their flag."""
 
     structure: ModelStructure
     A: tuple[np.ndarray, ...]
@@ -96,8 +97,8 @@ class ModelParams:
         s = self.structure
         if any(np.iscomplexobj(m) for m in (*self.A, *self.B)):
             raise ValueError("A and B must be real matrices")
-        A = tuple(np.asarray(m, dtype=float) for m in self.A)
-        B = tuple(np.asarray(m, dtype=float) for m in self.B)
+        A = _read_only(tuple(np.asarray(m, dtype=float).view() for m in self.A))
+        B = _read_only(tuple(np.asarray(m, dtype=float).view() for m in self.B))
         if len(A) != s.n_a + 1 or any(m.shape != (s.n_x, s.n_x) for m in A):
             raise ValueError("A must hold n_a + 1 matrices of shape (n_x, n_x)")
         if len(B) != s.n_b + 1 or any(m.shape != (s.n_x, s.n_u) for m in B):
@@ -152,7 +153,8 @@ class EstimateReport:
     ``poly_coeffs`` = theta2[:, n_m:] (None with n_p = 0),
     ``per_frequency_residual`` (cached) the norm per bin of theta2 M2 + M1,
     ``residual_l2`` = ||theta2 M2 + M1||_F / sqrt(T), and
-    ``m2_singular_values`` (cached, descending) the SVD of M2.
+    ``m2_singular_values`` (cached, descending) the SVD of M2.  Every array
+    read off a report is read-only, so a read cannot rewrite the solve.
     """
 
     wall_time: float
@@ -180,13 +182,15 @@ class EstimateReport:
     @functools.cached_property
     def _m2(self) -> np.ndarray:
         reg = self.regression
-        return np.vstack((reg.m2, _poly_rows(reg.freqs, reg.n_poly)))
+        return _read_only(np.vstack((reg.m2, _poly_rows(reg.freqs, reg.n_poly))))
 
     @functools.cached_property
     def per_frequency_residual(self) -> Spectrum:
         reg = self.regression
         fit_resid = self.solution @ self._m2 + reg.m1
-        return Spectrum(reg.length, np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0)), reg.freqs)
+        res = Spectrum(reg.length, np.sqrt((np.abs(fit_resid) ** 2).sum(axis=0)), reg.freqs)
+        _read_only(res.coeffs)
+        return res
 
     @property
     def residual_l2(self) -> float:
@@ -195,7 +199,7 @@ class EstimateReport:
 
     @functools.cached_property
     def m2_singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self._m2, compute_uv=False)
+        return _read_only(np.linalg.svd(self._m2, compute_uv=False))
 
     @property
     def method(self) -> str:
@@ -218,11 +222,6 @@ def _poly_rows(freqs: np.ndarray, n_p: int) -> np.ndarray:
     return -np.polynomial.chebyshev.chebvander(xi, max(n_p - 1, 0))[:, :n_p].T
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 @functools.lru_cache(maxsize=16)
 def _poly_block(freq_bytes: bytes, n_p: int):
     """The thin QR factor P^T = Qp Rp of the polynomial rows P of a band
@@ -235,8 +234,7 @@ def _poly_block(freq_bytes: bytes, n_p: int):
             rp_inv_norm = float(np.linalg.norm(np.linalg.inv(rp)))
         except np.linalg.LinAlgError:
             rp_inv_norm = np.nan
-    _read_only(qp, rp)
-    return qp, rp, rp_inv_norm
+    return _read_only((qp, rp, rp_inv_norm))
 
 
 # 7 rates x 6 windows of a benchmark sweep fit with room to spare
@@ -251,9 +249,7 @@ def _window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowT
 @functools.lru_cache(maxsize=16)
 def _strict_lower(shape: tuple[int, int]) -> np.ndarray:
     """Read-only mask of the entries below the diagonal of a matrix."""
-    mask = np.tri(*shape, -1, dtype=bool)
-    _read_only(mask)
-    return mask
+    return _read_only(np.tri(*shape, -1, dtype=bool))
 
 
 def _check_band(band, n_bins: int) -> np.ndarray:
@@ -410,7 +406,7 @@ def solve_ls(reg: RegressionSystem) -> EstimateReport:
     if not np.isfinite(theta2[:, :n_m].real).all():
         raise ValueError("A and B must be finite matrices")
     return EstimateReport(wall_time=time.perf_counter() - t0, regression=reg,
-                          solution=theta2)
+                          solution=_read_only(theta2))
 
 
 def identify_from_signals(x_sig: Signal, u_sig: Signal, structure: ModelStructure,

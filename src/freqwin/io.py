@@ -6,7 +6,7 @@ one more line ``# terminal,T,ch0_re,ch0_im,...``; the ``#`` keeps it out of
 the sample rows for any reader that skips comment lines.
 Spectrum CSV: header ``f,ch0_re,ch0_im,...`` one row per bin.
 All floats are written with 17 significant digits so downstream slope fits
-are not quantization-limited.
+are not quantization-limited.  Every CSV ends its lines with LF.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,29 +29,29 @@ GRID_RTOL = 1e-9
 
 
 def write_csv(path, header, rows) -> None:
-    """Rows of floats, ints and strings under a header; floats at FMT."""
+    """Rows of floats, ints and strings under a header; floats at FMT,
+    every line ended by LF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([FMT % v if isinstance(v, float) else v for v in row])
 
 
-def _write_channels(path, axis_name: str, axis, values, footer: str = "") -> None:
-    """An axis column, then the real and imaginary part of each channel."""
-    header = axis_name + "," + ",".join(
-        f"ch{c}_re,ch{c}_im" for c in range(values.shape[0]))
+def _write_channels(path, axis_name: str, axis, values, last=()) -> None:
+    """An axis column, then the real and imaginary part of each channel;
+    the rows ``last`` follow."""
+    header = [axis_name] + [f"ch{c}_{p}" for c in range(len(values)) for p in ("re", "im")]
     cols = [axis] + [part for row in values for part in (row.real, row.imag)]
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               footer=footer, comments="", fmt=FMT)
+    write_csv(path, header, chain((row.tolist() for row in np.column_stack(cols)), last))
 
 
 def write_signal_csv(path, signal: Signal) -> None:
-    footer = ""
+    last = []
     if signal.terminal is not None:
-        row = [signal.length] + [p for v in signal.terminal for p in (v.real, v.imag)]
-        footer = ",".join([TERMINAL_TAG] + [FMT % v for v in row])
-    _write_channels(path, "t", signal.times, signal.values, footer)
+        last.append([TERMINAL_TAG, signal.length,
+                     *(p for v in signal.terminal for p in (v.real, v.imag))])
+    _write_channels(path, "t", signal.times, signal.values, last)
 
 
 def _text(path) -> str:

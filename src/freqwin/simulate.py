@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identify import ModelParams, ModelStructure
-from .spectral import Signal, _finite_signal
+from .spectral import Signal, _finite_signal, _read_only
 
 COMPONENT_SYSTEM = 1
 COMPONENT_FORCING = 2
@@ -304,10 +304,8 @@ def _phase_tables(omega_bytes: bytes, h: float,
     T = 4 s and 98 MB for T = 100 s, beside a 14.7 MB, 59 MB and 1.47 GB
     state record."""
     omega = np.frombuffer(omega_bytes)
-    in_block = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * h))
-    per_block = np.exp(1j * np.outer(omega, np.arange(n_blocks) * (_BLOCK * h)))
-    in_block.flags.writeable = per_block.flags.writeable = False
-    return in_block, per_block
+    return _read_only((np.exp(1j * np.outer(omega, np.arange(_BLOCK) * h)),
+                       np.exp(1j * np.outer(omega, np.arange(n_blocks) * (_BLOCK * h)))))
 
 
 def _block_slices(rows: int, n_blocks: int) -> list[tuple[slice, slice]]:

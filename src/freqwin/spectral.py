@@ -23,6 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _read_only(value):
+    """``value``, once the array it is, or every array of the tuple it is,
+    is read-only (other entries pass through): every array freqwin shares
+    (records, model parameters, an estimate's reads, every cache) is
+    frozen here.  A view of a frozen array (a decimated record, a block of
+    a solve) is frozen already; its flag, slow to set, is left alone."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray) and a.flags.writeable:
+            a.flags.writeable = False
+    return value
+
+
 @dataclass(frozen=True)
 class Signal:
     """Uniformly sampled multichannel complex time record on [0, T).
@@ -54,8 +66,8 @@ class Signal:
             raise ValueError("signal contains non-finite values")
         if not 0 < self.length < np.inf:
             raise ValueError("record length must be finite and positive")
-        vals, term = vals.view(), term.view()  # the caller's arrays keep their flag
-        vals.flags.writeable = term.flags.writeable = False
+        # views: the caller's arrays keep their flag
+        vals, term = _read_only((vals.view(), term.view()))
         object.__setattr__(self, "values", vals)
         if self.terminal is not None:
             object.__setattr__(self, "terminal", term)
@@ -118,10 +130,7 @@ def _grid(num_samples: int, length: float) -> tuple[np.ndarray, np.ndarray, np.n
     order), D = 2 pi i f and every bin's index, read-only and shared by
     every record of that (N, T)."""
     freqs = np.fft.fftfreq(num_samples, d=length / num_samples)
-    grid = freqs, 2j * np.pi * freqs, np.arange(num_samples)
-    for a in grid:
-        a.flags.writeable = False
-    return grid
+    return _read_only((freqs, 2j * np.pi * freqs, np.arange(num_samples)))
 
 
 def fft_spectrum(signal: Signal) -> Spectrum:

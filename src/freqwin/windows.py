@@ -40,7 +40,7 @@ from math import isfinite, perm, prod
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .spectral import Spectrum
+from .spectral import Spectrum, _read_only
 
 FAMILIES = ("rectangular", "sin", "cinf", "poly_ref")
 
@@ -251,9 +251,7 @@ def window_table(spec: WindowSpec, num_samples: int, max_deriv: int) -> WindowTa
 def _leggauss(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: every
     ``window_area`` and ``overlap_variance`` call shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(degree)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return _read_only(np.polynomial.legendre.leggauss(degree))
 
 
 def window_area(spec: WindowSpec) -> float:
@@ -349,10 +347,7 @@ def _chirp_plan(n: int, keep: int, size: int) -> tuple[np.ndarray, np.ndarray, n
     kernel *= 1.0 / length
     kernel = kernel.reshape(n1, n2)
     _dft_passes(kernel, twiddle)
-    chirp = chirp[:max(n, keep + 1)].copy()
-    for a in (chirp, kernel, twiddle):
-        a.flags.writeable = False
-    return chirp, kernel, twiddle
+    return _read_only((chirp[:max(n, keep + 1)].copy(), kernel, twiddle))
 
 
 def _spectrum_samples(spec: WindowSpec, k: int, m_max: float,
@@ -477,9 +472,7 @@ def _envelope(spec: WindowSpec, pair: int) -> np.ndarray:
     env = np.maximum.accumulate(bins[:, ::-1], axis=1)[:, ::-1]
     # dividing by the area after the max gives the same values: x / S is
     # monotone in x under rounding
-    out = env[:, 1: F_ERR_SEARCH_BINS + 1] / window_area(spec)
-    out.flags.writeable = False
-    return out
+    return _read_only(env[:, 1: F_ERR_SEARCH_BINS + 1] / window_area(spec))
 
 
 def f_err(spec: WindowSpec, k: int, p: float) -> float:

@@ -727,6 +727,26 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
                                             "montecarlo", "overlap")}
 
 
+def test_every_output_file_ends_its_lines_with_lf(tmp_path):
+    # the csv module's CRLF used to end residual.csv, window.csv, ferr.csv,
+    # sweep.csv, ensemble.csv and overlap.csv, np.savetxt's LF the others
+    sim = tmp_path / "sim"
+    runs = [["simulate", "--out", str(sim), "--fine-rate", "7680"],
+            ["identify", "--out", str(tmp_path / "id"), "--x", str(sim / "x.csv"),
+             "--u", str(sim / "u.csv")],
+            ["window", "--out", str(tmp_path / "win"), "--window", "sin:2",
+             "--samples", "256"],
+            ["sweep", "--out", str(tmp_path / "sw"), "--fine-rate", "7680"],
+            ["montecarlo", "--out", str(tmp_path / "mc"), "--fine-rate", "7680",
+             "--trials", "3"],
+            ["overlap", "--out", str(tmp_path / "ov"), "--tau-step", "0.25"]]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(written) == 17
+    assert [p.relative_to(tmp_path) for p in written if b"\r" in p.read_bytes()] == []
+
+
 class TestNoiseFlag:
     def test_sigma_changes_records(self, tmp_path):
         clean, noisy = tmp_path / "clean", tmp_path / "noisy"

@@ -75,6 +75,21 @@ class TestStructureValidation:
         with pytest.raises(ValueError, match="A and B must be finite"):
             ModelParams(s, A=tuple(mats["A"]), B=tuple(mats["B"]))
 
+    def test_blocks_are_read_only_views(self):
+        # writing into a dataset's truth used to rewrite what every later
+        # sweep row and param_error compared against
+        ds = bench.reference_dataset(3, fine_rate=7680)
+        before = [m.copy() for m in ds.theta_true.A + ds.theta_true.B]
+        for m in ds.theta_true.A + ds.theta_true.B:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+        for m, want in zip(ds.theta_true.A + ds.theta_true.B, before, strict=True):
+            np.testing.assert_array_equal(m, want)
+        A0, B0 = np.zeros((2, 2)), np.ones((2, 1))
+        theta = ModelParams(ModelStructure(2, 1, 1, 0), A=(A0, np.eye(2)), B=(B0,))
+        assert np.shares_memory(theta.A[0], A0) and np.shares_memory(theta.B[0], B0)
+        assert A0.flags.writeable and B0.flags.writeable
+
 
 @pytest.mark.parametrize("dims, bound", [
     ((1, 3, 1, 0), 1e-12),  # observed 6.0e-14
@@ -753,6 +768,41 @@ class TestDesignCaches:
         for array in (qp, rp, table.samples, identify._strict_lower((10, 15))):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+class TestReportReads:
+    """Every array read off a report is read-only: the model blocks and the
+    polynomial coefficients are views of the stored solve, and a write into
+    one used to rewrite it, and every diagnostic read after."""
+
+    @staticmethod
+    def mixed_report():
+        x, u = reference_dataset_7680().decimated(80.0)
+        return identify_from_signals(x, u, bench.REF_STRUCTURE,
+                                     window_spec=WindowSpec("cinf", 4), n_p=4)
+
+    def test_every_read_refuses_writes(self):
+        report = self.mixed_report()
+        assert report.method == "mixed"
+        reads = [report.solution, *report.theta_hat.A, *report.theta_hat.B,
+                 report.poly_coeffs, report._m2, report.per_frequency_residual.coeffs,
+                 report.m2_singular_values]
+        for array in reads:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_subtracting_the_truth_leaves_the_residual(self):
+        # the write read residual_l2 4.82 where 9.96e-06 was due (corrected,
+        # cinf:4, 80 Hz)
+        report, fresh = self.mixed_report(), self.mixed_report()
+        with pytest.raises(ValueError, match="read-only"):
+            report.theta_hat.A[0] -= reference_dataset_7680().theta_true.A[0]
+        assert report.residual_l2 == fresh.residual_l2
+
+
+@cache
+def reference_dataset_7680():
+    return bench.reference_dataset(seed=bench.REF_SEED, fine_rate=7680)
 
 
 def assert_same_report(r1, r2):

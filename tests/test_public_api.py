@@ -4,17 +4,22 @@ fields an estimate stores are pinned too: every diagnostic is computed
 from them on read, so storing one again edits this list and says why.  So
 are the module-level caches, each a concept of its own: a new one edits
 this list and says why.  Their callers share what they return, so every
-array in it is read-only."""
+array in it is read-only.  So is where an array is made read-only: one
+function, ``spectral._read_only``, freezes every shared array, so a new
+freeze site edits that pin and says why."""
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 
 import freqwin
-from freqwin import WindowSpec, WindowTable
+from freqwin import WindowSpec, WindowTable, spectral
 
 PUBLIC_NAMES = [
     "EstimateReport", "ForcingSpec", "ModelParams", "ModelStructure",
@@ -94,3 +99,16 @@ def test_every_cache_hands_out_read_only_arrays():
         out = arrays_in(caches[name].__wrapped__(*args))
         assert out, name
         assert not any(a.flags.writeable for a in out), name
+
+
+def test_arrays_are_frozen_in_one_function():
+    # every flag is cleared on the one line of spectral._read_only that the
+    # pattern finds
+    lines, start = inspect.getsourcelines(spectral._read_only)
+    sites = [(path.stem, number)
+             for path in sorted(Path(spectral.__file__).parent.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\.flags\.writeable\s*=(?!=)|\.setflags\(", line)]
+    assert len(sites) == 1
+    (module, number), = sites
+    assert module == "spectral" and start <= number < start + len(lines)
